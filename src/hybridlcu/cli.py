@@ -2,8 +2,9 @@
 
 Every subcommand writes CSVs whose final line is a metadata comment with
 the seed and package version, and reruns with the same seed reproduce the
-files byte for byte regardless of --workers (shot ranges and sweep cells
-are split contiguously and merged in submission order).
+files byte for byte regardless of --workers. --workers splits only the
+``qed`` sweep cells, which are merged in submission order; shots are drawn
+in one call from per-shot counter-based substreams.
 """
 
 from __future__ import annotations
@@ -184,27 +185,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# deterministic worker pools
-
-
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, count) chunks covering range(total) in order."""
-    bounds = [total * i // workers for i in range(workers + 1)]
-    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
-def _sample_parallel(sampler: hybrid.Sampler, seed: int, shots: int, workers: int, stream: int) -> hybrid.SampleArrays:
-    """Shot range split across a thread pool; per-shot substreams make the
-    merged arrays identical for every worker count."""
-    chunks = _chunk_ranges(shots, workers)
-    if len(chunks) == 1:
-        return sampler.sample_shots(seed, shots, stream=stream)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda c: sampler.sample_shots(seed, c[1], start=c[0], stream=stream), chunks))
-    return hybrid.SampleArrays.concat(parts)
-
-
-# ---------------------------------------------------------------------------
 # random demo instances (artifact plumbing, not part of the numerics)
 
 
@@ -282,7 +262,7 @@ def cmd_demo(config: RunConfig) -> None:
         raise InvariantViolation(f"analytic {analytic!r} vs circuit {circuit!r} disagree")
 
     sampler = hybrid.Sampler(channel, psi, obs)
-    batch_obs = _sample_parallel(sampler, config.seed, config.shots, config.workers, stream=0)
+    batch_obs = sampler.sample_shots(config.seed, config.shots, stream=0)
     mc = float(batch_obs.g.mean())
     se = math.sqrt(max(estimate.sample_variance(batch_obs.g), 1e-30) / batch_obs.n)
     if abs(mc - analytic) > MC_SIGMAS * se + 1e-12:
@@ -290,7 +270,7 @@ def cmd_demo(config: RunConfig) -> None:
     print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={mc:.12g} (N={batch_obs.n})")
 
     sampler_one = hybrid.Sampler(channel, psi, np.eye(dim))
-    batch_one = _sample_parallel(sampler_one, config.seed, config.shots, config.workers, stream=1)
+    batch_one = sampler_one.sample_shots(config.seed, config.shots, stream=1)
     batch = estimate.SampleBatch(batch_obs.g, batch_one.g, seed=config.seed)
     est_cfg = estimate.EstimationConfig(epsilon=epsilon, delta=delta, bound_c=1.0)
     reports = [

@@ -22,6 +22,7 @@ sampler.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,16 +297,6 @@ class SampleArrays:
         self.stream = stream
         self.n = len(g)
 
-    @classmethod
-    def concat(cls, parts: list["SampleArrays"]) -> "SampleArrays":
-        if not parts:
-            raise ValueError("nothing to concatenate")
-        return cls(
-            *(np.concatenate([getattr(p, f) for p in parts]) for f in ("shot", "k", "kprime", "z", "b", "j", "g")),
-            seed=parts[0].seed,
-            stream=parts[0].stream,
-        )
-
 
 class Sampler:
     """Precomputed outcome tables for fast, reproducible shot sampling."""
@@ -366,10 +357,19 @@ class Sampler:
         """
         shots = np.arange(start, start + count, dtype=np.uint64)
         u = prng.uniforms(seed, shots, 2, stream=stream)
+        n_pairs = len(self.pair_cum)
         pair = np.searchsorted(self.pair_cum, u[:, 0], side="right")
-        np.clip(pair, 0, len(self.pair_cum) - 1, out=pair)
-        rows = self.table_cum[pair]
-        out = (u[:, 1:2] >= rows).sum(axis=1)
+        np.clip(pair, 0, n_pairs - 1, out=pair)
+        # one outcome-table lookup per pair keeps memory O(N); folding the
+        # pair into u against a single offset table would round away low
+        # bits of u and change outcomes
+        order = np.argsort(pair)
+        bounds = np.searchsorted(pair, np.arange(n_pairs + 1), sorter=order)
+        u_out = u[order, 1]
+        out = np.empty(count, dtype=np.intp)
+        for p in range(n_pairs):
+            lo, hi = bounds[p], bounds[p + 1]
+            out[order[lo:hi]] = np.searchsorted(self.table_cum[p], u_out[lo:hi], side="right")
         np.clip(out, 0, self.table_cum.shape[1] - 1, out=out)
         k, kp, z, b, j, g = self._decode(pair, out)
         return SampleArrays(shots.astype(np.int64), k, kp, z, b, j, g, seed=seed, stream=stream)
@@ -418,12 +418,38 @@ def expectation_rounds(channels: list[HybridChannel], state, obs) -> float:
     return float(np.trace(o.matrix @ rho).real)
 
 
+# rows formatted and written per chunk by write_shot_csv; bounds its memory
+_CSV_CHUNK_ROWS = 65536
+
+
 def write_shot_csv(path, batch: SampleArrays, version: str) -> None:
+    """One row per shot, ``g`` printed with ``.17g``; a seed comment ends the file.
+
+    Apart from ``shot``, a row takes few distinct values (at most G^2 * 4d
+    from a sampler), so each distinct tail is formatted once and rows are
+    joined in chunks of ``_CSV_CHUNK_ROWS``.
+    """
+    ints = [np.asarray(col, dtype=np.int64) for col in (batch.k, batch.kprime, batch.z, batch.b, batch.j)]
+    g = np.asarray(batch.g, dtype=np.float64)
+    # g is keyed on its bits, which keep -0 apart from 0 as .17g does
+    g_code = np.unique(g.view(np.int64), return_inverse=True)[1]
+    key = np.zeros(batch.n, dtype=np.int64)
+    radix = 1
+    for col in ints + [g_code]:
+        # initial=0 keeps an empty batch valid; 0 inside the range is harmless
+        low = int(col.min(initial=0))
+        span = int(col.max(initial=0)) - low + 1
+        radix *= span
+        if radix >= 2**63:
+            raise ValueError("shot columns take too many distinct values to index")
+        key = key * span + (col - low)
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    rows = zip(*(col[first].tolist() for col in ints), g[first].tolist())
+    tails = np.array([f",{k},{kp},{z},{b},{j},{gv:.17g}\n" for k, kp, z, b, j, gv in rows], dtype=object)
     with open(path, "w") as fh:
         fh.write("shot,k,kprime,z,b,j,g\n")
-        for i in range(batch.n):
-            fh.write(
-                f"{int(batch.shot[i])},{int(batch.k[i])},{int(batch.kprime[i])},"
-                f"{int(batch.z[i])},{int(batch.b[i])},{int(batch.j[i])},{batch.g[i]:.17g}\n"
-            )
+        for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            shots = map(str, np.asarray(batch.shot[lo:hi], dtype=np.int64).tolist())
+            fh.write("".join(map(operator.add, shots, tails[key[lo:hi]].tolist())))
         fh.write(f"# seed={batch.seed} version={version}\n")

@@ -73,7 +73,8 @@ class LcuDecomposition:
         self.dimension = dim
         self.one_norm = one_norm
         probs = np.array([t.coefficient / one_norm for t in terms])
-        assert abs(probs.sum() - 1.0) <= TOL.prob_norm
+        if not abs(probs.sum() - 1.0) <= TOL.prob_norm:
+            raise AssertionError(f"term probabilities sum to {probs.sum()!r}, not 1")
         self.probs = probs
         self.probs.setflags(write=False)
         self.dropped = dropped

@@ -1,4 +1,4 @@
-"""Counter-based randomness: vectorized Philox4x64-10 substreams.
+"""Counter-based randomness: Philox4x64-10 substreams.
 
 Shot sampling must produce byte-identical output no matter how the shots
 are split across workers, so every shot owns a private substream addressed
@@ -10,24 +10,18 @@ purely by ``(master seed, stream id, shot index)``:
 
 Each counter block yields four 64-bit words, i.e. four doubles; a worker
 assigned shots ``[a, b)`` simply evaluates the same pure function on its
-slice. The round function is the standard Philox4x64-10 (the same
-generator numpy ships), which the tests verify word for word against
-``numpy.random.Philox``.
+slice. The blocks come from numpy's C ``Philox`` bit generator (Salmon et
+al., SC'11), which emits consecutive counters, so one generator per block
+index covers a whole contiguous shot range.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_key", "philox_block", "uniforms"]
+__all__ = ["derive_key", "uniforms"]
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_WORD_MAX = 2**64 - 1
 
 
 def _splitmix64(x: int) -> int:
@@ -45,61 +39,45 @@ def derive_key(seed: int, stream: int = 0) -> tuple[int, int]:
     return k0, k1
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    # 64x64 -> 128 bit product of an array with a constant, via 32-bit limbs
-    al = a & _LOW32
-    ah = a >> _SHIFT32
-    bl = np.uint64(m & 0xFFFFFFFF)
-    bh = np.uint64(m >> 32)
-    ll = al * bl
-    lh = al * bh
-    hl = ah * bl
-    hh = ah * bh
-    carry = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    lo = (ll & _LOW32) | ((carry & _LOW32) << _SHIFT32)
-    hi = hh + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (carry >> _SHIFT32)
-    return hi, lo
-
-
-def philox_block(c0, c1, key: tuple[int, int]):
-    """One Philox4x64-10 block per counter; ``c0``/``c1`` broadcast together.
-
-    Returns four uint64 arrays (the block words). Counter words 2 and 3
-    are fixed to zero; callers address blocks through (c0, c1) only.
-    """
-    c0 = np.atleast_1d(np.asarray(c0, dtype=np.uint64))
-    c1 = np.atleast_1d(np.asarray(c1, dtype=np.uint64))
-    c0, c1 = np.broadcast_arrays(c0, c1)
-    x0, x1 = c0.copy(), c1.copy()
-    x2 = np.zeros_like(x0)
-    x3 = np.zeros_like(x0)
-    k0 = np.uint64(key[0])
-    k1 = np.uint64(key[1])
-    # key schedule additions wrap mod 2**64 by design; silence the
-    # scalar-overflow warning numpy raises for uint64 scalars
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(x0, _M0)
-            hi1, lo1 = _mulhilo(x2, _M1)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    return x0, x1, x2, x3
+def _counter_before(start: int, block: int) -> np.ndarray:
+    # numpy increments the 256-bit counter before emitting each block, so
+    # the generator starts one step below (start, block, 0, 0)
+    if start:
+        words = [start - 1, block, 0, 0]
+    elif block:
+        words = [_WORD_MAX, block - 1, 0, 0]
+    else:
+        words = [_WORD_MAX] * 4
+    return np.array(words, dtype=np.uint64)
 
 
 def uniforms(seed: int, shots, n: int, stream: int = 0) -> np.ndarray:
     """Per-shot uniform doubles in [0, 1), shape ``(len(shots), n)``.
 
-    ``shots`` are global shot indices; the result for shot i is the same
-    whichever batch it is computed in.
+    ``shots`` are global shot indices forming a contiguous ascending range
+    below 2**64; the result for shot i is the same whichever batch it is
+    computed in.
     """
-    shots = np.atleast_1d(np.asarray(shots, dtype=np.uint64))
-    key = derive_key(seed, stream)
-    cols = []
+    shots = np.atleast_1d(np.asarray(shots))
+    count = shots.size
+    out = np.empty((count, n), dtype=np.float64)
+    if count == 0:
+        return out
+    if shots.dtype.kind not in "iu":
+        raise ValueError(f"shot indices must be integers, got dtype {shots.dtype}")
+    start = int(shots[0])
+    if start < 0:
+        raise ValueError(f"shot index {start} is negative")
+    if start + count > 2**64:
+        # the counter would carry into the block word and reuse a substream
+        raise ValueError(f"shots {start} .. {start + count - 1} pass the 64-bit counter range")
+    if int(shots[-1]) != start + count - 1 or not np.all(np.diff(shots) == 1):
+        raise ValueError("shot indices must form a contiguous ascending range")
+    key = np.array(derive_key(seed, stream), dtype=np.uint64)
     for block in range((n + 3) // 4):
-        words = philox_block(shots, np.full_like(shots, block), key)
-        cols.extend(words)
-    out = np.empty((shots.size, n), dtype=np.float64)
-    for i in range(n):
-        out[:, i] = (cols[i] >> np.uint64(11)) * 2.0**-53
+        gen = np.random.Philox(key=key, counter=_counter_before(start, block))
+        words = gen.random_raw(4 * count).reshape(count, 4)
+        lo = 4 * block
+        width = min(4, n - lo)
+        np.multiply(words[:, :width] >> np.uint64(11), 2.0**-53, out=out[:, lo : lo + width])
     return out

@@ -226,7 +226,8 @@ def _assembled_scalars(grid: QlssGrid, eigenvalues: np.ndarray) -> np.ndarray:
     kernel = _geometric_sum(x, grid.j_count)
     g = (1j * grid.dy / SQRT_TWO_PI) * (grid.z_weights[None, :] * kernel).sum(axis=1)
     # odd weights make the inner sum purely imaginary, so g is real
-    assert np.abs(g.imag).max() < 1e-9 * max(1.0, np.abs(g.real).max())
+    if not np.abs(g.imag).max() < 1e-9 * max(1.0, np.abs(g.real).max()):
+        raise AssertionError("assembled scalars are not real")
     return g.real
 
 

@@ -5,8 +5,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hybridlcu import cli, qed
 
@@ -57,15 +55,6 @@ def test_coerce_types():
         cli._coerce("x", "u64", str(2**64))
     with pytest.raises(cli.ConfigError):
         cli._coerce("x", "floats", " , ")
-
-
-@settings(max_examples=60, deadline=None)
-@given(total=st.integers(0, 997), workers=st.integers(1, 17))
-def test_chunk_ranges_cover_the_range(total, workers):
-    chunks = cli._chunk_ranges(total, workers)
-    flat = [i for start, count in chunks for i in range(start, start + count)]
-    assert flat == list(range(total))
-    assert all(count > 0 for _, count in chunks)
 
 
 def test_flag_beats_config_file(tmp_path):

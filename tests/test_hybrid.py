@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import PAULI_I, PAULI_X, PAULI_Z, haar_unitary, random_density, random_hermitian, random_lcu
 
-from hybridlcu import hybrid, lcu, partition, qcore
+from hybridlcu import hybrid, lcu, partition, prng, qcore
 from hybridlcu.hybrid import (
     DegenerateRoundError,
     HybridChannel,
@@ -282,9 +282,28 @@ def test_sample_shots_chunks_reassemble_exactly():
         sampler.sample_shots(seed=77, count=350, start=400),
         sampler.sample_shots(seed=77, count=250, start=750),
     ]
-    merged = hybrid.SampleArrays.concat(parts)
     for field in ("shot", "k", "kprime", "z", "b", "j", "g"):
-        assert np.array_equal(getattr(whole, field), getattr(merged, field))
+        merged = np.concatenate([getattr(part, field) for part in parts])
+        assert np.array_equal(getattr(whole, field), merged)
+
+
+def test_sample_shots_matches_table_gather_oracle():
+    # the per-pair lookup must pick the outcome the full N x 4d comparison
+    # against each shot's cumulative table row picks
+    rng = np.random.default_rng(808)
+    dec = random_lcu(6, 8, rng)
+    ch = HybridChannel(dec, Partition([(0,), (1, 2), (3, 4, 5)], 6))
+    sampler = Sampler(ch, random_density(8, rng), random_hermitian(8, rng))
+    n = 20_000
+    batch = sampler.sample_shots(seed=2718, count=n, start=1000, stream=4)
+    u = prng.uniforms(2718, np.arange(1000, 1000 + n), 2, stream=4)
+    pair = np.clip(np.searchsorted(sampler.pair_cum, u[:, 0], side="right"), 0, len(sampler.pair_cum) - 1)
+    out = (u[:, 1:2] >= sampler.table_cum[pair]).sum(axis=1)
+    out = np.clip(out, 0, sampler.table_cum.shape[1] - 1)
+    expected = sampler._decode(pair, out)
+    assert len(np.unique(pair)) == ch.G**2
+    for field, column in zip(("k", "kprime", "z", "b", "j", "g"), expected):
+        assert np.array_equal(getattr(batch, field), column)
 
 
 def test_sample_shots_streams_differ():
@@ -376,3 +395,43 @@ def test_write_shot_csv_format(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[6]) == batch.g[0]
+
+
+def _write_shot_csv_per_row(path, batch, version):
+    # row-at-a-time reference for the column-wise writer
+    with open(path, "w") as fh:
+        fh.write("shot,k,kprime,z,b,j,g\n")
+        for i in range(batch.n):
+            fh.write(
+                f"{int(batch.shot[i])},{int(batch.k[i])},{int(batch.kprime[i])},"
+                f"{int(batch.z[i])},{int(batch.b[i])},{int(batch.j[i])},{batch.g[i]:.17g}\n"
+            )
+        fh.write(f"# seed={batch.seed} version={version}\n")
+
+
+def test_write_shot_csv_matches_per_row_writer(tmp_path):
+    # -0.0 and 0.0 print differently and must not share a formatted tail;
+    # two-digit k and a row count past one chunk cover the joins
+    rng = np.random.default_rng(5)
+    n = hybrid._CSV_CHUNK_ROWS + 37
+    g_values = np.array([0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, -2.5e-17, 1.0])
+    batch = hybrid.SampleArrays(
+        np.arange(10**6, 10**6 + n),
+        rng.integers(0, 12, n),
+        rng.integers(0, 12, n),
+        rng.integers(0, 2, n),
+        rng.integers(0, 2, n),
+        rng.integers(0, 8, n),
+        g_values[rng.integers(0, len(g_values), n)],
+        seed=2**64 - 1,
+        stream=0,
+    )
+    assert np.any(np.signbit(batch.g) & (batch.g == 0)) and np.any(~np.signbit(batch.g) & (batch.g == 0))
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    write_shot_csv(ours, batch, version="0.1.0")
+    _write_shot_csv_per_row(reference, batch, version="0.1.0")
+    assert ours.read_bytes() == reference.read_bytes()
+    empty = hybrid.SampleArrays(*(np.zeros(0, dtype=np.int64) for _ in range(6)), np.zeros(0), seed=3, stream=0)
+    write_shot_csv(ours, empty, version="0.1.0")
+    _write_shot_csv_per_row(reference, empty, version="0.1.0")
+    assert ours.read_bytes() == reference.read_bytes()

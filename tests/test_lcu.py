@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import PAULI_X, PAULI_Z, PLUS, haar_unitary, random_density, random_lcu
@@ -146,3 +149,20 @@ def test_states_accepted_as_objects():
     mixed = qcore.MixedState(RHO_PLUS)
     assert abs(lcu.success_probability(dec, plus) - 0.5) <= 1e-12
     assert abs(lcu.success_probability(dec, mixed) - 0.5) <= 1e-12
+
+
+def test_probability_check_raises_under_optimize():
+    # invariant checks are explicit raises, so python -O keeps them
+    script = (
+        "import sys, dataclasses, numpy as np\n"
+        "from hybridlcu import lcu, qcore\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        "lcu.TOL = dataclasses.replace(qcore.TOL, prob_norm=-1.0)\n"
+        "try:\n"
+        "    lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), np.eye(2)])\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: term probabilities sum to")

@@ -1,28 +1,86 @@
 import numpy as np
+import pytest
 
 from hybridlcu import prng
 
+# reference values from the pure-Python Philox4x64-10 round loop that
+# preceded the numpy-backed generator, as float.hex per shot row
+GOLDEN_START0_N9 = [
+    [
+        "0x1.d2f383b5eae38p-2", "0x1.02a6e851ceaa4p-3", "0x1.81305e48f7bd8p-4", "0x1.50d4c6de4a640p-6",
+        "0x1.94530a72602f2p-2", "0x1.3192f1f11c317p-1", "0x1.297136dac38a9p-1", "0x1.e7f018501d006p-2",
+        "0x1.9d57cc1d3d3f7p-1",
+    ],
+    [
+        "0x1.644ebbd5c8e00p-2", "0x1.ef6e65cf921acp-3", "0x1.414e068a9b1bcp-1", "0x1.6a869585244d0p-3",
+        "0x1.eb3d1668d52bap-2", "0x1.a36e926183751p-1", "0x1.28610211aeb7cp-2", "0x1.3a085df8c47d7p-1",
+        "0x1.7ab1d225119f2p-2",
+    ],
+    [
+        "0x1.3caf8189ab774p-1", "0x1.fa6756642aff4p-3", "0x1.735d9ccefeb5ap-2", "0x1.17325e7905fccp-2",
+        "0x1.86f87b9685832p-2", "0x1.16846b3e01550p-4", "0x1.fae77dafd48bep-2", "0x1.52a4fddeba6eap-1",
+        "0x1.1eb805e595c5cp-3",
+    ],
+]
+GOLDEN_CASES = [
+    # (seed, first shot, n, stream, rows)
+    (2024, 0, 2, 0, [row[:2] for row in GOLDEN_START0_N9]),
+    (2024, 0, 9, 0, GOLDEN_START0_N9),
+    (
+        7, 12345, 3, 0,
+        [
+            ["0x1.788163ad0c536p-1", "0x1.39d8e20934f80p-1", "0x1.793fb1e0ddecap-1"],
+            ["0x1.dc7491218a65ep-1", "0x1.479bf69308317p-1", "0x1.5905b7755bb34p-2"],
+        ],
+    ),
+    (
+        7, 2**40, 4, 0,
+        [
+            ["0x1.dfe3df55c473cp-3", "0x1.99ebc43305fa1p-1", "0x1.bbbd39fd280e2p-1", "0x1.c7d88c3e4eae8p-1"],
+            ["0x1.d687e3e771ca2p-1", "0x1.e52465df1fcc0p-6", "0x1.e29487f8d0013p-1", "0x1.cdf75eb768000p-1"],
+        ],
+    ),
+    (
+        99, 5, 5, 11,
+        [
+            ["0x1.561a49d51a150p-4", "0x1.47df86712a380p-7", "0x1.c222419901b38p-2", "0x1.1bbd8fe6e0a82p-2",
+             "0x1.0e8e20240c984p-1"],
+            ["0x1.22f258bd69a33p-1", "0x1.15ffc649f4000p-7", "0x1.70ecc18c7cea7p-1", "0x1.ccfe63a88cfacp-3",
+             "0x1.ce02d18174f00p-8"],
+            ["0x1.321d334916e74p-1", "0x1.5f8c06ef72b5cp-2", "0x1.b5b0a3d5baadap-1", "0x1.c318a69b00e57p-1",
+             "0x1.b235dbc386625p-1"],
+        ],
+    ),
+]
 
-def test_philox_matches_numpy_reference():
-    # numpy's Philox bit generator emits the block for counter c+1 first
-    # (the counter is incremented before each block is produced)
-    key = (12345, 0)
-    for counter in (0, 7, 2**32, 123456789):
-        ref = np.random.Generator(np.random.Philox(key=key[0], counter=counter))
-        expected = ref.integers(0, 2**64, size=4, dtype=np.uint64)
-        ours = prng.philox_block(np.uint64(counter + 1), np.uint64(0), key)
-        got = np.array([w[0] for w in ours], dtype=np.uint64)
-        assert np.array_equal(got, expected)
+
+@pytest.mark.parametrize("seed,start,n,stream,rows", GOLDEN_CASES)
+def test_uniforms_golden_vectors(seed, start, n, stream, rows):
+    # start 0 wraps the initial counter into the block word (and, for
+    # block 0, into all four words); 2**40 exercises the high counter bits
+    shots = np.arange(start, start + len(rows), dtype=np.uint64)
+    expected = np.array([[float.fromhex(x) for x in row] for row in rows])
+    assert np.array_equal(prng.uniforms(seed, shots, n, stream=stream), expected)
 
 
-def test_philox_vectorization_consistent():
-    key = prng.derive_key(99, stream=1)
-    counters = np.arange(50, dtype=np.uint64)
-    batch = prng.philox_block(counters, np.zeros_like(counters), key)
-    for i in (0, 17, 49):
-        single = prng.philox_block(counters[i], np.uint64(0), key)
-        for w_batch, w_single in zip(batch, single):
-            assert w_batch[i] == w_single[0]
+def test_uniforms_rejects_non_contiguous_shots():
+    for shots in ([0, 2], [3, 2], [5, 5]):
+        with pytest.raises(ValueError, match="contiguous"):
+            prng.uniforms(1, shots, 2)
+
+
+def test_uniforms_rejects_negative_shots():
+    with pytest.raises(ValueError, match="negative"):
+        prng.uniforms(1, np.arange(-3, 4), 2)
+
+
+def test_uniforms_rejects_counter_overflow():
+    # uint64 wraps from 2**64 - 1 to 0 with a step of one, which would
+    # otherwise carry into the block word of the counter
+    with pytest.raises(ValueError, match="64-bit"):
+        prng.uniforms(1, np.array([2**64 - 1, 0], dtype=np.uint64), 2)
+    last = prng.uniforms(1, np.array([2**64 - 2, 2**64 - 1], dtype=np.uint64), 2)
+    assert last.shape == (2, 2)
 
 
 def test_uniforms_shape_and_range():
