@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import cli, estimate, gsp, hybrid, lchs, lcu, partition, prng, qcore, qed, qlss  # noqa: F401
+from . import estimate, gsp, hybrid, lchs, lcu, partition, prng, qcore, qed, qlss  # noqa: F401

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, estimate, gsp, hybrid, lchs, lcu
 from . import partition as partition_mod
 from . import qcore, qed, qlss
+from .qcore import InvariantViolation
 
 __all__ = [
     "ConfigError",
@@ -50,10 +51,6 @@ MC_SIGMAS = 6.0
 
 class ConfigError(Exception):
     """Bad flag, unknown or missing config key, out-of-range parameter."""
-
-
-class InvariantViolation(RuntimeError):
-    """A numerical cross-check failed at its pinned tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +203,6 @@ def _random_instance(m: int, dim: int, rng: np.random.Generator):
     return dec, psi, h
 
 
-def _partition_a_star(part: partition_mod.Partition) -> int:
-    widths = [math.ceil(math.log2(len(g))) if len(g) > 1 else 0 for g in part.groups]
-    return max(widths)
-
-
 def _write_partition_csv(path, rows, seed: int) -> None:
     with open(path, "w") as fh:
         fh.write("partition,a_star,R,R_minus_P\n")
@@ -221,11 +213,12 @@ def _write_partition_csv(path, rows, seed: int) -> None:
 
 
 def _partition_scan_rows(dec: lcu.LcuDecomposition, psi: np.ndarray) -> list[tuple[str, int, float, float]]:
-    p_value = partition_mod.reduction_factor(dec, partition_mod.Partition.coherent(dec.m), psi)
+    g = partition_mod.gram(dec, psi)
+    p_value = partition_mod.r_from_gram(g, dec.probs, partition_mod.Partition.coherent(dec.m))
     rows = []
     for part in partition_mod.enumerate_partitions(dec.m):
-        r_value = partition_mod.reduction_factor(dec, part, psi)
-        rows.append((part.to_text(), _partition_a_star(part), r_value, r_value - p_value))
+        r_value = partition_mod.r_from_gram(g, dec.probs, part)
+        rows.append((part.to_text(), part.a_star, r_value, r_value - p_value))
     return rows
 
 
@@ -465,7 +458,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantViolation, AssertionError, hybrid.DegenerateRoundError) as exc:
+    except (InvariantViolation, hybrid.DegenerateRoundError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:

@@ -13,7 +13,7 @@ whose mean over shots is ``tr[O K_lcu rho K_lcu^dag]`` and whose second
 moment is ``sum_k q_k tr[O^2 K_k rho K_k^dag]``.
 
 Two independent evaluation routes are kept deliberately separate: the
-analytic backend works with the group operators directly, the circuit
+analytic backend sums the term Gram matrix ``partition.gram``, the circuit
 backend multiplies out the explicit block-encoding unitaries. They must
 agree to 1e-9; the exhaustive outcome distribution is the oracle for the
 sampler.
@@ -38,7 +38,6 @@ __all__ = [
     "build_block_encoding",
     "build_controlled_pair",
     "exact_expectation",
-    "second_moment",
     "outcome_distribution",
     "Sampler",
     "SampleArrays",
@@ -104,7 +103,7 @@ def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecompo
     enc = BlockEncoding(a, l_mat, group.operator, members)
     top = l_mat[:d, :d]
     if np.linalg.norm(top - group.operator) > TOL.unitarity:
-        raise AssertionError("block-encoding invariant violated")
+        raise qcore.InvariantViolation("block-encoding invariant violated")
     return enc
 
 
@@ -141,13 +140,13 @@ class HybridChannel:
         self.weights = np.array([g.weight for g in self.group_ops])
         self.weights.setflags(write=False)
         self.G = len(self.group_ops)
-        self.a_star = max(math.ceil(math.log2(len(g.members))) if len(g.members) > 1 else 0 for g in self.group_ops)
+        self.a_star = part.a_star
         self.dimension = dec.dimension
         self._encodings: list[BlockEncoding] | None = None
         self._padded: list[np.ndarray] | None = None
         pair_sum = float((self.weights[:, None] * self.weights[None, :]).sum())
         if abs(pair_sum - 1.0) > TOL.prob_norm:
-            raise ValueError(f"pair weights sum to {pair_sum}, expected 1")
+            raise qcore.InvariantViolation(f"pair weights sum to {pair_sum}, expected 1")
 
     @property
     def encodings(self) -> list[BlockEncoding]:
@@ -172,20 +171,14 @@ def _as_observable(obs) -> qcore.Observable:
 def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analytic") -> float:
     """``tr[O Lambda(rho)]`` through either backend.
 
-    analytic: symmetrized sum over group pairs of
-    ``q_k q_k' Re tr[O K_k rho K_k'^dag]``. circuit: Born-rule value of the
-    pair circuits with explicit block-encoding matrices.
+    analytic: ``sum_ij p_i p_j Re tr[O U_i rho U_j^dag]``, the sum of the
+    Gram matrix on weight O. circuit: Born-rule value of the pair circuits
+    with explicit block-encoding matrices.
     """
     rho = qcore.density(state)
     o = _as_observable(obs)
     if backend == "analytic":
-        total = 0.0
-        for gk in channel.group_ops:
-            left = gk.operator @ rho
-            for gkp in channel.group_ops:
-                term = complex(np.trace(o.matrix @ left @ gkp.operator.conj().T))
-                total += gk.weight * gkp.weight * term.real
-        return total
+        return float(partition_mod.gram(channel.decomposition, rho, o.matrix).sum())
     if backend == "circuit":
         return _circuit_expectation(channel, rho, o)
     raise ValueError(f"unknown backend {backend!r}")
@@ -215,21 +208,6 @@ def _circuit_expectation(channel: HybridChannel, rho: np.ndarray, o: qcore.Obser
                 meas = np.kron(pauli_x, meas_as)
                 val = np.trace(meas @ l_c @ init @ l_c.conj().T).real
             total += w * float(val)
-    return total
-
-
-def second_moment(channel: HybridChannel, state, obs) -> float:
-    """``E[g^2] = sum_k q_k tr[O^2 K_k rho K_k^dag]``.
-
-    The X_B cross term of the projected state carries a factor (-1)^b and
-    cancels in g^2, leaving twice the I_B/2 term evaluated on O^2.
-    """
-    rho = qcore.density(state)
-    o = _as_observable(obs)
-    o2 = o.matrix @ o.matrix
-    total = 0.0
-    for g in channel.group_ops:
-        total += g.weight * float(np.trace(o2 @ g.operator @ rho @ g.operator.conj().T).real)
     return total
 
 
@@ -315,7 +293,7 @@ class Sampler:
                 tables[k * g_count + kp] = outcome_distribution(channel, rho, o, k, kp).reshape(-1)
         sums = tables.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-10):
-            raise AssertionError("outcome table not normalized")
+            raise qcore.InvariantViolation("outcome table not normalized")
         self.table_cum = np.cumsum(tables, axis=1)
         self.table_cum /= self.table_cum[:, -1:]
         # g value for flattened outcome (z, b, j)
@@ -325,7 +303,7 @@ class Sampler:
         self.out_j = jj
         self.g_flat = np.where(zz == 0, 1.0, 0.0) * np.where(bb == 0, 1.0, -1.0) * o.eigenvalues[jj]
         self.exact_mean = exact_expectation(channel, rho, o, backend="analytic")
-        self.exact_second = second_moment(channel, rho, o)
+        self.exact_second = partition_mod.reduction_factor_obs(channel.decomposition, channel.partition, rho, o)
 
     def _decode(self, pair_idx: np.ndarray, out_idx: np.ndarray):
         g_count = self.channel.G

@@ -74,7 +74,7 @@ class LcuDecomposition:
         self.one_norm = one_norm
         probs = np.array([t.coefficient / one_norm for t in terms])
         if not abs(probs.sum() - 1.0) <= TOL.prob_norm:
-            raise AssertionError(f"term probabilities sum to {probs.sum()!r}, not 1")
+            raise qcore.InvariantViolation(f"term probabilities sum to {probs.sum()!r}, not 1")
         self.probs = probs
         self.probs.setflags(write=False)
         self.dropped = dropped
@@ -136,7 +136,7 @@ def expectation_unnormalized(dec: LcuDecomposition, state, obs) -> float:
         raise ValueError("dimension mismatch between decomposition, state and observable")
     val = complex(np.trace(o @ apply_cp_map(dec, rho)))
     if abs(val.imag) > TOL.unitarity * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
+        raise qcore.InvariantViolation(f"expectation has imaginary residue {val.imag:.3e}")
     return dec.one_norm**2 * val.real
 
 

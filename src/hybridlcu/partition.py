@@ -9,14 +9,17 @@ factor
 
 is the second-moment scale of the hybrid estimator and satisfies
 ``P <= R <= 1`` with the coherent/singleton partitions attaining the
-extremes. Everything here is computed from explicitly assembled group
-operators; this module is the ground-truth oracle for the shot sampler.
+extremes. R (W = 1), R^O and the split increase (W = O^2) and the channel
+expectation (W = O) are quadratic forms in one m x m matrix per instance,
+``G_ij = p_i p_j Re tr[W U_i rho U_j^dag]``; group operators are assembled
+only for block encodings.
 
 Indices are 0-based internally; the text form (``1,2|3|4,5``) is 1-based.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,8 @@ __all__ = [
     "validate",
     "group_operators",
     "GroupOperator",
+    "gram",
+    "r_from_gram",
     "reduction_factor",
     "reduction_factor_obs",
     "is_refinement",
@@ -84,6 +89,11 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({self.to_text()!r}, m={self.m})"
+
+    @property
+    def a_star(self) -> int:
+        """Common ancilla width ``max_k ceil(log2 |S_k|)`` of the block encodings."""
+        return max(math.ceil(math.log2(len(g))) for g in self.groups)
 
     def to_text(self) -> str:
         return "|".join(",".join(str(i + 1) for i in g) for g in self.groups)
@@ -150,24 +160,37 @@ def group_operators(dec: lcu.LcuDecomposition, part: Partition) -> list[GroupOpe
     return ops
 
 
+def gram(dec: lcu.LcuDecomposition, state, weight=None) -> np.ndarray:
+    """Real symmetric ``G_ij = p_i p_j Re tr[W U_i rho U_j^dag]``; ``W = 1`` when omitted."""
+    rho = qcore.density(state)
+    us = np.stack(dec.unitaries())
+    left = us @ rho if weight is None else np.asarray(weight) @ us @ rho
+    # tr[A U^dag] is the flat inner product of A with conj(U)
+    g = (left.reshape(dec.m, -1) @ us.reshape(dec.m, -1).conj().T).real
+    g *= np.outer(dec.probs, dec.probs)
+    return (g + g.T) / 2.0
+
+
+def r_from_gram(g: np.ndarray, probs, part: Partition) -> float:
+    """``sum_k 1^T G[S_k, S_k] 1 / q_k``: R or R^O, by the weight ``g`` was built with."""
+    if part.m != g.shape[0]:
+        raise ValueError(f"partition over {part.m} indices, Gram matrix has {g.shape[0]} terms")
+    # column k of the indicator e marks S_k, so e^T G e holds the block sums on its diagonal
+    e = np.zeros((part.m, part.G))
+    for k, grp in enumerate(part.groups):
+        e[list(grp), k] = 1.0
+    return float(((e.T @ g @ e).diagonal() / (probs @ e)).sum())
+
+
 def reduction_factor(dec: lcu.LcuDecomposition, part: Partition, state) -> float:
     """``R = sum_k q_k tr[K_k^dag K_k rho]``."""
-    rho = qcore.density(state)
-    total = 0.0
-    for g in group_operators(dec, part):
-        total += g.weight * float(np.trace(g.operator.conj().T @ g.operator @ rho).real)
-    return total
+    return r_from_gram(gram(dec, state), dec.probs, part)
 
 
 def reduction_factor_obs(dec: lcu.LcuDecomposition, part: Partition, state, obs) -> float:
     """``R^O = sum_k q_k tr[O^2 K_k rho K_k^dag]``, the sampler's E[g^2]."""
-    rho = qcore.density(state)
     o = obs.matrix if isinstance(obs, qcore.Observable) else qcore.require_hermitian(obs, what="observable")
-    o2 = o @ o
-    total = 0.0
-    for g in group_operators(dec, part):
-        total += g.weight * float(np.trace(o2 @ g.operator @ rho @ g.operator.conj().T).real)
-    return total
+    return r_from_gram(gram(dec, state, o @ o), dec.probs, part)
 
 
 def is_refinement(fine: Partition, coarse: Partition) -> bool:
@@ -192,27 +215,21 @@ def split_delta(dec, part: Partition, group_idx: int, subset_a, state, obs) -> f
 
         (q_A q_B / (q_A + q_B)) tr[(O K_A - O K_B)^dag (O K_A - O K_B) rho]
 
-    which is manifestly nonnegative (refinement can only raise R^O).
+    which is manifestly nonnegative (refinement can only raise R^O). It equals
+    ``(q_A q_B / q_S) w^T G w`` on ``W = O^2``, ``w = 1/q_A`` on A, ``-1/q_B`` on B.
     """
     group = part.groups[group_idx]
     sub_a = tuple(sorted(int(i) for i in subset_a))
     if not sub_a or not set(sub_a) < set(group):
         raise ValueError(f"subset {sub_a} is not a proper nonempty subset of group {group}")
     sub_b = tuple(i for i in group if i not in sub_a)
-
-    rho = qcore.density(state)
+    q_a = float(dec.probs[list(sub_a)].sum())
+    q_b = float(dec.probs[list(sub_b)].sum())
+    w = np.zeros(dec.m)
+    w[list(sub_a)] = 1.0 / q_a
+    w[list(sub_b)] = -1.0 / q_b
     o = obs.matrix if isinstance(obs, qcore.Observable) else qcore.require_hermitian(obs, what="observable")
-
-    def weight_and_op(idx):
-        q = float(sum(dec.probs[i] for i in idx))
-        k = sum((dec.probs[i] / q) * dec.terms[i].unitary for i in idx)
-        return q, k
-
-    q_a, k_a = weight_and_op(sub_a)
-    q_b, k_b = weight_and_op(sub_b)
-    diff = o @ k_a - o @ k_b
-    val = (q_a * q_b / (q_a + q_b)) * float(np.trace(diff.conj().T @ diff @ rho).real)
-    return val
+    return (q_a * q_b / (q_a + q_b)) * float(w @ gram(dec, state, o @ o) @ w)
 
 
 def fragment_bound(weights, group_idx: int, obs) -> float:

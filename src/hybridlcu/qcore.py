@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "TOL",
     "Tolerances",
+    "InvariantViolation",
     "MAX_PURE_DIM",
     "MAX_MIXED_DIM",
     "as_matrix",
@@ -52,6 +53,11 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+
+class InvariantViolation(RuntimeError):
+    """A numerical cross-check failed at its pinned tolerance."""
+
 
 # Dimension caps enforced at construction; the largest experiment in the
 # suite is the 7-qubit code (dimension 128).

@@ -155,7 +155,7 @@ def random_codeword(rng: np.random.Generator) -> np.ndarray:
     vals, vecs = np.linalg.eigh(pc)
     basis = vecs[:, vals > 0.5]
     if basis.shape[1] != 2:
-        raise AssertionError(f"code space has dimension {basis.shape[1]}, expected 2")
+        raise qcore.InvariantViolation(f"code space has dimension {basis.shape[1]}, expected 2")
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi = basis @ amps
     return psi / np.linalg.norm(psi)

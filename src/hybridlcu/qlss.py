@@ -227,7 +227,7 @@ def _assembled_scalars(grid: QlssGrid, eigenvalues: np.ndarray) -> np.ndarray:
     g = (1j * grid.dy / SQRT_TWO_PI) * (grid.z_weights[None, :] * kernel).sum(axis=1)
     # odd weights make the inner sum purely imaginary, so g is real
     if not np.abs(g.imag).max() < 1e-9 * max(1.0, np.abs(g.real).max()):
-        raise AssertionError("assembled scalars are not real")
+        raise qcore.InvariantViolation("assembled scalars are not real")
     return g.real
 
 

@@ -1,12 +1,13 @@
 """CLI checks: config parsing, exit codes, CSV shape, worker determinism."""
 
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from hybridlcu import cli, qed
+from hybridlcu import cli, hybrid, qcore, qed
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -121,6 +122,14 @@ def test_backend_disagreement_exits_three(tmp_path, monkeypatch, capsys):
     code = cli.main(["demo", "--seed", "1", "--shots", "10", "--out", str(tmp_path)])
     assert code == 3
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
+    # a pair-weight sum off by more than the tolerance is a numerical fault, not a config error
+    monkeypatch.setattr(hybrid, "TOL", dataclasses.replace(qcore.TOL, prob_norm=-1.0))
+    code = cli.main(["demo", "--seed", "1", "--shots", "10", "--out", str(tmp_path)])
+    assert code == 3
+    assert "invariant violation: pair weights sum to" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():
@@ -255,11 +264,9 @@ def test_emit_plot_script_compiles(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hybridlcu.cli", "partitions", "--seed", "2", "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    # the package must not import cli eagerly, or runpy warns that it is already in sys.modules
+    argv = ["-W", "error::RuntimeWarning", "-m", "hybridlcu.cli", "partitions", "--seed", "2", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert "52 rows" in proc.stdout
     assert (tmp_path / "partitions.csv").is_file()

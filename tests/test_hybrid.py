@@ -17,7 +17,6 @@ from hybridlcu.hybrid import (
     exact_expectation,
     expectation_rounds,
     outcome_distribution,
-    second_moment,
     write_shot_csv,
 )
 from hybridlcu.partition import Partition, group_operators, reduction_factor, validate
@@ -147,7 +146,7 @@ def test_coherent_limit_matches_plain_lcu():
         want = lcu.expectation_unnormalized(dec, rho, obs) / dec.one_norm**2
         assert abs(exact_expectation(ch, rho, obs) - want) <= 1e-12
         p = lcu.success_probability(dec, rho)
-        assert abs(second_moment(ch, rho, np.eye(3)) - p) <= 1e-12
+        assert abs(partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, np.eye(3)) - p) <= 1e-12
         assert abs(reduction_factor(dec, Partition.coherent(4), rho) - p) <= 1e-12
 
 
@@ -158,14 +157,14 @@ def test_singleton_limit_unit_R_and_unbiased_mean():
     ch = HybridChannel(dec, part)
     rho = random_density(3, rng)
     obs = random_hermitian(3, rng)
-    assert abs(second_moment(ch, rho, np.eye(3)) - 1.0) <= 1e-12
+    assert abs(partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, np.eye(3)) - 1.0) <= 1e-12
     want = lcu.expectation_unnormalized(dec, rho, obs) / dec.one_norm**2
     assert abs(exact_expectation(ch, rho, obs) - want) <= 1e-12
     direct = sum(
         p * np.trace(obs @ obs @ u.unitary @ rho @ u.unitary.conj().T).real
         for p, u in zip(dec.probs, dec.terms)
     )
-    assert abs(second_moment(ch, rho, obs) - direct) <= 1e-12
+    assert abs(partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, obs) - direct) <= 1e-12
 
 
 ## ------------------------------------------------------------------
@@ -201,7 +200,7 @@ def test_outcome_distribution_normalized_and_moment_exact():
                 mean += w * pair_mean
                 msq += w * float((probs * g_vals**2).sum())
         assert abs(mean - exact_expectation(ch, rho, obs)) <= 1e-9
-        assert abs(msq - second_moment(ch, rho, obs)) <= 1e-9
+        assert abs(msq - partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, obs)) <= 1e-9
 
 
 def test_outcome_distribution_diagonal_pair_has_no_b1_plane():

@@ -160,7 +160,7 @@ def test_probability_check_raises_under_optimize():
         "lcu.TOL = dataclasses.replace(qcore.TOL, prob_norm=-1.0)\n"
         "try:\n"
         "    lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), np.eye(2)])\n"
-        "except AssertionError as exc:\n"
+        "except qcore.InvariantViolation as exc:\n"
         "    print('raised:', exc)\n"
     )
     result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120)

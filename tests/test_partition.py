@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import PAULI_Z, PLUS, bell_number, random_density, random_lcu
+from conftest import PAULI_Z, PLUS, bell_number, random_density, random_hermitian, random_lcu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from hybridlcu.partition import (
     OverlapError,
     Partition,
     enumerate_partitions,
+    gram,
     group_operators,
     harmonic_mean,
     is_refinement,
@@ -173,6 +174,67 @@ def test_reduction_factor_obs_norm_bound():
         r = reduction_factor(dec, part, rho)
         r_obs = reduction_factor_obs(dec, part, rho, obs)
         assert r_obs <= r * norm2 + 1e-10
+
+
+## ------------------------------------------------------------------
+## Gram core against explicitly assembled group operators
+## ------------------------------------------------------------------
+
+
+def reference_r(dec, part, rho):
+    return sum(
+        g.weight * np.trace(g.operator.conj().T @ g.operator @ rho).real for g in group_operators(dec, part)
+    )
+
+
+def reference_r_obs(dec, part, rho, obs):
+    o2 = obs @ obs
+    return sum(
+        g.weight * np.trace(o2 @ g.operator @ rho @ g.operator.conj().T).real for g in group_operators(dec, part)
+    )
+
+
+def reference_split_delta(dec, part, group_idx, subset_a, rho, obs):
+    group = part.groups[group_idx]
+    sub_b = [i for i in group if i not in subset_a]
+
+    def weight_and_op(idx):
+        q = float(sum(dec.probs[i] for i in idx))
+        return q, sum((dec.probs[i] / q) * dec.terms[i].unitary for i in idx)
+
+    q_a, k_a = weight_and_op(subset_a)
+    q_b, k_b = weight_and_op(sub_b)
+    diff = obs @ k_a - obs @ k_b
+    return (q_a * q_b / (q_a + q_b)) * np.trace(diff.conj().T @ diff @ rho).real
+
+
+def test_gram_forms_match_group_operator_assembly_exhaustive_m6():
+    rng = np.random.default_rng(606)
+    dec = random_lcu(6, 3, rng)
+    rho = random_density(3, rng)
+    obs = random_hermitian(3, rng)
+    parts = enumerate_partitions(6)
+    assert len(parts) == 203
+    for part in parts:
+        assert abs(reduction_factor(dec, part, rho) - reference_r(dec, part, rho)) <= 1e-12
+        assert abs(reduction_factor_obs(dec, part, rho, obs) - reference_r_obs(dec, part, rho, obs)) <= 1e-12
+        for gidx, group in enumerate(part.groups):
+            if len(group) < 2:
+                continue
+            subset_a = group[::2]
+            got = split_delta(dec, part, gidx, subset_a, rho, obs)
+            assert abs(got - reference_split_delta(dec, part, gidx, subset_a, rho, obs)) <= 1e-12
+
+
+def test_gram_is_symmetric():
+    rng = np.random.default_rng(607)
+    dec = random_lcu(5, 4, rng)
+    rho = random_density(4, rng)
+    obs = random_hermitian(4, rng)
+    for weight in (None, obs, obs @ obs):
+        g = gram(dec, rho, weight)
+        assert g.shape == (5, 5)
+        assert np.array_equal(g, g.T)
 
 
 ## ------------------------------------------------------------------
