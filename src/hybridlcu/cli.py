@@ -2,9 +2,9 @@
 
 Every subcommand writes CSVs whose final line is a metadata comment with
 the seed and package version, and reruns with the same seed reproduce the
-files byte for byte regardless of --workers. --workers splits only the
-``qed`` sweep cells, which are merged in submission order; shots are drawn
-in one call from per-shot counter-based substreams.
+files byte for byte. Every subcommand runs in one thread; --workers is
+accepted and validated but has no effect. Shots are drawn in one call from
+per-shot counter-based substreams.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import math
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +129,6 @@ class RunConfig:
     seed: int
     shots: int
     out_dir: pathlib.Path
-    workers: int
     params: dict = field(default_factory=dict)
     emit_plot_script: bool = False
 
@@ -165,8 +163,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     shots = pick(args.shots, "run.shots", DEFAULT_SHOTS)
     if shots < 1:
         raise ConfigError("shots must be >= 1")
-    workers = pick(args.workers, "run.workers", 1)
-    if workers < 1:
+    if pick(args.workers, "run.workers", 1) < 1:
         raise ConfigError("workers must be >= 1")
     out_dir = pathlib.Path(pick(args.out, "run.out", "."))
     params = {key: value for key, value in coerced.items() if not key.startswith("run.")}
@@ -175,7 +172,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         seed=seed,
         shots=shots,
         out_dir=out_dir,
-        workers=workers,
         params=params,
         emit_plot_script=args.emit_plot_script,
     )
@@ -290,12 +286,19 @@ def cmd_partitions(config: RunConfig) -> None:
     print(f"partitions: {len(rows)} rows for m={m} in {config.out_dir}")
 
 
+def _count(config: RunConfig, key: str, default=_MISSING) -> int:
+    value = config.get(key, default)
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1")
+    return value
+
+
 def cmd_lchs(config: RunConfig) -> None:
     rows = lchs.fig_sweep(
         l_norm=config.get("lchs.l_norm", 2.0),
         t=config.get("lchs.t", 3.0),
         epsilon=config.get("lchs.epsilon", 5e-5),
-        points=config.get("lchs.points", 60),
+        points=_count(config, "lchs.points", 60),
         p_assumed=config.get("lchs.p_assumed", 1e-2),
     )
     lchs.write_sweep_csv(config.out_dir / "lchs_bound.csv", rows, config.seed, __version__)
@@ -307,7 +310,7 @@ def cmd_qlss(config: RunConfig) -> None:
     rows = qlss.sweep(
         kappas,
         epsilon=config.get("qlss.epsilon", 1e-2),
-        dim=config.get("qlss.dim", 8),
+        dim=_count(config, "qlss.dim", 8),
         seed=config.seed,
     )
     qlss.write_table_csv(config.out_dir / "qlss_table.csv", rows, config.seed, __version__)
@@ -335,26 +338,13 @@ def cmd_qed(config: RunConfig) -> None:
     if any(key in config.params for key in grid_keys):
         # a partial grid spec is an error naming the absent key
         pz_grid = np.geomspace(
-            config.get("qed.pz_min"), config.get("qed.pz_max"), config.get("qed.pz_points")
+            config.get("qed.pz_min"), config.get("qed.pz_max"), _count(config, "qed.pz_points")
         )
     else:
         pz_grid = np.geomspace(1e-3, 1e-1, 10)
-    codewords = config.get("qed.codewords", 32)
-    if codewords < 1:
-        raise ConfigError("qed.codewords must be >= 1")
-    rows = _qed_sweep_parallel(tuple(r_values), pz_grid, codewords, config.seed, config.workers)
+    rows = qed.fig_sweep(r_values, pz_grid, _count(config, "qed.codewords", 32), config.seed)
     qed.write_sweep_csv(config.out_dir / "qed_sweep.csv", rows, config.seed, __version__)
     print(f"qed: {len(rows)} rows, in {config.out_dir}")
-
-
-def _qed_sweep_parallel(r_values, pz_grid, codewords: int, seed: int, workers: int) -> list[qed.SweepRow]:
-    """Cells split by bias ratio; the codeword set depends only on the seed,
-    so per-ratio calls concatenate to the single-call row list exactly."""
-    if workers <= 1 or len(r_values) <= 1:
-        return qed.fig_sweep(r_values, pz_grid, codewords, seed)
-    with ThreadPoolExecutor(max_workers=min(workers, len(r_values))) as pool:
-        parts = pool.map(lambda r: qed.fig_sweep((r,), pz_grid, codewords, seed), r_values)
-        return [row for part in parts for row in part]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="U64")
         p.add_argument("--shots", type=int, metavar="N")
         p.add_argument("--out", metavar="DIR")
-        p.add_argument("--workers", type=int, metavar="N")
+        p.add_argument("--workers", type=int, metavar="N", help="accepted; has no effect")
         p.add_argument("--emit-plot-script", action="store_true")
     return parser
 
@@ -458,7 +448,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantViolation, hybrid.DegenerateRoundError) as exc:
+    except (InvariantViolation, hybrid.DegenerateRoundError, np.linalg.LinAlgError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:

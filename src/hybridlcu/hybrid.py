@@ -330,8 +330,8 @@ class Sampler:
         """Shots ``start .. start+count`` from per-shot Philox substreams.
 
         The result depends only on (seed, stream, shot index), so any
-        partition of the shot range across workers reassembles to the
-        identical arrays.
+        split of the shot range into batches reassembles to the identical
+        arrays.
         """
         shots = np.arange(start, start + count, dtype=np.uint64)
         u = prng.uniforms(seed, shots, 2, stream=stream)

@@ -1,15 +1,15 @@
 """Counter-based randomness: Philox4x64-10 substreams.
 
 Shot sampling must produce byte-identical output no matter how the shots
-are split across workers, so every shot owns a private substream addressed
+are split into batches, so every shot owns a private substream addressed
 purely by ``(master seed, stream id, shot index)``:
 
 * the Philox key is derived from the master seed and the stream id via
   splitmix64,
 * the 256-bit Philox counter holds ``(shot index, block index, 0, 0)``.
 
-Each counter block yields four 64-bit words, i.e. four doubles; a worker
-assigned shots ``[a, b)`` simply evaluates the same pure function on its
+Each counter block yields four 64-bit words, i.e. four doubles; a batch
+of shots ``[a, b)`` simply evaluates the same pure function on its
 slice. The blocks come from numpy's C ``Philox`` bit generator (Salmon et
 al., SC'11), which emits consecutive counters, so one generator per block
 index covers a whole contiguous shot range.

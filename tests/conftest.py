@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import functools
+import os
+import pathlib
 
 import numpy as np
 
+import hybridlcu
 from hybridlcu import lcu
+
+# child interpreters started by the tests import the same package as the
+# suite, also when it runs from a checkout without an install
+_SRC = str(pathlib.Path(hybridlcu.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

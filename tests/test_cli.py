@@ -87,15 +87,19 @@ def test_missing_grid_key_is_named(tmp_path, capsys):
 
 def test_bad_values_are_config_errors(tmp_path):
     cases = [
-        "demo.m = 7\n",  # above the demo cap
-        "demo.m = banana\n",
-        "run.workers = 0\n",
-        "run.shots = 0\n",
+        ("demo", "demo.m = 7\n"),  # above the demo cap
+        ("demo", "demo.m = banana\n"),
+        ("demo", "run.workers = 0\n"),
+        ("demo", "run.shots = 0\n"),
+        ("lchs", "lchs.points = 0\n"),
+        ("qlss", "qlss.dim = 0\n"),
+        ("qed", "qed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 0\n"),
+        ("qed", "qed.codewords = 0\n"),
     ]
-    for text in cases:
+    for subcommand, text in cases:
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)
-        assert cli.main(["demo", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (subcommand, text)
 
 
 def test_absent_config_file_is_config_error(tmp_path):
@@ -130,6 +134,13 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
     code = cli.main(["demo", "--seed", "1", "--shots", "10", "--out", str(tmp_path)])
     assert code == 3
     assert "invariant violation: pair weights sum to" in capsys.readouterr().err
+
+    # LinAlgError subclasses ValueError but a failed factorisation is not a config error
+    def failed_factorisation(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(qed, "fig_sweep", failed_factorisation)
+    assert cli.main(["qed", "--seed", "1", "--out", str(tmp_path)]) == 3
 
 
 def test_missing_subcommand_is_usage_error():

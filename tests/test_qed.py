@@ -271,6 +271,37 @@ def test_fig_sweep_shape_and_invariants():
         assert all(a > b for a, b in zip(ps, ps[1:]))
 
 
+def reference_sweep(r_values, pz_grid, codewords, seed):
+    """Per-codeword loop: own eigh basis, one noise pass and one trace pair
+    per codeword, averaged afterwards."""
+    _, _, pc = steane_projectors()
+    vals, vecs = np.linalg.eigh(pc)
+    basis = vecs[:, vals > 0.5]
+    rng = np.random.default_rng(seed)
+    densities = []
+    for _ in range(codewords):
+        psi = basis @ (rng.normal(size=2) + 1j * rng.normal(size=2))
+        psi /= np.linalg.norm(psi)
+        densities.append(np.outer(psi, psi.conj()))
+    out = []
+    for r in r_values:
+        for p_z in pz_grid:
+            metrics = [qed_metrics(apply_biased_noise(rho, NoiseModel(p_z=p_z, r=r))) for rho in densities]
+            out.append((np.mean([m.p for m in metrics]), np.mean([m.r_factor for m in metrics])))
+    return out
+
+
+def test_fig_sweep_matches_per_codeword_average():
+    # P and R are linear in rho, so averaging the codewords before the noise is exact
+    r_values, pz_grid = (0.1, 0.3), (1e-3, 1e-2, 1e-1)
+    rows = fig_sweep(r_values=r_values, pz_grid=pz_grid, codewords=5, seed=3)
+    expected = reference_sweep(r_values, pz_grid, codewords=5, seed=3)
+    assert len(rows) == len(expected)
+    for row, (p, r_factor) in zip(rows, expected):
+        assert abs(row.p - p) <= 1e-14
+        assert abs(row.r_factor - r_factor) <= 1e-14
+
+
 def test_write_sweep_csv(tmp_path):
     rows = fig_sweep(r_values=(0.1,), pz_grid=np.array([0.01, 0.05]), codewords=2, seed=1)
     path = tmp_path / "qed.csv"
