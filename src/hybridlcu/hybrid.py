@@ -15,8 +15,11 @@ moment is ``sum_k q_k tr[O^2 K_k rho K_k^dag]``.
 Two independent evaluation routes are kept deliberately separate: the
 analytic backend sums the term Gram matrix ``partition.gram``, the circuit
 backend multiplies out the explicit block-encoding unitaries. They must
-agree to 1e-9; the exhaustive outcome distribution is the oracle for the
-sampler.
+agree to 1e-9. The circuit backend and the exhaustive outcome
+distribution share one pair-circuit state per (k, k'); the outcome
+tables drive :class:`Sampler`, whose ``sample_shots`` is the only shot
+path: each shot reads its two uniforms from its own Philox substream
+(``prng``), so the shots depend only on (seed, stream, shot index).
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .qcore import TOL
 __all__ = [
     "BlockEncoding",
     "HybridChannel",
-    "OutcomeRecord",
     "DegenerateRoundError",
     "build_block_encoding",
     "build_controlled_pair",
@@ -41,8 +43,6 @@ __all__ = [
     "outcome_distribution",
     "Sampler",
     "SampleArrays",
-    "sample_g",
-    "sample_shots",
     "compose_rounds",
     "expectation_rounds",
     "write_shot_csv",
@@ -160,13 +160,6 @@ class HybridChannel:
             self._padded = [_pad_encoding(e, self.a_star) for e in self.encodings]
         return self._padded
 
-    def klcu(self) -> np.ndarray:
-        return lcu.assemble_klcu(self.decomposition)
-
-
-def _as_observable(obs) -> qcore.Observable:
-    return obs if isinstance(obs, qcore.Observable) else qcore.Observable(obs)
-
 
 def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analytic") -> float:
     """``tr[O Lambda(rho)]`` through either backend.
@@ -176,7 +169,7 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
     with explicit block-encoding matrices.
     """
     rho = qcore.density(state)
-    o = _as_observable(obs)
+    o = qcore.as_observable(obs)
     if backend == "analytic":
         return float(partition_mod.gram(channel.decomposition, rho, o.matrix).sum())
     if backend == "circuit":
@@ -184,31 +177,41 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _circuit_expectation(channel: HybridChannel, rho: np.ndarray, o: qcore.Observable) -> float:
+def _on_zero_ancilla(channel: HybridChannel, op: np.ndarray) -> np.ndarray:
+    """``|0><0|_A (x) op`` on (ancilla x system) at the common width a*."""
     na = 2**channel.a_star
-    d = channel.dimension
     proj0 = np.zeros((na, na))
     proj0[0, 0] = 1.0
-    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    plus = np.full((2, 2), 0.5)
-    init_as = np.kron(proj0, rho)
-    meas_as = np.kron(proj0, o.matrix)
-    total = 0.0
+    return np.kron(proj0, op)
+
+
+def _pair_state(channel: HybridChannel, rho: np.ndarray, k: int, kprime: int) -> np.ndarray:
+    """Density after the (k, k') pair circuit, before any measurement.
+
+    For k = k' the B register never entangles, so it is dropped and the
+    state lives on (ancilla x system); otherwise B starts in |+> and the
+    state lives on (B x ancilla x system).
+    """
+    init_as = _on_zero_ancilla(channel, rho)
     padded = channel.padded_encodings
-    for k, gk in enumerate(channel.group_ops):
-        for kp, gkp in enumerate(channel.group_ops):
-            w = gk.weight * gkp.weight
-            if k == kp:
-                # the B register never entangles here, so it is dropped
-                l_mat = padded[k]
-                val = np.trace(meas_as @ l_mat @ init_as @ l_mat.conj().T).real
-            else:
-                l_c = build_controlled_pair(padded[k], padded[kp])
-                init = np.kron(plus, init_as)
-                meas = np.kron(pauli_x, meas_as)
-                val = np.trace(meas @ l_c @ init @ l_c.conj().T).real
-            total += w * float(val)
-    return total
+    if k == kprime:
+        l_mat = padded[k]
+        return l_mat @ init_as @ l_mat.conj().T
+    l_c = build_controlled_pair(padded[k], padded[kprime])
+    plus = np.full((2, 2), 0.5)
+    return l_c @ np.kron(plus, init_as) @ l_c.conj().T
+
+
+def _circuit_expectation(channel: HybridChannel, rho: np.ndarray, o: qcore.Observable) -> float:
+    meas_as = _on_zero_ancilla(channel, o.matrix)
+    meas_pair = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), meas_as)
+    total = 0.0
+    for k, wk in enumerate(channel.weights):
+        for kp, wkp in enumerate(channel.weights):
+            meas = meas_as if k == kp else meas_pair
+            # tr[M S] as the flat sum of M * S^T
+            total += wk * wkp * (meas * _pair_state(channel, rho, k, kp).T).sum().real
+    return float(total)
 
 
 def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int) -> np.ndarray:
@@ -220,26 +223,18 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
     plane is zero.
     """
     rho = qcore.density(state)
-    o = _as_observable(obs)
+    o = qcore.as_observable(obs)
     na = 2**channel.a_star
     d = channel.dimension
-    padded = channel.padded_encodings
-    proj0 = np.zeros((na, na))
-    proj0[0, 0] = 1.0
-    init_as = np.kron(proj0, rho)
+    final = _pair_state(channel, rho, k, kprime)
     probs = np.zeros((2, 2, d))
     if k == kprime:
-        l_mat = padded[k]
-        final = l_mat @ init_as @ l_mat.conj().T
         basis = np.kron(np.eye(na), o.eigenvectors)
         diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real
         diag = diag.reshape(na, d)
         probs[0, 0, :] = diag[0]
         probs[1, 0, :] = diag[1:].sum(axis=0) if na > 1 else 0.0
     else:
-        l_c = build_controlled_pair(padded[k], padded[kprime])
-        plus = np.full((2, 2), 0.5)
-        final = l_c @ np.kron(plus, init_as) @ l_c.conj().T
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         basis = np.kron(hadamard, np.kron(np.eye(na), o.eigenvectors))
         diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real
@@ -248,16 +243,6 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
         probs[1, :, :] = diag[:, 1:, :].sum(axis=1) if na > 1 else 0.0
     np.clip(probs, 0.0, None, out=probs)
     return probs
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    k: int
-    kprime: int
-    z: int
-    b: int
-    j: int
-    g: float
 
 
 class SampleArrays:
@@ -282,7 +267,7 @@ class Sampler:
     def __init__(self, channel: HybridChannel, state, obs):
         self.channel = channel
         rho = qcore.density(state)
-        o = _as_observable(obs)
+        o = qcore.as_observable(obs)
         g_count = channel.G
         self.pair_cum = np.cumsum((channel.weights[:, None] * channel.weights[None, :]).reshape(-1))
         self.pair_cum /= self.pair_cum[-1]
@@ -316,16 +301,6 @@ class Sampler:
             self.g_flat[out_idx],
         )
 
-    def sample(self, rng: np.random.Generator) -> OutcomeRecord:
-        """One shot from an arbitrary numpy Generator."""
-        u = rng.random(2)
-        pair = int(np.searchsorted(self.pair_cum, u[0], side="right"))
-        pair = min(pair, len(self.pair_cum) - 1)
-        out = int(np.searchsorted(self.table_cum[pair], u[1], side="right"))
-        out = min(out, self.table_cum.shape[1] - 1)
-        k, kp, z, b, j, g = self._decode(np.array([pair]), np.array([out]))
-        return OutcomeRecord(int(k[0]), int(kp[0]), int(z[0]), int(b[0]), int(j[0]), float(g[0]))
-
     def sample_shots(self, seed: int, count: int, start: int = 0, stream: int = 0) -> SampleArrays:
         """Shots ``start .. start+count`` from per-shot Philox substreams.
 
@@ -351,15 +326,6 @@ class Sampler:
         np.clip(out, 0, self.table_cum.shape[1] - 1, out=out)
         k, kp, z, b, j, g = self._decode(pair, out)
         return SampleArrays(shots.astype(np.int64), k, kp, z, b, j, g, seed=seed, stream=stream)
-
-
-def sample_g(channel: HybridChannel, state, obs, rng: np.random.Generator) -> OutcomeRecord:
-    """Single-shot draw; build a :class:`Sampler` once for batches."""
-    return Sampler(channel, state, obs).sample(rng)
-
-
-def sample_shots(channel: HybridChannel, state, obs, seed: int, count: int, stream: int = 0) -> SampleArrays:
-    return Sampler(channel, state, obs).sample_shots(seed, count, stream=stream)
 
 
 def compose_rounds(channels: list[HybridChannel], state) -> tuple[list[np.ndarray], float]:
@@ -389,9 +355,9 @@ def compose_rounds(channels: list[HybridChannel], state) -> tuple[list[np.ndarra
 def expectation_rounds(channels: list[HybridChannel], state, obs) -> float:
     """``tr[O K^(r) ... K^(1) rho K^(1)dag ... K^(r)dag]`` for chained maps."""
     rho = qcore.density(state)
-    o = _as_observable(obs)
+    o = qcore.as_observable(obs)
     for ch in channels:
-        k = ch.klcu()
+        k = lcu.assemble_klcu(ch.decomposition)
         rho = k @ rho @ k.conj().T
     return float(np.trace(o.matrix @ rho).real)
 

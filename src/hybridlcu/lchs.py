@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
 from . import qcore
 
@@ -113,6 +111,8 @@ class LchsConfig:
                 object.__setattr__(self, "l_norm", norm)
         elif self.l_norm is None:
             raise ValueError("need a_matrix or l_norm")
+        if not self.l_norm >= 0.0:
+            raise ValueError("l_norm must be nonnegative")
         k1 = truncation_k1(self.epsilon)
         if self.k2 is None:
             object.__setattr__(self, "k2", k1)
@@ -275,6 +275,9 @@ def _tail_integral(config: LchsConfig, k2: float, k1: float) -> np.ndarray:
     Substituting theta = arctan k flattens the weight to 1/pi; the
     adaptive vector quadrature then handles the oscillatory factor.
     """
+    # scipy costs about half a second to import and only the accuracy checks need it
+    from scipy.integrate import quad_vec
+
     h = config.antihermitian_part
     l_psd = config.hermitian_part
     t = config.t
@@ -393,6 +396,8 @@ def fig_sweep(
     overhead_bound_at_p = (P + bound)/P^2, the sampling-overhead bound
     at an assumed success probability.
     """
+    if not 0.0 < p_assumed <= 1.0:
+        raise ValueError("p_assumed must lie in (0, 1]")
     k1 = truncation_k1(epsilon)
     rows = []
     for k2 in np.geomspace(k1 * 1e-4, k1, points):
@@ -420,6 +425,8 @@ def propagator_error(config: LchsConfig) -> float:
 
     The PSD shift c is undone with the exp(cT) factor before comparing.
     """
+    from scipy.linalg import expm
+
     if config.a_matrix is None:
         raise ValueError("propagator check needs the matrix")
     disc = discretize(config)

@@ -130,7 +130,7 @@ def success_probability(dec: LcuDecomposition, state) -> float:
 
 def expectation_unnormalized(dec: LcuDecomposition, state, obs) -> float:
     """``|c|_1^2 tr[O K_lcu rho K_lcu^dag] = tr[O K rho K^dag]``."""
-    o = obs.matrix if isinstance(obs, qcore.Observable) else qcore.require_hermitian(obs, what="observable")
+    o = qcore.as_observable(obs).matrix
     rho = qcore.density(state)
     if o.shape[0] != dec.dimension or rho.shape[0] != dec.dimension:
         raise ValueError("dimension mismatch between decomposition, state and observable")

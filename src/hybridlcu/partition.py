@@ -189,7 +189,7 @@ def reduction_factor(dec: lcu.LcuDecomposition, part: Partition, state) -> float
 
 def reduction_factor_obs(dec: lcu.LcuDecomposition, part: Partition, state, obs) -> float:
     """``R^O = sum_k q_k tr[O^2 K_k rho K_k^dag]``, the sampler's E[g^2]."""
-    o = obs.matrix if isinstance(obs, qcore.Observable) else qcore.require_hermitian(obs, what="observable")
+    o = qcore.as_observable(obs).matrix
     return r_from_gram(gram(dec, state, o @ o), dec.probs, part)
 
 
@@ -228,14 +228,13 @@ def split_delta(dec, part: Partition, group_idx: int, subset_a, state, obs) -> f
     w = np.zeros(dec.m)
     w[list(sub_a)] = 1.0 / q_a
     w[list(sub_b)] = -1.0 / q_b
-    o = obs.matrix if isinstance(obs, qcore.Observable) else qcore.require_hermitian(obs, what="observable")
+    o = qcore.as_observable(obs).matrix
     return (q_a * q_b / (q_a + q_b)) * float(w @ gram(dec, state, o @ o) @ w)
 
 
 def fragment_bound(weights, group_idx: int, obs) -> float:
     """Lemma bound ``|O^2| q_G`` on the R^O cost of fully fragmenting a group."""
-    o_norm = obs.spectral_norm if isinstance(obs, qcore.Observable) else qcore.Observable(obs).spectral_norm
-    return o_norm**2 * float(weights[group_idx])
+    return qcore.as_observable(obs).spectral_norm ** 2 * float(weights[group_idx])
 
 
 def harmonic_mean(a: float, b: float) -> float:

@@ -18,6 +18,7 @@ index covers a whole contiguous shot range.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Philox
 
 __all__ = ["derive_key", "uniforms"]
 
@@ -75,7 +76,7 @@ def uniforms(seed: int, shots, n: int, stream: int = 0) -> np.ndarray:
         raise ValueError("shot indices must form a contiguous ascending range")
     key = np.array(derive_key(seed, stream), dtype=np.uint64)
     for block in range((n + 3) // 4):
-        gen = np.random.Philox(key=key, counter=_counter_before(start, block))
+        gen = Philox(key=key, counter=_counter_before(start, block))
         words = gen.random_raw(4 * count).reshape(count, 4)
         lo = 4 * block
         width = min(4, n - lo)

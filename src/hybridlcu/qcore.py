@@ -30,11 +30,11 @@ __all__ = [
     "eigh",
     "expm_i_hermitian",
     "kron",
-    "trace",
     "partial_trace",
     "PureState",
     "MixedState",
     "Observable",
+    "as_observable",
     "density",
     "matrix_to_text",
     "matrix_from_text",
@@ -123,10 +123,6 @@ def kron(*ops) -> np.ndarray:
     return out
 
 
-def trace(m) -> complex:
-    return complex(np.trace(np.asarray(m)))
-
-
 def partial_trace(m, dims, axis: int) -> np.ndarray:
     """Trace out subsystem ``axis`` from an operator on a tensor product.
 
@@ -207,6 +203,11 @@ class Observable:
     @classmethod
     def identity(cls, dim: int) -> "Observable":
         return cls(np.eye(dim))
+
+
+def as_observable(obs) -> Observable:
+    """Coerce an observable (Observable or Hermitian matrix) to an :class:`Observable`."""
+    return obs if isinstance(obs, Observable) else Observable(obs)
 
 
 def density(state) -> np.ndarray:

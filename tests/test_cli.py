@@ -92,6 +92,9 @@ def test_bad_values_are_config_errors(tmp_path):
         ("demo", "run.workers = 0\n"),
         ("demo", "run.shots = 0\n"),
         ("lchs", "lchs.points = 0\n"),
+        ("lchs", "lchs.p_assumed = 0\n"),
+        ("lchs", "lchs.p_assumed = -0.5\n"),
+        ("lchs", "lchs.l_norm = -1\n"),
         ("qlss", "qlss.dim = 0\n"),
         ("qed", "qed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 0\n"),
         ("qed", "qed.codewords = 0\n"),

@@ -17,3 +17,27 @@ def test_no_bare_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def _import_time_nodes(node):
+    # everything that runs when the module is imported: function bodies are skipped
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_level_scipy_import():
+    # scipy is slow to import and only the LCHS accuracy checks use it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
