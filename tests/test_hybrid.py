@@ -226,6 +226,17 @@ def _moment_instance(seed=11):
     return ch, rho, obs
 
 
+def test_sampler_single_shot_fields():
+    ch, rho, obs = _moment_instance()
+    sampler = Sampler(ch, rho, obs)
+    for stream in (0, 1):
+        batch = sampler.sample_shots(seed=5, count=200, stream=stream)
+        assert np.all((0 <= batch.k) & (batch.k < ch.G)) and np.all((0 <= batch.kprime) & (batch.kprime < ch.G))
+        assert np.isin(batch.z, (0, 1)).all() and np.isin(batch.b, (0, 1)).all()
+        assert np.all((0 <= batch.j) & (batch.j < ch.dimension))
+        assert np.all(np.abs(batch.g) <= obs.spectral_norm + 1e-12)
+
+
 def test_sampler_moments_within_five_se():
     ch, rho, obs = _moment_instance()
     sampler = Sampler(ch, rho, obs)
@@ -301,11 +312,6 @@ def test_sample_shots_streams_differ():
     a = sampler.sample_shots(seed=5, count=200, stream=0)
     b = sampler.sample_shots(seed=5, count=200, stream=1)
     assert not np.array_equal(a.g, b.g)
-    for batch in (a, b):
-        assert np.all((0 <= batch.k) & (batch.k < ch.G)) and np.all((0 <= batch.kprime) & (batch.kprime < ch.G))
-        assert np.isin(batch.z, (0, 1)).all() and np.isin(batch.b, (0, 1)).all()
-        assert np.all((0 <= batch.j) & (batch.j < ch.dimension))
-        assert np.all(np.abs(batch.g) <= obs.spectral_norm + 1e-12)
 
 
 def test_identity_observable_samples_R():
