@@ -43,8 +43,9 @@ EXIT_INVARIANT = 3
 
 DEFAULT_SHOTS = 20000
 
-# Monte-Carlo mean may sit this many standard errors from the analytic
-# value before the demo cross-check is declared broken.
+# Leading term, in standard errors, of the Bernstein half-width that the
+# Monte-Carlo mean may sit from the analytic value before the demo
+# cross-check is declared broken.
 MC_SIGMAS = 6.0
 
 
@@ -200,12 +201,9 @@ def _random_instance(m: int, dim: int, rng: np.random.Generator):
 
 
 def _write_partition_csv(path, rows, seed: int) -> None:
-    with open(path, "w") as fh:
-        fh.write("partition,a_star,R,R_minus_P\n")
-        for text, a_star, r, gap in rows:
-            # the partition text form uses commas inside groups, so quote it
-            fh.write(f'"{text}",{a_star},{r:.17g},{gap:.17g}\n')
-        fh.write(f"# seed={seed} version={__version__}\n")
+    # the partition text form uses commas inside groups, so quote it
+    quoted = ((f'"{text}"', *rest) for text, *rest in rows)
+    qcore.save_csv(path, "partition,a_star,R,R_minus_P", quoted, seed, __version__)
 
 
 def _partition_scan_rows(dec: lcu.LcuDecomposition, psi: np.ndarray) -> list[tuple[str, int, float, float]]:
@@ -253,9 +251,12 @@ def cmd_demo(config: RunConfig) -> None:
     sampler = hybrid.Sampler(channel, psi, obs)
     batch_obs = sampler.sample_shots(config.seed, config.shots, stream=0)
     mc = float(batch_obs.g.mean())
-    se = math.sqrt(max(estimate.sample_variance(batch_obs.g), 1e-30) / batch_obs.n)
-    if abs(mc - analytic) > MC_SIGMAS * se + 1e-12:
-        raise InvariantViolation(f"monte-carlo mean {mc} is {abs(mc - analytic) / se:.1f} sigma from {analytic}")
+    # exact variance and |g| <= 1 (unit-norm observable): the bound holds at every N,
+    # also when all shots agree and the sample variance is 0
+    variance = sampler.exact_second - analytic**2
+    width = estimate.bernstein_half_width(variance, 1.0, batch_obs.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
+    if abs(mc - analytic) > width:
+        raise InvariantViolation(f"monte-carlo mean {mc} is farther than {width:.3g} from {analytic}")
     print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={mc:.12g} (N={batch_obs.n})")
 
     sampler_one = hybrid.Sampler(channel, psi, np.eye(dim))
@@ -451,8 +452,9 @@ def main(argv=None) -> int:
     except (InvariantViolation, hybrid.DegenerateRoundError, np.linalg.LinAlgError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
-        # module-level validation (bad kappa, eps >= p0, ...) is a config problem
+    except (ValueError, estimate.UndefinedRatioError) as exc:
+        # module-level validation (bad kappa, eps >= p0, ...) and too few shots
+        # for a ratio estimate are config problems
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -10,9 +10,11 @@ the small-N bias is documented, not corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
+
+from . import qcore
 
 __all__ = [
     "EstimationConfig",
@@ -239,11 +241,6 @@ def estimate_ratio(batch: SampleBatch, config: EstimationConfig) -> EstimationRe
 
 
 def write_report_csv(path, reports: list[EstimationReport], seed: int, version: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,target,estimate,half_width,delta,epsilon,N,sigma2_O,sigma2_one,R_hat,seed\n")
-        for r in reports:
-            fh.write(
-                f"{r.method},{r.target},{r.estimate:.17g},{r.half_width:.17g},{r.delta:.17g},"
-                f"{r.epsilon:.17g},{r.n},{r.sigma2_obs:.17g},{r.sigma2_one:.17g},{r.r_hat:.17g},{r.seed}\n"
-            )
-        fh.write(f"# seed={seed} version={version}\n")
+    header = "method,target,estimate,half_width,delta,epsilon,N,sigma2_O,sigma2_one,R_hat,seed"
+    # every field but the trailing notes, in column order
+    qcore.save_csv(path, header, (astuple(r)[:-1] for r in reports), seed, version)

@@ -352,16 +352,10 @@ def random_gsp_instance(
 
 
 def write_report_rows_csv(path, reports: list[GspReport], seed: int, version: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "dim,Delta,p0,eps,Tprime,sigma2,R,stage1_dist,final_dist,"
-            "total_time_term1,total_time_term2\n"
-        )
-        for r in reports:
-            fh.write(
-                f"{r.dimension},{r.gap:.17g},{r.p0:.17g},{r.epsilon:.17g},"
-                f"{r.t_prime},{r.sigma2:.17g},{r.r_factor:.17g},"
-                f"{r.stage1_distance:.17g},{r.final_distance:.17g},"
-                f"{r.total_time_term1:.17g},{r.total_time_term2:.17g}\n"
-            )
-        fh.write(f"# seed={seed} version={version}\n")
+    header = "dim,Delta,p0,eps,Tprime,sigma2,R,stage1_dist,final_dist,total_time_term1,total_time_term2"
+    rows = (
+        (r.dimension, r.gap, r.p0, r.epsilon, r.t_prime, r.sigma2, r.r_factor,
+         r.stage1_distance, r.final_distance, r.total_time_term1, r.total_time_term2)
+        for r in reports
+    )
+    qcore.save_csv(path, header, rows, seed, version)

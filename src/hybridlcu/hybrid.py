@@ -15,15 +15,18 @@ moment is ``sum_k q_k tr[O^2 K_k rho K_k^dag]``.
 Two independent evaluation routes are kept deliberately separate: the
 analytic backend sums the term Gram matrix ``partition.gram``, the circuit
 backend multiplies out the explicit block-encoding unitaries. They must
-agree to 1e-9. The circuit backend and the exhaustive outcome
-distribution share one pair-circuit state per (k, k'); the outcome
-tables drive :class:`Sampler`, whose ``sample_shots`` is the only shot
-path: each shot reads its two uniforms from its own Philox substream
+agree to 1e-9. Only the circuit backend builds pair-circuit states.
+
+The exhaustive outcome tables come from the first block column
+``L_k|0>_A`` of each encoding, the only part that acts on the circuit's
+input. They drive :class:`Sampler`, whose ``sample_shots`` is the only
+shot path: each shot reads its two uniforms from its own Philox substream
 (``prng``), so the shots depend only on (seed, stream, shot index).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -59,8 +62,6 @@ class BlockEncoding:
 
     ancilla_qubits: int
     unitary: np.ndarray
-    operator: np.ndarray
-    members: tuple[int, ...]
 
 
 def _householder_prepare(column: np.ndarray) -> np.ndarray:
@@ -86,7 +87,7 @@ def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecompo
     d = dec.dimension
     if len(members) == 1:
         u = dec.terms[members[0]].unitary
-        return BlockEncoding(0, u, group.operator, members)
+        return BlockEncoding(0, u)
     a = math.ceil(math.log2(len(members)))
     na = 2**a
     column = np.zeros(na)
@@ -100,19 +101,9 @@ def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecompo
         select[slot * d : (slot + 1) * d, slot * d : (slot + 1) * d] = block
     big_pre = np.kron(prepare, eye)
     l_mat = big_pre.conj().T @ select @ big_pre
-    enc = BlockEncoding(a, l_mat, group.operator, members)
-    top = l_mat[:d, :d]
-    if np.linalg.norm(top - group.operator) > TOL.unitarity:
+    if np.linalg.norm(l_mat[:d, :d] - group.operator) > TOL.unitarity:
         raise qcore.InvariantViolation("block-encoding invariant violated")
-    return enc
-
-
-def _pad_encoding(enc: BlockEncoding, a_star: int) -> np.ndarray:
-    """Tensor identity ancillas on the left so all encodings share width a*."""
-    extra = a_star - enc.ancilla_qubits
-    if extra == 0:
-        return enc.unitary
-    return np.kron(np.eye(2**extra), enc.unitary)
+    return BlockEncoding(a, l_mat)
 
 
 def build_controlled_pair(l_k: np.ndarray, l_kprime: np.ndarray) -> np.ndarray:
@@ -142,23 +133,15 @@ class HybridChannel:
         self.G = len(self.group_ops)
         self.a_star = part.a_star
         self.dimension = dec.dimension
-        self._encodings: list[BlockEncoding] | None = None
-        self._padded: list[np.ndarray] | None = None
         pair_sum = float((self.weights[:, None] * self.weights[None, :]).sum())
         if abs(pair_sum - 1.0) > TOL.prob_norm:
             raise qcore.InvariantViolation(f"pair weights sum to {pair_sum}, expected 1")
 
-    @property
-    def encodings(self) -> list[BlockEncoding]:
-        if self._encodings is None:
-            self._encodings = [build_block_encoding(g, self.decomposition) for g in self.group_ops]
-        return self._encodings
-
-    @property
+    @functools.cached_property
     def padded_encodings(self) -> list[np.ndarray]:
-        if self._padded is None:
-            self._padded = [_pad_encoding(e, self.a_star) for e in self.encodings]
-        return self._padded
+        """Block encodings with identity ancillas tensored on the left up to width a*."""
+        encs = [build_block_encoding(g, self.decomposition) for g in self.group_ops]
+        return [np.kron(np.eye(2 ** (self.a_star - e.ancilla_qubits)), e.unitary) for e in encs]
 
 
 def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analytic") -> float:
@@ -188,7 +171,8 @@ def _on_zero_ancilla(channel: HybridChannel, op: np.ndarray) -> np.ndarray:
 def _pair_state(channel: HybridChannel, rho: np.ndarray, k: int, kprime: int) -> np.ndarray:
     """Density after the (k, k') pair circuit, before any measurement.
 
-    For k = k' the B register never entangles, so it is dropped and the
+    The circuit backend's state; the outcome tables never form it. For
+    k = k' the B register never entangles, so it is dropped and the
     state lives on (ancilla x system); otherwise B starts in |+> and the
     state lives on (B x ancilla x system).
     """
@@ -221,26 +205,30 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
     bit z (0 = all-zero outcome), the X-basis bit b and the observable
     eigenindex j. For k = k' the B register is skipped and the whole b = 1
     plane is zero.
+
+    Only the first block column of each encoding acts on |0>_A (x) rho; its
+    ancilla-a block B_{k,a} gives the amplitude (B_{k',a} + (-1)^b B_{k,a})/2
+    after the X-basis measurement of B (B_{k,a} alone for k = k'), and
+    z = 0 is the a = 0 block.
     """
     rho = qcore.density(state)
     o = qcore.as_observable(obs)
     na = 2**channel.a_star
     d = channel.dimension
-    final = _pair_state(channel, rho, k, kprime)
-    probs = np.zeros((2, 2, d))
+    padded = channel.padded_encodings
+    # first block columns split into ancilla blocks (a, d, d), in O's eigenbasis
+    rot = o.eigenvectors.conj().T
+    col_k = rot @ padded[k][:, :d].reshape(na, d, d)
     if k == kprime:
-        basis = np.kron(np.eye(na), o.eigenvectors)
-        diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real
-        diag = diag.reshape(na, d)
-        probs[0, 0, :] = diag[0]
-        probs[1, 0, :] = diag[1:].sum(axis=0) if na > 1 else 0.0
+        amps = col_k[None]
     else:
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        basis = np.kron(hadamard, np.kron(np.eye(na), o.eigenvectors))
-        diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real
-        diag = diag.reshape(2, na, d)
-        probs[0, :, :] = diag[:, 0, :]
-        probs[1, :, :] = diag[:, 1:, :].sum(axis=1) if na > 1 else 0.0
+        col_kp = rot @ padded[kprime][:, :d].reshape(na, d, d)
+        amps = np.stack([col_kp + col_k, col_kp - col_k]) / 2.0
+    # <j|A rho A^dag|j> for each amplitude A, indexed (b, a, j)
+    diag = ((amps @ rho) * amps.conj()).sum(axis=-1).real
+    probs = np.zeros((2, 2, d))
+    probs[0, : len(amps)] = diag[:, 0]
+    probs[1, : len(amps)] = diag[:, 1:].sum(axis=1)
     np.clip(probs, 0.0, None, out=probs)
     return probs
 

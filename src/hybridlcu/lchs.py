@@ -16,7 +16,7 @@ propagator-accuracy checks assemble actual matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -436,11 +436,5 @@ def propagator_error(config: LchsConfig) -> float:
 
 
 def write_sweep_csv(path, rows: list[SweepRow], seed: int, version: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("K2,M,alpha,s_norm1,rp_bound,overhead_bound_at_P,P_assumed\n")
-        for r in rows:
-            fh.write(
-                f"{r.k2:.17g},{r.m},{r.alpha:.17g},{r.s_norm1:.17g},"
-                f"{r.rp_bound:.17g},{r.overhead_bound_at_p:.17g},{r.p_assumed:.17g}\n"
-            )
-        fh.write(f"# seed={seed} version={version}\n")
+    header = "K2,M,alpha,s_norm1,rp_bound,overhead_bound_at_P,P_assumed"
+    qcore.save_csv(path, header, map(astuple, rows), seed, version)

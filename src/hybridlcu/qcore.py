@@ -2,8 +2,8 @@
 
 Everything downstream (decompositions, channels, the application drivers)
 works with plain ``numpy`` arrays; this module owns validation, the shared
-tolerance constants, spectral matrix functions, and the text serialization
-format for matrices.
+tolerance constants, spectral matrix functions, the text serialization
+format for matrices and the CSV table format.
 
 Matrix functions are always computed through the spectral decomposition,
 never by series truncation: at the dimensions we care about (at most 2**10
@@ -38,6 +38,7 @@ __all__ = [
     "density",
     "matrix_to_text",
     "matrix_from_text",
+    "save_csv",
 ]
 
 
@@ -250,3 +251,18 @@ def matrix_from_text(text: str) -> np.ndarray:
         re_s, im_s = ln.split()
         data[i] = complex(float(re_s), float(im_s))
     return data.reshape(rows, cols)
+
+
+## --- CSV tables ---------------------------------------------------------
+## Header line, one line per row, then a "# seed=<seed> version=<version>"
+## comment. The shot CSV (hybrid.write_shot_csv) writes the same format
+## through its own column-wise path.
+
+
+def save_csv(path, header: str, rows, seed: int, version: str) -> None:
+    """Write ``rows`` under ``header``: ``float`` cells as ``.17g``, every other cell by ``str``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+        fh.write(f"# seed={seed} version={version}\n")

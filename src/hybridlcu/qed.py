@@ -336,11 +336,5 @@ def fig_sweep(
 
 
 def write_sweep_csv(path, rows: list[SweepRow], seed: int, version: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("r,pZ,pX,P,R,R_minus_P,seed\n")
-        for row in rows:
-            fh.write(
-                f"{row.r:.17g},{row.p_z:.17g},{row.p_x:.17g},{row.p:.17g},"
-                f"{row.r_factor:.17g},{row.gap:.17g},{row.seed}\n"
-            )
-        fh.write(f"# seed={seed} version={version}\n")
+    cells = ((r.r, r.p_z, r.p_x, r.p, r.r_factor, r.gap, r.seed) for r in rows)
+    qcore.save_csv(path, "r,pZ,pX,P,R,R_minus_P,seed", cells, seed, version)

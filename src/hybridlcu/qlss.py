@@ -19,7 +19,7 @@ scale with K and the dimension only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -413,16 +413,5 @@ def fit_exponents(rows: list[TableRow]) -> tuple[float, float]:
 
 
 def write_table_csv(path, rows: list[TableRow], seed: int, version: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "kappa,epsilon,J,K,one_norm,P,R_int,R_int_closed_form,R_rand,"
-            "anc_hybrid,anc_coherent\n"
-        )
-        for r in rows:
-            fh.write(
-                f"{r.kappa:.17g},{r.epsilon:.17g},{r.j_count},{r.k_count},"
-                f"{r.one_norm:.17g},{r.p:.17g},{r.r_int:.17g},"
-                f"{r.r_int_closed_form:.17g},{r.r_rand:.17g},"
-                f"{r.anc_hybrid},{r.anc_coherent}\n"
-            )
-        fh.write(f"# seed={seed} version={version}\n")
+    header = "kappa,epsilon,J,K,one_norm,P,R_int,R_int_closed_form,R_rand,anc_hybrid,anc_coherent"
+    qcore.save_csv(path, header, map(astuple, rows), seed, version)

@@ -145,6 +145,31 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(qed, "fig_sweep", failed_factorisation)
     assert cli.main(["qed", "--seed", "1", "--out", str(tmp_path)]) == 3
 
+    # a biased sampler fails the Monte-Carlo cross-check
+    monkeypatch.undo()
+    unbiased = hybrid.Sampler.sample_shots
+
+    def biased(self, *args, **kwargs):
+        batch = unbiased(self, *args, **kwargs)
+        batch.g = 0.9 * batch.g + 0.02
+        return batch
+
+    monkeypatch.setattr(hybrid.Sampler, "sample_shots", biased)
+    capsys.readouterr()
+    assert cli.main(["demo", "--seed", "2", "--out", str(tmp_path)]) == 3
+    assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
+
+
+def test_demo_few_shots_pass_or_config_error(tmp_path):
+    # one or two shots: the Monte-Carlo gate holds at every N, and an identity
+    # batch of mean 0 (no ratio estimate) is a config error, not a traceback
+    codes = {
+        (shots, seed): cli.main(["demo", "--seed", str(seed), "--shots", str(shots), "--out", str(tmp_path)])
+        for shots in (1, 2)
+        for seed in (1, 2, 3, 4)
+    }
+    assert set(codes.values()) <= {0, 2}, codes
+
 
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:

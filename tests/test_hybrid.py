@@ -212,6 +212,44 @@ def test_outcome_distribution_diagonal_pair_has_no_b1_plane():
     assert np.all(probs[:, 1, :] == 0.0)
 
 
+def _pair_circuit_table(ch, rho, obs, k, kp):
+    # reference: the Born diagonal of the whole pair-circuit density, B read
+    # in the Hadamard basis and the system in O's eigenbasis
+    na, d = 2**ch.a_star, ch.dimension
+    final = hybrid._pair_state(ch, rho, k, kp)
+    nb = 1 if k == kp else 2
+    basis = np.kron(np.eye(na), obs.eigenvectors)
+    if k != kp:
+        basis = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), basis)
+    diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real.reshape(nb, na, d)
+    probs = np.zeros((2, 2, d))
+    probs[0, :nb] = diag[:, 0]
+    probs[1, :nb] = diag[:, 1:].sum(axis=1)
+    return np.clip(probs, 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "groups, dim",
+    [
+        ([[0, 1, 2], [3, 4]], 4),  # mixed widths: the second encoding is padded
+        ([[0], [1, 2], [3, 4, 5]], 8),
+        ([[0, 1, 2, 3, 4], [5, 6]], 8),
+        ([[0, 1, 2, 3]], 4),  # one group: only k = k' = 0
+    ],
+)
+def test_outcome_distribution_matches_pair_circuit(groups, dim):
+    rng = np.random.default_rng(len(groups) * 100 + dim)
+    m = sum(len(g) for g in groups)
+    ch = HybridChannel(random_lcu(m, dim, rng), validate(groups, m))
+    rho = random_density(dim, rng)
+    assert np.linalg.matrix_rank(rho) == dim
+    obs = qcore.Observable(random_hermitian(dim, rng))
+    for k in range(ch.G):
+        for kp in range(ch.G):
+            want = _pair_circuit_table(ch, rho, obs, k, kp)
+            assert np.abs(outcome_distribution(ch, rho, obs, k, kp) - want).max() <= 1e-12
+
+
 ## ------------------------------------------------------------------
 ## sampler
 ## ------------------------------------------------------------------

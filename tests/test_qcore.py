@@ -129,3 +129,16 @@ def test_matrix_text_rejects_garbage():
         qcore.matrix_from_text("not a matrix")
     with pytest.raises(ValueError):
         qcore.matrix_from_text("dim 2 2\n0 0\n")
+
+
+def test_save_csv_cell_format(tmp_path):
+    # floats (numpy float64 too) print at 17 digits, keeping -0.0; other cells print by str
+    path = tmp_path / "t.csv"
+    rows = [(0.1, np.float64(1 / 3), -0.0, 7, np.int64(-2), '"a,b"'), (1e-300, 2.0, 0.0, True, 0, "x")]
+    qcore.save_csv(path, "a,b,c,d,e,f", rows, seed=2**64 - 1, version="0.1.0")
+    assert path.read_text().splitlines() == [
+        "a,b,c,d,e,f",
+        '0.10000000000000001,0.33333333333333331,-0,7,-2,"a,b"',
+        "1e-300,2,0,True,0,x",
+        "# seed=18446744073709551615 version=0.1.0",
+    ]
