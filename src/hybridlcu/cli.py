@@ -248,19 +248,23 @@ def cmd_demo(config: RunConfig) -> None:
     if abs(analytic - circuit) > qcore.TOL.cross_backend:
         raise InvariantViolation(f"analytic {analytic!r} vs circuit {circuit!r} disagree")
 
+    # stream 0 carries the observable, stream 1 the identity whose mean P
+    # normalises the ratio estimate; both are checked against their exact mean
     sampler = hybrid.Sampler(channel, psi, obs)
+    sampler_one = hybrid.Sampler(channel, psi, np.eye(dim))
     batch_obs = sampler.sample_shots(config.seed, config.shots, stream=0)
+    batch_one = sampler_one.sample_shots(config.seed, config.shots, stream=1)
+    for checked, shots in ((sampler, batch_obs), (sampler_one, batch_one)):
+        mean = float(shots.g.mean())
+        # exact variance and |g| <= 1 (unit-norm observables): the bound holds at
+        # every N, also when all shots agree and the sample variance is 0
+        variance = checked.exact_second - checked.exact_mean**2
+        width = estimate.bernstein_half_width(variance, 1.0, shots.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
+        if abs(mean - checked.exact_mean) > width:
+            raise InvariantViolation(f"monte-carlo mean {mean} is farther than {width:.3g} from {checked.exact_mean}")
     mc = float(batch_obs.g.mean())
-    # exact variance and |g| <= 1 (unit-norm observable): the bound holds at every N,
-    # also when all shots agree and the sample variance is 0
-    variance = sampler.exact_second - analytic**2
-    width = estimate.bernstein_half_width(variance, 1.0, batch_obs.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
-    if abs(mc - analytic) > width:
-        raise InvariantViolation(f"monte-carlo mean {mc} is farther than {width:.3g} from {analytic}")
     print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={mc:.12g} (N={batch_obs.n})")
 
-    sampler_one = hybrid.Sampler(channel, psi, np.eye(dim))
-    batch_one = sampler_one.sample_shots(config.seed, config.shots, stream=1)
     batch = estimate.SampleBatch(batch_obs.g, batch_one.g, seed=config.seed)
     est_cfg = estimate.EstimationConfig(epsilon=epsilon, delta=delta, bound_c=1.0)
     reports = [

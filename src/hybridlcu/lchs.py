@@ -10,7 +10,9 @@ singleton group needing no ancilla.
 
 All per-K2 figures of merit (node count M, alpha, |s|_1, the R - P
 bound and the sampling-overhead bound) are analytic; only the
-propagator-accuracy checks assemble actual matrices.
+propagator-accuracy checks assemble actual matrices. |s|_1 is the
+Euler-Maclaurin series of the trapezoid rule with a proven remainder
+bound, summed explicitly only where that bound is not negligible.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ __all__ = [
 # at M ~ 2^21 while the fully coherent window needs ~2^29 nodes).
 DEFAULT_M_MULTIPLIER = 0.5
 
-# largest window that is ever materialized as arrays; sweeps beyond this
-# stay purely analytic
+# largest window that is ever materialized as node and weight arrays
 MAX_WINDOW_NODES = 1 << 22
+
+# Bernoulli numbers B_2, B_4, B_6, B_8 of the Euler-Maclaurin endpoint terms
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 
 
 def split_hermitian(a) -> tuple[np.ndarray, np.ndarray, float]:
@@ -94,12 +98,12 @@ class LchsConfig:
     l_norm: float | None = None
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError("t must be finite and nonnegative")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.m_multiplier <= 0:
-            raise ValueError("m_multiplier must be positive")
+        if not (math.isfinite(self.m_multiplier) and self.m_multiplier > 0):
+            raise ValueError("m_multiplier must be finite and positive")
         if self.a_matrix is not None:
             l_psd, h, shift = split_hermitian(self.a_matrix)
             object.__setattr__(self, "a_matrix", qcore.as_matrix(self.a_matrix))
@@ -111,8 +115,8 @@ class LchsConfig:
                 object.__setattr__(self, "l_norm", norm)
         elif self.l_norm is None:
             raise ValueError("need a_matrix or l_norm")
-        if not self.l_norm >= 0.0:
-            raise ValueError("l_norm must be nonnegative")
+        if not (math.isfinite(self.l_norm) and self.l_norm >= 0.0):
+            raise ValueError("l_norm must be finite and nonnegative")
         k1 = truncation_k1(self.epsilon)
         if self.k2 is None:
             object.__setattr__(self, "k2", k1)
@@ -175,35 +179,44 @@ def node_count(config: LchsConfig) -> int:
     k2 = float(config.k2)
     if k2 == 0.0:
         return 0
-    osc = math.ceil(config.m_multiplier * config.l_norm * config.t * math.sqrt(k2**3 / config.epsilon))
-    floor = math.ceil(2.0 * k2 / math.sqrt(config.epsilon))
-    return max(1, osc, floor)
+    osc = config.m_multiplier * config.l_norm * config.t * math.sqrt(k2**3 / config.epsilon)
+    floor = 2.0 * k2 / math.sqrt(config.epsilon)
+    if not math.isfinite(osc + floor):
+        raise ValueError(f"node count overflows at K2 = {k2:.6g}, eps = {config.epsilon:.3g}")
+    return max(1, math.ceil(osc), math.ceil(floor))
+
+
+def _trapezoid(k2: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and halved-endpoint weights h f(x_j) / pi of the M-step window trapezoid."""
+    if m > MAX_WINDOW_NODES:
+        raise ValueError(f"window of {m} nodes is too large to materialize (cap {MAX_WINDOW_NODES})")
+    j = np.arange(m + 1)
+    nodes = -k2 + 2.0 * j * k2 / m
+    full = np.full(m + 1, 2.0)
+    full[0] = full[-1] = 1.0
+    return nodes, full * k2 / (m * math.pi * (1.0 + nodes**2))
 
 
 def window_weight_sum(k2: float, m: int) -> float:
-    """Exact trapezoid weight sum |s|_1 in bounded memory.
+    """Trapezoid weight sum |s|_1 = (h/pi) sum' f(x_j), f = 1/(1 + x^2), h = 2 K2 / M.
 
-    Beyond MAX_WINDOW_NODES the trapezoid limit (2/pi) arctan K2 is
-    returned; for such fine grids at large K2 the difference is far below
-    1e-9 (the Euler-Maclaurin correction involves the tiny density slope
-    at the endpoints).
+    Euler-Maclaurin, with the two endpoint terms equal because f is even:
+    pi |s|_1 = 2 arctan K2 + sum_{r=1..4} 2 B_2r h^2r f^(2r-1)(K2) / (2r)! + R,
+    where f^(n)(x) = Im[(-1)^n n! (x - i)^-(n+1)] makes the r-th term
+    -(B_2r / r) Im[(h / (K2 - i))^2r]. As |f^(n)(x)| <= n! (1 + x^2)^-(n+1)/2,
+    whose integral over the line is at most 2 for n >= 2,
+    |R| <= |B_8| h^8 / 8! * int |f^(8)| <= h^8 / 15. The series is used when
+    its error bound h^8 / (15 pi) is at most 2^-53 (2/pi) arctan K2; otherwise
+    the trapezoid is summed explicitly, for M <= MAX_WINDOW_NODES only.
     """
     if m == 0:
         return 0.0
-    if m > MAX_WINDOW_NODES:
-        return (2.0 / math.pi) * math.atan(k2)
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(0, m + 1, chunk):
-        j = np.arange(start, min(start + chunk, m + 1))
-        nodes = -k2 + 2.0 * j * k2 / m
-        w = np.full(j.size, 2.0)
-        if j[0] == 0:
-            w[0] = 1.0
-        if j[-1] == m:
-            w[-1] = 1.0
-        total += float((w / (1.0 + nodes**2)).sum())
-    return total * k2 / (m * math.pi)
+    h = 2.0 * k2 / m
+    if h**8 / 15.0 <= 2.0**-52 * math.atan(k2):
+        z = h / complex(k2, -1.0)
+        ends = sum(b / r * (z ** (2 * r)).imag for r, b in enumerate(_BERNOULLI, start=1))
+        return (2.0 * math.atan(k2) - ends) / math.pi
+    return float(_trapezoid(k2, m)[1].sum())
 
 
 def discretization_at(config: LchsConfig, m: int) -> LchsDiscretization:
@@ -213,13 +226,7 @@ def discretization_at(config: LchsConfig, m: int) -> LchsDiscretization:
     alpha = math.atan(k1) - math.atan(k2)
     if m == 0 or k2 == 0.0:
         return LchsDiscretization(np.empty(0), np.empty(0), 0, k1, k2, 0.0, alpha)
-    if m > MAX_WINDOW_NODES:
-        raise ValueError(f"window of {m} nodes is too large to materialize (cap {MAX_WINDOW_NODES})")
-    j = np.arange(m + 1)
-    nodes = -k2 + 2.0 * j * k2 / m
-    full = np.full(m + 1, 2.0)
-    full[0] = full[-1] = 1.0
-    weights = full * k2 / (m * math.pi * (1.0 + nodes**2))
+    nodes, weights = _trapezoid(k2, m)
     return LchsDiscretization(nodes, weights, m, k1, k2, float(weights.sum()), alpha)
 
 
@@ -399,6 +406,8 @@ def fig_sweep(
     if not 0.0 < p_assumed <= 1.0:
         raise ValueError("p_assumed must lie in (0, 1]")
     k1 = truncation_k1(epsilon)
+    if k1 == 0.0:
+        raise ValueError("epsilon = 1 truncates the integral at K1 = 0: no window to sweep")
     rows = []
     for k2 in np.geomspace(k1 * 1e-4, k1, points):
         config = LchsConfig(None, t, epsilon, k2=float(k2), m_multiplier=m_multiplier, l_norm=l_norm)

@@ -95,6 +95,12 @@ def test_bad_values_are_config_errors(tmp_path):
         ("lchs", "lchs.p_assumed = 0\n"),
         ("lchs", "lchs.p_assumed = -0.5\n"),
         ("lchs", "lchs.l_norm = -1\n"),
+        ("lchs", "lchs.l_norm = inf\n"),
+        ("lchs", "lchs.t = inf\n"),
+        ("lchs", "lchs.t = nan\n"),
+        ("lchs", "lchs.t = 1e300\n"),  # finite, but M overflows
+        ("lchs", "lchs.epsilon = 1e-300\n"),  # K1 ~ 1.6e16: M overflows
+        ("lchs", "lchs.epsilon = 1\n"),  # K1 = 0
         ("qlss", "qlss.dim = 0\n"),
         ("qed", "qed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 0\n"),
         ("qed", "qed.codewords = 0\n"),
@@ -158,6 +164,18 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["demo", "--seed", "2", "--out", str(tmp_path)]) == 3
     assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
+
+    # so does one that halves the identity batch (stream 1) behind the ratio estimate
+    def halved_identity(self, *args, **kwargs):
+        batch = unbiased(self, *args, **kwargs)
+        if kwargs.get("stream") == 1:
+            batch.g = batch.g / 2.0
+        return batch
+
+    monkeypatch.setattr(hybrid.Sampler, "sample_shots", halved_identity)
+    for seed in ("1", "2", "3"):
+        assert cli.main(["demo", "--seed", seed, "--out", str(tmp_path)]) == 3
+        assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
 
 
 def test_demo_few_shots_pass_or_config_error(tmp_path):

@@ -1,10 +1,14 @@
 """Propagator-driver checks: splitting, quadrature, bounds, tail sampling."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import random_hermitian
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
@@ -130,11 +134,44 @@ def test_weight_sum_matches_arctan_integral():
 
 
 def test_weight_sum_large_m_uses_limit():
+    # past the node cap the series lands on the trapezoid limit (2/pi) arctan K2
     val = window_weight_sum(100.0, lchs.MAX_WINDOW_NODES + 1)
-    assert val == (2.0 / math.pi) * math.atan(100.0)
-    # the exact chunked sum is already this close at a million nodes
-    exact = window_weight_sum(100.0, 1 << 20)
-    assert abs(exact - val) <= 1e-9
+    assert abs(val - (2.0 / math.pi) * math.atan(100.0)) <= 1e-9
+    # and allocates no node array, even at the fully coherent default window
+    tracemalloc.start()
+    try:
+        window_weight_sum(truncation_k1(5e-5), 1 << 29)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # no row of the default bound sweep builds a node array
+    with mock.patch.object(lchs, "_trapezoid", side_effect=AssertionError("node array built")):
+        assert len(fig_sweep()) == 60
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(math.log(0.1), math.log(1e4)), st.floats(0.0, 1.0))
+def test_weight_sum_series_matches_explicit_trapezoid(log_k2, frac):
+    # M from just above the smallest node count whose remainder bound h^8/15 is
+    # negligible (h = 2 K2 / M) up to 2^16; there the series must equal the
+    # explicit sum
+    k2 = math.exp(log_k2)
+    m_min = math.ceil(1.001 * 2.0 * k2 / (15.0 * 2.0**-52 * math.atan(k2)) ** 0.125)
+    assume(m_min <= 1 << 16)
+    m = m_min + round(frac * ((1 << 16) - m_min))
+    explicit = float(lchs._trapezoid(k2, m)[1].sum())
+    with mock.patch.object(lchs, "_trapezoid", side_effect=AssertionError("series not used")):
+        series = window_weight_sum(k2, m)
+    assert abs(series - explicit) <= 1e-14 * explicit
+
+
+def test_weight_sum_coarse_windows_sum_explicitly():
+    # a coarse grid is summed node by node, and past the node cap it is refused
+    config = LchsConfig(None, t=3.0, epsilon=1e-3, k2=30.0, l_norm=2.0)
+    assert window_weight_sum(30.0, 64) == discretization_at(config, 64).s_norm1
+    with pytest.raises(ValueError, match="too large"):
+        window_weight_sum(1e6, lchs.MAX_WINDOW_NODES + 1)
 
 
 def test_node_count_monotone_in_k2():
@@ -161,6 +198,14 @@ def test_config_validation():
     config = LchsConfig(None, t=1.0, epsilon=0.1, l_norm=1.0)
     with pytest.raises(ValueError):
         _ = config.hermitian_part
+    for bad in ({"t": math.inf}, {"t": math.nan}, {"l_norm": math.inf}, {"m_multiplier": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            LchsConfig(None, **{"t": 1.0, "epsilon": 0.1, "l_norm": 1.0, **bad})
+    # finite inputs whose node count overflows a float
+    with pytest.raises(ValueError, match="node count"):
+        node_count(LchsConfig(None, t=1e300, epsilon=5e-5, l_norm=2.0))
+    with pytest.raises(ValueError, match="K1 = 0"):
+        fig_sweep(epsilon=1.0)
 
 
 ## ------------------------------------------------------------------
