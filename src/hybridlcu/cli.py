@@ -80,6 +80,12 @@ _PARAM_KEYS: dict[str, dict[str, str]] = {
 }
 
 
+def _finite(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} = {value} is not finite")
+    return value
+
+
 def _coerce(key: str, kind: str, raw: str):
     try:
         if kind == "int":
@@ -90,12 +96,12 @@ def _coerce(key: str, kind: str, raw: str):
                 raise ConfigError(f"{key} = {raw} outside the 64-bit range")
             return value
         if kind == "float":
-            return float(raw)
+            return _finite(key, float(raw))
         if kind == "floats":
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ConfigError(f"{key} needs at least one value")
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(key, float(p)) for p in parts)
         return raw
     except ConfigError:
         raise

@@ -52,11 +52,10 @@ class EstimationConfig:
     bound_c: float
     ratio_bound_cprime: float | None = None
     sigma2_obs_bound: float | None = None
-    sigma2_one_bound: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if not self.bound_c > 0:

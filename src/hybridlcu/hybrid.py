@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from . import lcu, partition as partition_mod, prng, qcore
 from .qcore import TOL
 
 __all__ = [
-    "BlockEncoding",
     "HybridChannel",
     "DegenerateRoundError",
     "build_block_encoding",
@@ -56,14 +54,6 @@ class DegenerateRoundError(ValueError):
     """A multi-round composition hit an intermediate state of vanishing trace."""
 
 
-@dataclass(frozen=True)
-class BlockEncoding:
-    """Unitary ``L`` on (ancilla x system) whose zero-ancilla block is ``K``."""
-
-    ancilla_qubits: int
-    unitary: np.ndarray
-
-
 def _householder_prepare(column: np.ndarray) -> np.ndarray:
     """Real orthogonal matrix whose first column is the given unit vector."""
     dim = column.size
@@ -75,35 +65,30 @@ def _householder_prepare(column: np.ndarray) -> np.ndarray:
     return np.eye(dim) - (2.0 / nrm2) * np.outer(v, v)
 
 
-def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecomposition) -> BlockEncoding:
-    """PREPARE/SELECT block encoding of one group operator.
+def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecomposition) -> np.ndarray:
+    """PREPARE/SELECT block encoding ``L_k`` of one group operator.
 
-    PREPARE may be completed from its first column ``sqrt(p_i/q_k)`` by any
-    unitary; a Householder reflection is used here. SELECT applies ``U_i``
-    on member indices and the identity on padding indices. A singleton
-    group needs no ancilla at all: ``L_k = U_i``.
+    Returns the unitary on (ancilla x system) whose zero-ancilla block is
+    ``K_k``; its ancilla width ``a = ceil(log2 |S_k|)`` follows from its
+    shape. PREPARE may be completed from its first column ``sqrt(p_i/q_k)``
+    by any unitary; a real Householder reflection ``P`` is used here, so
+    block ``(a, b)`` of ``L_k`` is ``sum_s P[s,a] P[s,b] U_s``, with
+    ``U_s = 1`` on the padding slots. A singleton group needs no ancilla at
+    all: ``L_k = U_i``.
     """
-    members = group.members
+    members = list(group.members)
     d = dec.dimension
     if len(members) == 1:
-        u = dec.terms[members[0]].unitary
-        return BlockEncoding(0, u)
-    a = math.ceil(math.log2(len(members)))
-    na = 2**a
+        return dec.unitaries[members[0]]
+    na = 2 ** math.ceil(math.log2(len(members)))
     column = np.zeros(na)
-    for slot, i in enumerate(members):
-        column[slot] = math.sqrt(dec.probs[i] / group.weight)
+    column[: len(members)] = np.sqrt(dec.probs[members] / group.weight)
     prepare = _householder_prepare(column)
-    select = np.zeros((na * d, na * d), dtype=complex)
-    eye = np.eye(d)
-    for slot in range(na):
-        block = dec.terms[members[slot]].unitary if slot < len(members) else eye
-        select[slot * d : (slot + 1) * d, slot * d : (slot + 1) * d] = block
-    big_pre = np.kron(prepare, eye)
-    l_mat = big_pre.conj().T @ select @ big_pre
+    units = np.concatenate([dec.unitaries[members], np.broadcast_to(np.eye(d), (na - len(members), d, d))])
+    l_mat = np.einsum("sa,sb,sij->aibj", prepare, prepare, units).reshape(na * d, na * d)
     if np.linalg.norm(l_mat[:d, :d] - group.operator) > TOL.unitarity:
         raise qcore.InvariantViolation("block-encoding invariant violated")
-    return BlockEncoding(a, l_mat)
+    return l_mat
 
 
 def build_controlled_pair(l_k: np.ndarray, l_kprime: np.ndarray) -> np.ndarray:
@@ -140,8 +125,9 @@ class HybridChannel:
     @functools.cached_property
     def padded_encodings(self) -> list[np.ndarray]:
         """Block encodings with identity ancillas tensored on the left up to width a*."""
+        width = 2**self.a_star * self.dimension
         encs = [build_block_encoding(g, self.decomposition) for g in self.group_ops]
-        return [np.kron(np.eye(2 ** (self.a_star - e.ancilla_qubits)), e.unitary) for e in encs]
+        return [np.kron(np.eye(width // len(e)), e) for e in encs]
 
 
 def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analytic") -> float:

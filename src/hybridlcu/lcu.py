@@ -1,10 +1,12 @@
 """Linear combinations of unitaries and the coherent-LCU map.
 
 An operator ``K = sum_i c_i U_i`` with nonnegative weights ``c_i`` and
-unitaries ``U_i`` is stored as an :class:`LcuDecomposition`. The normalized
-sum ``K_lcu = sum_i p_i U_i`` with ``p_i = c_i / |c|_1`` drives the CP map
-``rho -> K_lcu rho K_lcu^dag`` whose trace is the post-selection success
-probability of the coherent implementation.
+unitaries ``U_i`` is stored as an :class:`LcuDecomposition`: one read-only
+``(m, d, d)`` stack of the ``U_i`` beside the weights ``c_i`` and
+``p_i = c_i / |c|_1``. Every operator built from it is one contraction
+over the stack. The normalized sum ``K_lcu = sum_i p_i U_i`` drives the CP
+map ``rho -> K_lcu rho K_lcu^dag`` whose trace is the post-selection
+success probability of the coherent implementation.
 """
 
 from __future__ import annotations
@@ -17,26 +19,65 @@ from . import qcore
 from .qcore import TOL
 
 __all__ = [
-    "UnitaryTerm",
     "LcuDecomposition",
     "normalize",
     "assemble_klcu",
     "success_probability",
     "apply_cp_map",
     "expectation_unnormalized",
-    "decomposition_to_text",
-    "decomposition_from_text",
 ]
 
 
-class UnitaryTerm:
-    """One term ``c_i U_i``; complex coefficients have their phase folded into U."""
+class LcuDecomposition:
+    """Validated, normalized LCU decomposition.
 
-    def __init__(self, coefficient, unitary):
-        c = complex(coefficient)
-        u = qcore.as_matrix(unitary)
+    ``unitaries`` has shape ``(m, d, d)``; ``coefficients`` and ``probs``
+    have shape ``(m,)``. All three are read-only. Use :func:`normalize` (or
+    the convenience constructor :meth:`from_terms`) rather than
+    instantiating directly.
+    """
+
+    def __init__(self, coefficients: list[float], unitaries: list[np.ndarray], dropped: int = 0):
+        if not coefficients:
+            raise ValueError("degenerate decomposition: no terms with positive coefficient")
+        if len({u.shape for u in unitaries}) != 1:
+            raise ValueError("terms do not share one dimension")
+        # summed in term order: a pairwise numpy sum could move the last
+        # digit of |c|_1, hence of every p_i and of the sampled shots
+        one_norm = float(sum(coefficients))
+        if one_norm <= 0:
+            raise ValueError("degenerate decomposition: all coefficients zero")
+        self.coefficients = np.array(coefficients)
+        self.unitaries = np.stack(unitaries)
+        self.m, self.dimension = self.unitaries.shape[:2]
+        self.one_norm = one_norm
+        self.probs = self.coefficients / one_norm
+        if not abs(self.probs.sum() - 1.0) <= TOL.prob_norm:
+            raise qcore.InvariantViolation(f"term probabilities sum to {self.probs.sum()!r}, not 1")
+        for a in (self.coefficients, self.unitaries, self.probs):
+            a.setflags(write=False)
+        self.dropped = dropped
+
+    @classmethod
+    def from_terms(cls, coefficients, unitaries) -> "LcuDecomposition":
+        return normalize(list(zip(coefficients, unitaries)))
+
+
+def normalize(terms) -> LcuDecomposition:
+    """Build a decomposition from ``(coefficient, unitary)`` pairs.
+
+    A complex or negative coefficient has its phase folded into the
+    unitary, so every stored weight is a nonnegative real. Zero-coefficient
+    terms are dropped (with a warning) because empty groups would break
+    partition invariants downstream; term order is otherwise preserved.
+    """
+    coefficients = []
+    unitaries = []
+    dropped = 0
+    for c, u in terms:
+        c = complex(c)
+        u = qcore.as_matrix(u)
         if abs(c.imag) > 0 or c.real < 0:
-            # absorb the phase so the stored coefficient is a nonnegative real
             mag = abs(c)
             if mag > 0:
                 u = (c / mag) * u
@@ -45,74 +86,19 @@ class UnitaryTerm:
             c = c.real
         if c > 0 and not qcore.is_unitary(u):
             raise ValueError("term matrix is not unitary within tolerance")
-        self.coefficient = float(c)
-        self.unitary = u
-        self.unitary.setflags(write=False)
-        self.dimension = u.shape[0]
-
-
-class LcuDecomposition:
-    """Validated, normalized LCU decomposition.
-
-    Use :func:`normalize` (or the convenience constructor
-    :meth:`from_terms`) rather than instantiating directly.
-    """
-
-    def __init__(self, terms: list[UnitaryTerm], dropped: int = 0):
-        if not terms:
-            raise ValueError("degenerate decomposition: no terms with positive coefficient")
-        dim = terms[0].dimension
-        for t in terms:
-            if t.dimension != dim:
-                raise ValueError("terms do not share one dimension")
-        one_norm = float(sum(t.coefficient for t in terms))
-        if one_norm <= 0:
-            raise ValueError("degenerate decomposition: all coefficients zero")
-        self.terms = tuple(terms)
-        self.m = len(terms)
-        self.dimension = dim
-        self.one_norm = one_norm
-        probs = np.array([t.coefficient / one_norm for t in terms])
-        if not abs(probs.sum() - 1.0) <= TOL.prob_norm:
-            raise qcore.InvariantViolation(f"term probabilities sum to {probs.sum()!r}, not 1")
-        self.probs = probs
-        self.probs.setflags(write=False)
-        self.dropped = dropped
-
-    @classmethod
-    def from_terms(cls, coefficients, unitaries) -> "LcuDecomposition":
-        return normalize(list(zip(coefficients, unitaries)))
-
-    def unitaries(self) -> list[np.ndarray]:
-        return [t.unitary for t in self.terms]
-
-
-def normalize(terms) -> LcuDecomposition:
-    """Build a decomposition from ``(coefficient, unitary)`` pairs.
-
-    Zero-coefficient terms are dropped (with a warning) because empty
-    groups would break partition invariants downstream; term order is
-    otherwise preserved.
-    """
-    built = []
-    dropped = 0
-    for c, u in terms:
-        term = UnitaryTerm(c, u)
-        if term.coefficient == 0.0:
+        if c == 0.0:
             dropped += 1
             continue
-        built.append(term)
+        coefficients.append(float(c))
+        unitaries.append(u)
     if dropped:
         warnings.warn(f"dropped {dropped} zero-coefficient term(s)", stacklevel=2)
-    return LcuDecomposition(built, dropped=dropped)
+    return LcuDecomposition(coefficients, unitaries, dropped=dropped)
 
 
 def assemble_klcu(dec: LcuDecomposition) -> np.ndarray:
     """The normalized sum ``sum_i p_i U_i`` (generally non-unitary)."""
-    out = np.zeros((dec.dimension, dec.dimension), dtype=complex)
-    for p, t in zip(dec.probs, dec.terms):
-        out += p * t.unitary
-    return out
+    return np.tensordot(dec.probs, dec.unitaries, axes=1)
 
 
 def apply_cp_map(dec: LcuDecomposition, state) -> np.ndarray:
@@ -139,41 +125,3 @@ def expectation_unnormalized(dec: LcuDecomposition, state, obs) -> float:
         raise qcore.InvariantViolation(f"expectation has imaginary residue {val.imag:.3e}")
     return dec.one_norm**2 * val.real
 
-
-## --- file format --------------------------------------------------------
-## "m <count> dim <d>" header, then per term one coefficient line followed
-## by a matrix block in the qcore text format.
-
-
-def decomposition_to_text(dec: LcuDecomposition) -> str:
-    parts = [f"m {dec.m} dim {dec.dimension}\n"]
-    for t in dec.terms:
-        parts.append(f"{t.coefficient:.17g}\n")
-        parts.append(qcore.matrix_to_text(t.unitary))
-    return "".join(parts)
-
-
-def decomposition_from_text(text: str) -> LcuDecomposition:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty decomposition text")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "m" or head[2] != "dim":
-        raise ValueError(f"malformed decomposition header {lines[0]!r}")
-    m, d = int(head[1]), int(head[3])
-    pos = 1
-    pairs = []
-    for _ in range(m):
-        if pos >= len(lines):
-            raise ValueError("truncated decomposition text")
-        coeff = float(lines[pos])
-        pos += 1
-        block = lines[pos : pos + 1 + d * d]
-        mat = qcore.matrix_from_text("\n".join(block))
-        if mat.shape != (d, d):
-            raise ValueError(f"term matrix has shape {mat.shape}, expected ({d}, {d})")
-        pos += 1 + d * d
-        pairs.append((coeff, mat))
-    if pos != len(lines):
-        raise ValueError("trailing content after final term")
-    return normalize(pairs)

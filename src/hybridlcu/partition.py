@@ -151,10 +151,9 @@ def group_operators(dec: lcu.LcuDecomposition, part: Partition) -> list[GroupOpe
         raise ValueError(f"partition over {part.m} indices, decomposition has {dec.m} terms")
     ops = []
     for g in part.groups:
+        # summed in member order, like |c|_1: q_k feeds the sampled pair weights
         q = float(sum(dec.probs[i] for i in g))
-        k = np.zeros((dec.dimension, dec.dimension), dtype=complex)
-        for i in g:
-            k += (dec.probs[i] / q) * dec.terms[i].unitary
+        k = np.tensordot(dec.probs[list(g)] / q, dec.unitaries[list(g)], axes=1)
         k.setflags(write=False)
         ops.append(GroupOperator(weight=q, operator=k, members=tuple(g)))
     return ops
@@ -163,7 +162,7 @@ def group_operators(dec: lcu.LcuDecomposition, part: Partition) -> list[GroupOpe
 def gram(dec: lcu.LcuDecomposition, state, weight=None) -> np.ndarray:
     """Real symmetric ``G_ij = p_i p_j Re tr[W U_i rho U_j^dag]``; ``W = 1`` when omitted."""
     rho = qcore.density(state)
-    us = np.stack(dec.unitaries())
+    us = dec.unitaries
     left = us @ rho if weight is None else np.asarray(weight) @ us @ rho
     # tr[A U^dag] is the flat inner product of A with conj(U)
     g = (left.reshape(dec.m, -1) @ us.reshape(dec.m, -1).conj().T).real

@@ -2,8 +2,7 @@
 
 Everything downstream (decompositions, channels, the application drivers)
 works with plain ``numpy`` arrays; this module owns validation, the shared
-tolerance constants, spectral matrix functions, the text serialization
-format for matrices and the CSV table format.
+tolerance constants, spectral matrix functions and the CSV table format.
 
 Matrix functions are always computed through the spectral decomposition,
 never by series truncation: at the dimensions we care about (at most 2**10
@@ -36,8 +35,6 @@ __all__ = [
     "Observable",
     "as_observable",
     "density",
-    "matrix_to_text",
-    "matrix_from_text",
     "save_csv",
 ]
 
@@ -221,36 +218,6 @@ def density(state) -> np.ndarray:
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())
     return as_matrix(arr)
-
-
-## --- text serialization -------------------------------------------------
-## Format: header "dim <rows> <cols>", then one "re im" pair per entry,
-## row-major, 17 significant digits.
-
-
-def matrix_to_text(m) -> str:
-    m = as_matrix(np.atleast_2d(m))
-    lines = [f"dim {m.shape[0]} {m.shape[1]}"]
-    for entry in m.reshape(-1):
-        lines.append(f"{entry.real:.17g} {entry.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> np.ndarray:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError("matrix text must start with a 'dim <rows> <cols>' header")
-    parts = lines[0].split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed header {lines[0]!r}")
-    rows, cols = int(parts[1]), int(parts[2])
-    if len(lines) - 1 != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, found {len(lines) - 1}")
-    data = np.empty(rows * cols, dtype=complex)
-    for i, ln in enumerate(lines[1:]):
-        re_s, im_s = ln.split()
-        data[i] = complex(float(re_s), float(im_s))
-    return data.reshape(rows, cols)
 
 
 ## --- CSV tables ---------------------------------------------------------

@@ -85,7 +85,7 @@ def test_missing_grid_key_is_named(tmp_path, capsys):
     assert "qed.pz_max" in capsys.readouterr().err
 
 
-def test_bad_values_are_config_errors(tmp_path):
+def test_bad_values_are_config_errors(tmp_path, capsys):
     cases = [
         ("demo", "demo.m = 7\n"),  # above the demo cap
         ("demo", "demo.m = banana\n"),
@@ -109,6 +109,19 @@ def test_bad_values_are_config_errors(tmp_path):
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (subcommand, text)
+    # non-finite floats are refused while the config is read, by key
+    non_finite = [
+        ("demo", "demo.epsilon", "inf"),
+        ("qlss", "qlss.kappas", "4, inf"),
+        ("qed", "qed.r_values", "nan"),
+    ]
+    for subcommand, key, value in non_finite:
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        capsys.readouterr()
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert key in err and "not finite" in err, err
 
 
 def test_absent_config_file_is_config_error(tmp_path):

@@ -69,6 +69,9 @@ def test_ratio_n_domain():
 def test_config_domain_and_cprime_default():
     with pytest.raises(ValueError):
         EstimationConfig(epsilon=0.0, delta=0.05, bound_c=1.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            EstimationConfig(epsilon=eps, delta=0.05, bound_c=1.0)
     with pytest.raises(ValueError):
         EstimationConfig(epsilon=0.1, delta=1.0, bound_c=1.0)
     with pytest.raises(ValueError):

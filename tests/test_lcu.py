@@ -43,8 +43,37 @@ def test_zero_terms_dropped_with_warning():
 
 def test_complex_coefficient_phase_folded():
     dec = lcu.normalize([(1j, np.eye(2))])
-    assert dec.terms[0].coefficient == 1.0
-    assert np.allclose(dec.terms[0].unitary, 1j * np.eye(2))
+    assert dec.coefficients[0] == 1.0
+    assert np.allclose(dec.unitaries[0], 1j * np.eye(2))
+    dec = lcu.normalize([(-2.0, PAULI_Z), (1.0, np.eye(2))])
+    assert np.array_equal(dec.coefficients, [2.0, 1.0])
+    assert np.array_equal(dec.unitaries[0], -PAULI_Z)
+    assert dec.one_norm == 3.0
+
+
+def test_mixed_term_dimensions_rejected():
+    with pytest.raises(ValueError, match="terms do not share one dimension"):
+        lcu.normalize([(1.0, np.eye(2)), (1.0, np.eye(3))])
+    # a dropped zero-coefficient term does not count towards the dimension
+    with pytest.warns(UserWarning, match="dropped 1"):
+        dec = lcu.normalize([(1.0, np.eye(2)), (0.0, np.eye(3))])
+    assert dec.unitaries.shape == (1, 2, 2)
+
+
+def test_term_stack_shapes_and_read_only():
+    rng = np.random.default_rng(7)
+    us = [haar_unitary(3, rng) for _ in range(4)]
+    dec = lcu.LcuDecomposition.from_terms([0.5, 1.0, 1.5, 2.0], us)
+    assert (dec.m, dec.dimension) == (4, 3)
+    assert dec.unitaries.shape == (4, 3, 3)
+    assert np.array_equal(dec.unitaries, np.stack(us))
+    assert np.array_equal(dec.coefficients, [0.5, 1.0, 1.5, 2.0])
+    assert np.array_equal(dec.probs, dec.coefficients / 5.0)
+    for name in ("unitaries", "coefficients", "probs"):
+        arr = getattr(dec, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_non_unitary_rejected():
@@ -124,23 +153,6 @@ def test_success_probability_bounds_random():
         rho = random_density(4, rng)
         p = lcu.success_probability(dec, rho)
         assert -1e-12 <= p <= 1.0 + 1e-12
-
-
-def test_decomposition_text_roundtrip():
-    rng = np.random.default_rng(31)
-    dec = random_lcu(3, 2, rng)
-    text = lcu.decomposition_to_text(dec)
-    assert text.startswith("m 3 dim 2")
-    back = lcu.decomposition_from_text(text)
-    assert back.m == dec.m
-    assert abs(back.one_norm - dec.one_norm) <= 1e-15
-    for t1, t2 in zip(dec.terms, back.terms):
-        assert np.array_equal(t1.unitary, t2.unitary)
-
-
-def test_decomposition_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        lcu.decomposition_from_text("m 2 dim 2\n1.0\ndim 2 2\n1 0\n0 0\n0 0\n1 0\n")  # only one term
 
 
 def test_states_accepted_as_objects():

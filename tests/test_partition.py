@@ -92,7 +92,7 @@ def test_group_operators_singletons_and_coherent():
     singles = group_operators(dec, Partition.singletons(4))
     for i, g in enumerate(singles):
         assert abs(g.weight - dec.probs[i]) <= 1e-15
-        assert np.allclose(g.operator, dec.terms[i].unitary)
+        assert np.allclose(g.operator, dec.unitaries[i])
     coh = group_operators(dec, Partition.coherent(4))
     assert abs(coh[0].weight - 1.0) <= 1e-12
     assert np.allclose(coh[0].operator, lcu.assemble_klcu(dec), atol=1e-12)
@@ -200,7 +200,7 @@ def reference_split_delta(dec, part, group_idx, subset_a, rho, obs):
 
     def weight_and_op(idx):
         q = float(sum(dec.probs[i] for i in idx))
-        return q, sum((dec.probs[i] / q) * dec.terms[i].unitary for i in idx)
+        return q, sum((dec.probs[i] / q) * dec.unitaries[i] for i in idx)
 
     q_a, k_a = weight_and_op(subset_a)
     q_b, k_b = weight_and_op(sub_b)

@@ -115,22 +115,6 @@ def test_dimension_caps():
         qcore.MixedState(np.eye(2**7 * 2) / (2**7 * 2))
 
 
-def test_matrix_text_roundtrip():
-    rng = np.random.default_rng(21)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    text = qcore.matrix_to_text(m)
-    assert text.splitlines()[0] == "dim 3 3"
-    back = qcore.matrix_from_text(text)
-    assert np.array_equal(back, m)  # 17 significant digits round-trips doubles
-
-
-def test_matrix_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        qcore.matrix_from_text("not a matrix")
-    with pytest.raises(ValueError):
-        qcore.matrix_from_text("dim 2 2\n0 0\n")
-
-
 def test_save_csv_cell_format(tmp_path):
     # floats (numpy float64 too) print at 17 digits, keeping -0.0; other cells print by str
     path = tmp_path / "t.csv"

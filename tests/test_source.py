@@ -1,6 +1,7 @@
 """Rules checked on the package source itself."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hybridlcu"
@@ -41,3 +42,13 @@ def test_no_module_level_scipy_import():
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_all_exports_resolve():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "hybridlcu" if path.stem == "__init__" else f"hybridlcu.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{export}" for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+    assert missing == []
