@@ -334,6 +334,8 @@ def cmd_qlss(config: RunConfig) -> None:
 
 def cmd_gsp(config: RunConfig) -> None:
     dim = config.get("gsp.dim", 16)
+    if dim < 2:
+        raise ConfigError(f"gsp.dim = {dim} below 2")
     delta = config.get("gsp.delta", 0.2)
     p0 = config.get("gsp.p0", 0.5)
     epsilon = config.get("gsp.epsilon", 1e-3)

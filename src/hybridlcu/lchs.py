@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import qcore
+from . import lcu, qcore
 
 __all__ = [
     "LchsConfig",
@@ -251,10 +251,7 @@ def _window_unitaries(config: LchsConfig, disc: LchsDiscretization) -> np.ndarra
 
 def window_operator(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
     """Normalized coherent-group operator sum_j (s_j/|s|_1) U_j."""
-    if disc.m == 0:
-        raise ValueError("empty window has no group operator")
-    units = _window_unitaries(config, disc)
-    return np.tensordot(disc.weights / disc.s_norm1, units, axes=1)
+    return lcu.assemble_klcu(window_decomposition(config, disc))
 
 
 def window_decomposition(config: LchsConfig, disc: LchsDiscretization):
@@ -263,12 +260,9 @@ def window_decomposition(config: LchsConfig, disc: LchsDiscretization):
     Together with a one-group partition this is the coherent side of the
     channel; tail draws stay continuous via sample_tail/tail_unitary.
     """
-    from . import lcu
-
     if disc.m == 0:
-        raise ValueError("empty window")
-    units = _window_unitaries(config, disc)
-    return lcu.LcuDecomposition.from_terms(disc.weights, list(units))
+        raise ValueError("empty window has no group operator")
+    return lcu.LcuDecomposition.from_terms(disc.weights, _window_unitaries(config, disc))
 
 
 def tail_unitary(config: LchsConfig, k: float) -> np.ndarray:

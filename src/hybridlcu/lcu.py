@@ -74,8 +74,10 @@ def normalize(terms) -> LcuDecomposition:
     coefficients = []
     unitaries = []
     dropped = 0
-    for c, u in terms:
+    for i, (c, u) in enumerate(terms):
         c = complex(c)
+        if not np.isfinite(c):
+            raise ValueError(f"term {i} has a non-finite coefficient {c}")
         u = qcore.as_matrix(u)
         if abs(c.imag) > 0 or c.real < 0:
             mag = abs(c)

@@ -11,7 +11,6 @@ for vectors, 2**7 for density matrices) exactness wins over scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +22,10 @@ __all__ = [
     "MAX_PURE_DIM",
     "MAX_MIXED_DIM",
     "as_matrix",
-    "is_hermitian",
     "is_unitary",
     "require_hermitian",
     "eigh",
     "expm_i_hermitian",
-    "kron",
-    "partial_trace",
     "PureState",
     "MixedState",
     "Observable",
@@ -73,11 +69,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL.hermiticity) -> bool:
-    m = np.asarray(m)
-    return bool(np.linalg.norm(m - m.conj().T) <= tol)
-
-
 def is_unitary(m: np.ndarray, tol: float = TOL.unitarity) -> bool:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
@@ -109,35 +100,6 @@ def expm_i_hermitian(h, t: float) -> np.ndarray:
     """Unitary ``exp(-i*h*t)`` for Hermitian ``h``, via the spectrum."""
     w, v = eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def kron(*ops) -> np.ndarray:
-    """Kronecker product of one or more operators, left to right."""
-    if not ops:
-        raise ValueError("kron needs at least one factor")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
-
-
-def partial_trace(m, dims, axis: int) -> np.ndarray:
-    """Trace out subsystem ``axis`` from an operator on a tensor product.
-
-    ``dims`` lists the subsystem dimensions in tensor order; ``m`` must be a
-    square matrix of size ``prod(dims)``. The total trace is preserved.
-    """
-    dims = [int(d) for d in dims]
-    m = as_matrix(m)
-    n = math.prod(dims)
-    if m.shape != (n, n):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    if not 0 <= axis < len(dims):
-        raise ValueError(f"axis {axis} out of range for {len(dims)} subsystems")
-    resh = m.reshape(dims + dims)
-    out = np.trace(resh, axis1=axis, axis2=axis + len(dims))
-    keep = math.prod(d for i, d in enumerate(dims) if i != axis)
-    return out.reshape(keep, keep)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -9,8 +9,13 @@ coherent method pays 1/P with P = tr[P_C rho].
 
 Everything is dense 7-qubit (128 x 128) density-matrix arithmetic; inputs
 are Haar-random codewords, not stabilizer states, so tableau methods
-would not apply.  Single-qubit Pauli channels act by bit-indexed
-reshuffles rather than 128 x 128 matrix products.
+would not apply.  Every operator is an X-type or Z-type Pauli string,
+held as a 7-bit mask of its qubits with qubit 0 the most significant bit
+(the leftmost Kronecker factor).  One convention serves the stabilizer
+generators, the eight elements of each sector (the XOR span of its
+generators), the projectors and the noise channel: an X string permutes
+the basis indices, i -> i ^ mask, and a Z string multiplies index i by
+(-1)^parity(i & mask), so the channel forms no 128 x 128 product.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import numpy as np
 from . import hybrid, lcu, partition, qcore
 
 __all__ = [
-    "PauliString",
-    "StabilizerProjector",
     "NoiseModel",
     "QedMetrics",
     "QedHybridReport",
@@ -43,110 +46,47 @@ __all__ = [
 N_QUBITS = 7
 DIM = 2**N_QUBITS
 
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-# single-qubit products: (a, b) -> (phase, result label)
-_PAULI_PRODUCT = {
-    ("I", "I"): (1.0, "I"),
-    ("I", "X"): (1.0, "X"),
-    ("I", "Y"): (1.0, "Y"),
-    ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"),
-    ("Y", "I"): (1.0, "Y"),
-    ("Z", "I"): (1.0, "Z"),
-    ("X", "X"): (1.0, "I"),
-    ("Y", "Y"): (1.0, "I"),
-    ("Z", "Z"): (1.0, "I"),
-    ("X", "Y"): (1.0j, "Z"),
-    ("Y", "X"): (-1.0j, "Z"),
-    ("Y", "Z"): (1.0j, "X"),
-    ("Z", "Y"): (-1.0j, "X"),
-    ("Z", "X"): (1.0j, "Y"),
-    ("X", "Z"): (-1.0j, "Y"),
-}
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Signed 7-qubit Pauli operator, e.g. ('XXIIXXI', +1)."""
-
-    labels: str
-    sign: int = 1
-
-    def __post_init__(self):
-        if len(self.labels) != N_QUBITS or any(c not in "IXYZ" for c in self.labels):
-            raise ValueError(f"labels must be {N_QUBITS} characters over IXYZ")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        phase = complex(self.sign * other.sign)
-        out = []
-        for a, b in zip(self.labels, other.labels):
-            f, c = _PAULI_PRODUCT[(a, b)]
-            phase *= f
-            out.append(c)
-        if abs(phase.imag) > 0.0:
-            raise ValueError("product has imaginary phase; not in a real-signed group")
-        return PauliString("".join(out), int(phase.real))
-
-    def matrix(self) -> np.ndarray:
-        return self.sign * qcore.kron(*(_PAULI_MATS[c] for c in self.labels))
-
-    @classmethod
-    def from_support(cls, kind: str, support: tuple[int, ...]) -> "PauliString":
-        """Pauli `kind` on the given 1-based qubit positions, identity elsewhere."""
-        chars = ["I"] * N_QUBITS
-        for pos in support:
-            chars[pos - 1] = kind
-        return cls("".join(chars))
-
+# qubit q (0-based) is bit N_QUBITS - 1 - q of a basis index and of a mask
+_INDEX = np.arange(DIM)
+# parity of every 7-bit integer, so Z-string signs are one table lookup
+_PARITY = np.array([bin(i).count("1") & 1 for i in range(DIM)])
 
 # standard generator convention: supports {1,2,3,4}, {1,2,5,6}, {1,3,5,7}
-_GENERATOR_SUPPORTS = ((1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7))
+_GENERATOR_MASKS = (0b1111000, 0b1100110, 0b1010101)
+# each sector's eight elements: the XOR span of its generators, doubling
+# the list once per generator (identity, g1, g2, g1 g2, g3, ...)
+_ELEMENT_MASKS = functools.reduce(lambda span, g: span + tuple(e ^ g for e in span), _GENERATOR_MASKS, (0,))
 
 
-@dataclass(frozen=True)
-class StabilizerProjector:
-    """Group average P = |S|^-1 sum_S S of an abelian Pauli group."""
+def _flip(mask: int) -> np.ndarray:
+    """The X string on ``mask`` as a basis permutation: |i> -> |i ^ mask>."""
+    return _INDEX ^ mask
 
-    generators: tuple[PauliString, ...]
-    elements: tuple[PauliString, ...]
-    matrix: np.ndarray
 
-    @classmethod
-    def from_generators(cls, generators: tuple[PauliString, ...]) -> "StabilizerProjector":
-        elements = [PauliString("I" * N_QUBITS)]
-        for gen in generators:
-            elements = elements + [e * gen for e in elements]
-        seen = {(e.labels, e.sign) for e in elements}
-        if len(seen) != 2 ** len(generators):
-            raise ValueError("generators are not independent")
-        mat = sum(e.matrix() for e in elements) / len(elements)
-        mat = np.ascontiguousarray(mat)
-        mat.setflags(write=False)
-        return cls(generators=tuple(generators), elements=tuple(elements), matrix=mat)
+def _signs(mask: int) -> np.ndarray:
+    """The Z string on ``mask`` as a diagonal: (-1)^parity(i & mask)."""
+    return 1.0 - 2.0 * _PARITY[_INDEX & mask]
+
+
+def _sector_elements(pauli: str):
+    """The X-type or Z-type stabilizer elements, one 128 x 128 matrix at a time."""
+    eye = np.eye(DIM, dtype=complex)
+    for e in _ELEMENT_MASKS:
+        yield eye[_flip(e)] if pauli == "X" else np.diag(_signs(e).astype(complex))
 
 
 @functools.lru_cache(maxsize=1)
-def steane_projectors() -> tuple[StabilizerProjector, StabilizerProjector, np.ndarray]:
-    """(P_X sector, P_Z sector, code projector P_C = P_Z P_X).
+def steane_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_X, P_Z, P_C = P_Z P_X): sector group averages and the code projector.
 
     Cached; the returned matrices are read-only.
     """
-    gen_x = tuple(PauliString.from_support("X", s) for s in _GENERATOR_SUPPORTS)
-    gen_z = tuple(PauliString.from_support("Z", s) for s in _GENERATOR_SUPPORTS)
-    px = StabilizerProjector.from_generators(gen_x)
-    pz = StabilizerProjector.from_generators(gen_z)
-    pc = pz.matrix @ px.matrix
-    pc = np.ascontiguousarray(pc)
-    pc.setflags(write=False)
-    return px, pz, pc
+    px = sum(_sector_elements("X")) / len(_ELEMENT_MASKS)
+    pz = sum(_sector_elements("Z")) / len(_ELEMENT_MASKS)
+    out = (px, pz, pz @ px)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -197,13 +137,12 @@ def apply_pauli_channel(rho: np.ndarray, qubit: int, p: float, pauli: str) -> np
         raise IndexError("qubit index out of range")
     if p == 0.0:
         return rho
-    bit = N_QUBITS - 1 - qubit
-    idx = np.arange(DIM)
+    mask = 1 << (N_QUBITS - 1 - qubit)
     if pauli == "Z":
-        signs = 1.0 - 2.0 * ((idx >> bit) & 1)
+        signs = _signs(mask)
         conj = rho * np.outer(signs, signs)
     else:
-        perm = idx ^ (1 << bit)
+        perm = _flip(mask)
         conj = rho[np.ix_(perm, perm)]
     return (1.0 - p) * rho + p * conj
 
@@ -235,7 +174,7 @@ def qed_metrics(rho) -> QedMetrics:
     px, _, pc = steane_projectors()
     rho = qcore.as_matrix(rho)
     p = float(np.trace(pc @ rho).real)
-    r = float(np.trace(px.matrix @ rho).real)
+    r = float(np.trace(px @ rho).real)
     return QedMetrics(p=p, r_factor=r)
 
 
@@ -260,17 +199,13 @@ def hybrid_qed_channel(rho, z_round_identity_only: bool = False) -> QedHybridRep
     which collapses the construction to plain coherent P_X detection.
     """
     rho = qcore.as_matrix(rho)
-    px, pz, _ = steane_projectors()
-    dec_x = lcu.LcuDecomposition.from_terms(
-        [1.0 / len(px.elements)] * len(px.elements), [e.matrix() for e in px.elements]
-    )
+    weights = [1.0 / len(_ELEMENT_MASKS)] * len(_ELEMENT_MASKS)
+    dec_x = lcu.LcuDecomposition.from_terms(weights, _sector_elements("X"))
     ch_x = hybrid.HybridChannel(dec_x, partition.Partition.coherent(dec_x.m))
     if z_round_identity_only:
         dec_z = lcu.LcuDecomposition.from_terms([1.0], [np.eye(DIM)])
     else:
-        dec_z = lcu.LcuDecomposition.from_terms(
-            [1.0 / len(pz.elements)] * len(pz.elements), [e.matrix() for e in pz.elements]
-        )
+        dec_z = lcu.LcuDecomposition.from_terms(weights, _sector_elements("Z"))
     ch_z = hybrid.HybridChannel(dec_z, partition.Partition.singletons(dec_z.m))
     _, r_composed = hybrid.compose_rounds([ch_x, ch_z], rho)
     p_composed = hybrid.expectation_rounds([ch_x, ch_z], rho, qcore.Observable.identity(DIM))

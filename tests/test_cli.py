@@ -122,6 +122,13 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (key, value)
         err = capsys.readouterr().err
         assert key in err and "not finite" in err, err
+    # a gsp dimension below 2 is refused by key, not by numpy's negative-dimension error
+    for value in ("1", "0", "-3"):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"gsp.dim = {value}\n")
+        capsys.readouterr()
+        assert cli.main(["gsp", "--config", str(cfg), "--out", str(tmp_path)]) == 2, value
+        assert "gsp.dim" in capsys.readouterr().err
 
 
 def test_absent_config_file_is_config_error(tmp_path):

@@ -81,6 +81,16 @@ def test_non_unitary_rejected():
         lcu.normalize([(1.0, np.array([[1.0, 0.0], [0.0, 2.0]]))])
 
 
+def test_non_finite_coefficients_rejected_by_index():
+    # bad input (ValueError), not a failed probability-sum invariant
+    for c in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="term 1 has a non-finite coefficient"):
+            lcu.LcuDecomposition.from_terms([1.0, c], [PAULI_X, PAULI_Z])
+    # reported before the unitarity check that nan > 0 would skip
+    with pytest.raises(ValueError, match="term 0 has a non-finite coefficient"):
+        lcu.LcuDecomposition.from_terms([np.nan], [np.ones((2, 2))])
+
+
 def test_assemble_klcu_projector():
     dec = lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), PAULI_Z])
     assert np.allclose(lcu.assemble_klcu(dec), np.array([[1.0, 0.0], [0.0, 0.0]]))

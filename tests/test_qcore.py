@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import PAULI_Z, random_density, random_hermitian
+from conftest import PAULI_Z, random_hermitian
 
 from hybridlcu import qcore
 from hybridlcu.qcore import TOL
@@ -52,38 +52,6 @@ def test_expm_unitary_and_group_property():
     lhs = qcore.expm_i_hermitian(h, 0.3 + 0.4)
     rhs = qcore.expm_i_hermitian(h, 0.3) @ qcore.expm_i_hermitian(h, 0.4)
     assert np.linalg.norm(lhs - rhs) <= 1e-9
-
-
-def test_kron_identities():
-    assert np.allclose(qcore.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(5)
-    rho_a = random_density(2, rng)
-    rho_b = random_density(3, rng)
-    joint = np.kron(rho_a, rho_b)
-    out = qcore.partial_trace(joint, [2, 3], axis=1)
-    assert np.allclose(out, rho_a * np.trace(rho_b))
-
-
-def test_partial_trace_preserves_trace_both_orders():
-    rng = np.random.default_rng(9)
-    rho = random_density(4, rng)
-
-    # direct index-summation oracle on the reshaped tensor
-    t = rho.reshape(2, 2, 2, 2)
-    over_b = np.zeros((2, 2), dtype=complex)
-    over_a = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for s in range(2):
-                over_b[i, j] += t[i, s, j, s]
-                over_a[i, j] += t[s, i, s, j]
-    assert np.allclose(qcore.partial_trace(rho, [2, 2], axis=1), over_b)
-    assert np.allclose(qcore.partial_trace(rho, [2, 2], axis=0), over_a)
-    for axis in (0, 1):
-        assert abs(np.trace(qcore.partial_trace(rho, [2, 2], axis)).real - 1.0) <= 1e-12
 
 
 def test_pure_state_norm_enforced():

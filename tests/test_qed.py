@@ -6,7 +6,6 @@ import pytest
 from hybridlcu import qcore, qed
 from hybridlcu.qed import (
     NoiseModel,
-    PauliString,
     apply_biased_noise,
     apply_pauli_channel,
     fig_sweep,
@@ -24,73 +23,92 @@ def codeword_density(seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pauli strings
+# stabilizers
+
+PAULI_2X2 = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
+# the standard Steane generators by 1-based qubit support
+SUPPORTS = ((1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 5, 7))
 
 
-def test_pauli_string_validation():
-    with pytest.raises(ValueError):
-        PauliString("XX")  # wrong length
-    with pytest.raises(ValueError):
-        PauliString("ABCDEFG")
-    with pytest.raises(ValueError):
-        PauliString("I" * 7, sign=2)
+def kron_string(kind: str, support) -> np.ndarray:
+    """Pauli `kind` on the 1-based qubits in `support` as a 7-fold Kronecker product."""
+    out = np.eye(1)
+    for q in range(1, 8):
+        out = np.kron(out, PAULI_2X2[kind if q in support else "I"])
+    return out
+
+
+def kron_elements(kind: str) -> list[np.ndarray]:
+    """Sector elements built generator by generator: identity, g1, g2, g1 g2, g3, ..."""
+    elements = [np.eye(128)]
+    for support in SUPPORTS:
+        gen = kron_string(kind, support)
+        elements = elements + [e @ gen for e in elements]
+    return elements
+
+
+def test_steane_projectors_match_kron_reference():
+    px, pz, pc = steane_projectors()
+    want_x = sum(kron_elements("X")) / 8
+    want_z = sum(kron_elements("Z")) / 8
+    assert np.array_equal(px, want_x)
+    assert np.array_equal(pz, want_z)
+    assert np.array_equal(pc, want_z @ want_x)
+    for proj in (px, pz, pc):
+        assert proj.dtype == np.complex128
+        assert not proj.flags.writeable
+
+
+def test_hybrid_channel_elements_match_kron_reference(monkeypatch):
+    # the unitaries handed to the two LCU rounds, in element order
+    seen = []
+    from_terms = qed.lcu.LcuDecomposition.from_terms
+
+    def record(coefficients, unitaries):
+        unitaries = list(unitaries)
+        seen.append(unitaries)
+        return from_terms(coefficients, unitaries)
+
+    monkeypatch.setattr(qed.lcu.LcuDecomposition, "from_terms", record)
+    hybrid_qed_channel(codeword_density(0))
+    assert len(seen) == 2
+    for got, kind in zip(seen, "XZ"):
+        want = kron_elements(kind)
+        assert len(got) == len(want) == 8
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_pauli_string_matrix_is_hermitian_unitary():
-    s = PauliString("XZIYXZI", sign=-1)
-    m = s.matrix()
-    assert qcore.is_hermitian(m)
-    assert qcore.is_unitary(m)
+    for kind in "XZ":
+        for m in qed._sector_elements(kind):
+            assert np.array_equal(m, m.conj().T)
+            assert qcore.is_unitary(m)
 
 
 def test_pauli_string_kron_ordering():
-    m = PauliString("XIIIIII").matrix()
-    # X on the leftmost qubit swaps the two 64-dim half-blocks
+    # the mask of qubit 0 is the most significant bit: X there swaps the two 64-dim half-blocks
+    m = np.eye(128)[qed._flip(0b1000000)]
+    assert np.array_equal(m, kron_string("X", (1,)))
     assert m[0, 64] == 1.0
     assert m[64, 0] == 1.0
     assert m[0, 0] == 0.0
-
-
-def test_pauli_string_products_track_signs():
-    x = PauliString.from_support("X", (1, 2))
-    assert (x * x).labels == "I" * 7
-    assert (x * x).sign == 1
-    minus = PauliString("X" + "I" * 6, sign=-1)
-    prod = minus * PauliString("X" + "I" * 6)
-    assert prod.labels == "I" * 7
-    assert prod.sign == -1
-    # ZZ * XX on the same pair picks up (-i)(-i) * YY = -YY
-    z = PauliString.from_support("Z", (1, 2))
-    zx = z * x
-    assert zx.labels == "YY" + "I" * 5
-    assert zx.sign == -1
-
-
-def test_pauli_string_rejects_imaginary_phase_products():
-    x = PauliString("X" + "I" * 6)
-    z = PauliString("Z" + "I" * 6)
-    with pytest.raises(ValueError):
-        x * z  # -iY phase on a single qubit
-
-
-# ---------------------------------------------------------------------------
-# projectors
+    assert np.array_equal(qed._signs(0b1000000), np.repeat([1.0, -1.0], 64))
 
 
 def test_steane_projector_traces_and_counts():
-    px, pz, pc = steane_projectors()
-    assert len(px.elements) == 8
-    assert len(pz.elements) == 8
-    assert np.trace(px.matrix).real == pytest.approx(16.0, abs=1e-12)
+    px, _, pc = steane_projectors()
+    assert len(set(qed._ELEMENT_MASKS)) == 8
+    assert np.trace(px).real == pytest.approx(16.0, abs=1e-12)
     assert np.trace(pc).real == pytest.approx(2.0, abs=1e-12)
 
 
 def test_steane_projectors_idempotent_commuting():
     px, pz, pc = steane_projectors()
-    for proj in (px.matrix, pz.matrix, pc):
+    for proj in (px, pz, pc):
         assert np.abs(proj @ proj - proj).max() <= 1e-10
-    assert np.abs(px.matrix @ pz.matrix - pz.matrix @ px.matrix).max() <= 1e-12
-    assert np.abs(pz.matrix @ px.matrix - pc).max() <= 1e-12
+    assert np.abs(px @ pz - pz @ px).max() <= 1e-12
+    assert np.abs(pz @ px - pc).max() <= 1e-12
 
 
 def test_steane_code_space_rank_two():
@@ -101,19 +119,14 @@ def test_steane_code_space_rank_two():
 
 
 def test_group_closure_of_x_sector():
-    px, _, _ = steane_projectors()
-    labels = {e.labels for e in px.elements}
-    for a in px.elements:
-        for b in px.elements:
-            prod = a * b
-            assert prod.labels in labels
-            assert prod.sign == 1
-
-
-def test_dependent_generators_rejected():
-    g = PauliString.from_support("X", (1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        qed.StabilizerProjector.from_generators((g, g))
+    # X strings multiply by XOR of their masks, with sign +1
+    masks = set(qed._ELEMENT_MASKS)
+    elements = list(qed._sector_elements("X"))
+    index = {mask: k for k, mask in enumerate(qed._ELEMENT_MASKS)}
+    for a in qed._ELEMENT_MASKS:
+        for b in qed._ELEMENT_MASKS:
+            assert a ^ b in masks
+            assert np.array_equal(elements[index[a]] @ elements[index[b]], elements[index[a ^ b]])
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +181,21 @@ def test_half_probability_dephasing_kills_coherence():
         psi = np.kron(psi, np.array([1.0, 0.0]))
     rho = np.outer(psi, psi.conj())
     out = apply_pauli_channel(rho, 0, 0.5, "Z")
-    reduced = qcore.partial_trace(out, (2, 64), axis=1)
+    # reduced state of qubit 0: trace out the other six qubits
+    reduced = np.trace(out.reshape(2, 64, 2, 64), axis1=1, axis2=3)
     assert np.abs(reduced - np.eye(2) / 2.0).max() <= 1e-12
     # and in the X basis: a |0><0| qubit dephased by X at 1/2 also mixes
     zero = np.zeros(128)
     zero[0] = 1.0
     out_x = apply_pauli_channel(np.outer(zero, zero), 0, 0.5, "X")
-    reduced_x = qcore.partial_trace(out_x, (2, 64), axis=1)
+    reduced_x = np.trace(out_x.reshape(2, 64, 2, 64), axis1=1, axis2=3)
     assert np.abs(reduced_x - np.eye(2) / 2.0).max() <= 1e-12
 
 
 def test_pauli_channel_matches_matrix_conjugation():
     rho = codeword_density(5)
     for qubit, kind in ((0, "Z"), (3, "Z"), (2, "X"), (6, "X")):
-        pauli = PauliString.from_support(kind, (qubit + 1,)).matrix()
+        pauli = kron_string(kind, (qubit + 1,))
         expected = 0.7 * rho + 0.3 * (pauli @ rho @ pauli)
         got = apply_pauli_channel(rho, qubit, 0.3, kind)
         assert np.abs(got - expected).max() <= 1e-13
