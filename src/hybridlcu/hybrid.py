@@ -21,14 +21,16 @@ The exhaustive outcome tables come from the first block column
 ``L_k|0>_A`` of each encoding, the only part that acts on the circuit's
 input. They drive :class:`Sampler`, whose ``sample_shots`` is the only
 shot path: each shot reads its two uniforms from its own Philox substream
-(``prng``), so the shots depend only on (seed, stream, shot index).
+(``prng``), so the shots depend only on (seed, stream, shot index). A
+shot is one outcome code, its row in the sampler's one table of G^2 * 4d
+outcomes, found by a lexicographic complex search; the shot CSV formats
+one tail per table row.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -219,34 +221,57 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
     return probs
 
 
-class SampleArrays:
-    """Column arrays of sampled shots plus the provenance needed for CSV."""
+def _table_column(field: str) -> property:
+    return property(lambda self: self.table[field][self.code], doc=f"``{field}`` of each shot, read from its table row.")
 
-    def __init__(self, shot, k, kprime, z, b, j, g, seed: int, stream: int):
-        self.shot = shot
-        self.k = k
-        self.kprime = kprime
-        self.z = z
-        self.b = b
-        self.j = j
-        self.g = g
+
+class SampleArrays:
+    """Shots ``start .. start+n`` as outcome codes, plus the provenance needed for CSV.
+
+    ``code[i]`` is the row of shot ``start + i`` in ``table``, a record array
+    with fields ``k, kprime, z, b, j, g``. ``g`` is gathered once into a plain
+    array; ``shot`` and the integer columns are derived when read.
+    """
+
+    k = _table_column("k")
+    kprime = _table_column("kprime")
+    z = _table_column("z")
+    b = _table_column("b")
+    j = _table_column("j")
+
+    def __init__(self, start: int, code, table, seed: int, stream: int):
+        self.start = int(start)
+        self.code = code
+        self.table = table
+        self.g = table["g"][code]
         self.seed = seed
         self.stream = stream
-        self.n = len(g)
+        self.n = len(code)
+
+    @property
+    def shot(self) -> np.ndarray:
+        """Global shot indices as uint64, exact up to 2**64 - 1."""
+        return np.arange(self.start, self.start + self.n, dtype=np.uint64)
 
 
 class Sampler:
-    """Precomputed outcome tables for fast, reproducible shot sampling."""
+    """One outcome table for fast, reproducible shot sampling.
+
+    Row ``pair * 4d + (z, b, j)`` of ``table`` is outcome (z, b, j) of pair
+    ``pair = k * G + k'``; a shot is drawn as the index of its row.
+    """
 
     def __init__(self, channel: HybridChannel, state, obs):
         self.channel = channel
         rho = qcore.density(state)
         o = qcore.as_observable(obs)
         g_count = channel.G
+        n_pairs = g_count * g_count
         self.pair_cum = np.cumsum((channel.weights[:, None] * channel.weights[None, :]).reshape(-1))
         self.pair_cum /= self.pair_cum[-1]
         d = channel.dimension
-        tables = np.empty((g_count * g_count, 2 * 2 * d))
+        n_out = 2 * 2 * d
+        tables = np.empty((n_pairs, n_out))
         for k in range(g_count):
             for kp in range(g_count):
                 tables[k * g_count + kp] = outcome_distribution(channel, rho, o, k, kp).reshape(-1)
@@ -255,51 +280,37 @@ class Sampler:
             raise qcore.InvariantViolation("outcome table not normalized")
         self.table_cum = np.cumsum(tables, axis=1)
         self.table_cum /= self.table_cum[:, -1:]
-        # g value for flattened outcome (z, b, j)
-        zz, bb, jj = np.unravel_index(np.arange(2 * 2 * d), (2, 2, d))
-        self.out_z = zz
-        self.out_b = bb
-        self.out_j = jj
-        self.g_flat = np.where(zz == 0, 1.0, 0.0) * np.where(bb == 0, 1.0, -1.0) * o.eigenvalues[jj]
+        # non-decreasing in numpy's lexicographic complex order: pair first, then table_cum
+        self.flat_cum = (np.arange(n_pairs)[:, None] + 1j * self.table_cum).ravel()
+        k, kp, z, b, j = np.unravel_index(np.arange(n_pairs * n_out), (g_count, g_count, 2, 2, d))
+        g = np.where(z == 0, 1.0, 0.0) * np.where(b == 0, 1.0, -1.0) * o.eigenvalues[j]
+        self.table = np.rec.fromarrays([k, kp, z, b, j, g], names="k,kprime,z,b,j,g")
+        # every batch shares the table
+        self.table.setflags(write=False)
         self.exact_mean = exact_expectation(channel, rho, o, backend="analytic")
         self.exact_second = partition_mod.reduction_factor_obs(channel.decomposition, channel.partition, rho, o)
-
-    def _decode(self, pair_idx: np.ndarray, out_idx: np.ndarray):
-        g_count = self.channel.G
-        return (
-            pair_idx // g_count,
-            pair_idx % g_count,
-            self.out_z[out_idx],
-            self.out_b[out_idx],
-            self.out_j[out_idx],
-            self.g_flat[out_idx],
-        )
 
     def sample_shots(self, seed: int, count: int, start: int = 0, stream: int = 0) -> SampleArrays:
         """Shots ``start .. start+count`` from per-shot Philox substreams.
 
         The result depends only on (seed, stream, shot index), so any
         split of the shot range into batches reassembles to the identical
-        arrays.
+        arrays. A shot's code is ``searchsorted(flat_cum, pair + 1j*u1)``:
+        real parts compare pair indices exactly and imaginary parts compare
+        ``u1`` itself against ``table_cum[pair]``, for any number of pairs.
         """
-        shots = np.arange(start, start + count, dtype=np.uint64)
-        u = prng.uniforms(seed, shots, 2, stream=stream)
-        n_pairs = len(self.pair_cum)
+        if count < 0:
+            raise ValueError(f"count = {count} is negative")
+        # a numpy start would wrap start + count silently at 2**64
+        start = int(start)
+        u = prng.uniforms(seed, np.arange(start, start + count, dtype=np.uint64), 2, stream=stream)
+        # pair_cum and every table_cum row end at exactly 1.0 (x / x) and u < 1,
+        # so neither search runs past the last pair or its own pair's rows
         pair = np.searchsorted(self.pair_cum, u[:, 0], side="right")
-        np.clip(pair, 0, n_pairs - 1, out=pair)
-        # one outcome-table lookup per pair keeps memory O(N); folding the
-        # pair into u against a single offset table would round away low
-        # bits of u and change outcomes
-        order = np.argsort(pair)
-        bounds = np.searchsorted(pair, np.arange(n_pairs + 1), sorter=order)
-        u_out = u[order, 1]
-        out = np.empty(count, dtype=np.intp)
-        for p in range(n_pairs):
-            lo, hi = bounds[p], bounds[p + 1]
-            out[order[lo:hi]] = np.searchsorted(self.table_cum[p], u_out[lo:hi], side="right")
-        np.clip(out, 0, self.table_cum.shape[1] - 1, out=out)
-        k, kp, z, b, j, g = self._decode(pair, out)
-        return SampleArrays(shots.astype(np.int64), k, kp, z, b, j, g, seed=seed, stream=stream)
+        # u0 is spent: each row of u now reads as the complex query pair + 1j*u1
+        u[:, 0] = pair
+        code = np.searchsorted(self.flat_cum, u.view(complex)[:, 0], side="right")
+        return SampleArrays(start, code, self.table, seed=seed, stream=stream)
 
 
 def compose_rounds(channels: list[HybridChannel], state) -> tuple[list[np.ndarray], float]:
@@ -343,31 +354,18 @@ _CSV_CHUNK_ROWS = 65536
 def write_shot_csv(path, batch: SampleArrays, version: str) -> None:
     """One row per shot, ``g`` printed with ``.17g``; a seed comment ends the file.
 
-    Apart from ``shot``, a row takes few distinct values (at most G^2 * 4d
-    from a sampler), so each distinct tail is formatted once and rows are
-    joined in chunks of ``_CSV_CHUNK_ROWS``.
+    Apart from ``shot``, a row is a row of the batch's outcome table, so
+    each table row's tail is formatted once and every shot writes its
+    index and the tail its code names, in chunks of ``_CSV_CHUNK_ROWS``.
     """
-    ints = [np.asarray(col, dtype=np.int64) for col in (batch.k, batch.kprime, batch.z, batch.b, batch.j)]
-    g = np.asarray(batch.g, dtype=np.float64)
-    # g is keyed on its bits, which keep -0 apart from 0 as .17g does
-    g_code = np.unique(g.view(np.int64), return_inverse=True)[1]
-    key = np.zeros(batch.n, dtype=np.int64)
-    radix = 1
-    for col in ints + [g_code]:
-        # initial=0 keeps an empty batch valid; 0 inside the range is harmless
-        low = int(col.min(initial=0))
-        span = int(col.max(initial=0)) - low + 1
-        radix *= span
-        if radix >= 2**63:
-            raise ValueError("shot columns take too many distinct values to index")
-        key = key * span + (col - low)
-    _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    rows = zip(*(col[first].tolist() for col in ints), g[first].tolist())
-    tails = np.array([f",{k},{kp},{z},{b},{j},{gv:.17g}\n" for k, kp, z, b, j, gv in rows], dtype=object)
+    rows = batch.table[["k", "kprime", "z", "b", "j", "g"]].tolist()
+    tails = np.array([f",{k},{kp},{z},{b},{j},{g:.17g}\n" for k, kp, z, b, j, g in rows], dtype=object)
     with open(path, "w") as fh:
         fh.write("shot,k,kprime,z,b,j,g\n")
         for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
-            hi = lo + _CSV_CHUNK_ROWS
-            shots = map(str, np.asarray(batch.shot[lo:hi], dtype=np.int64).tolist())
-            fh.write("".join(map(operator.add, shots, tails[key[lo:hi]].tolist())))
+            codes = batch.code[lo : lo + _CSV_CHUNK_ROWS]
+            parts = [""] * (2 * len(codes))
+            parts[::2] = map(str, range(batch.start + lo, batch.start + lo + len(codes)))
+            parts[1::2] = tails[codes].tolist()
+            fh.write("".join(parts))
         fh.write(f"# seed={batch.seed} version={version}\n")

@@ -185,7 +185,8 @@ def density(state) -> np.ndarray:
 ## --- CSV tables ---------------------------------------------------------
 ## Header line, one line per row, then a "# seed=<seed> version=<version>"
 ## comment. The shot CSV (hybrid.write_shot_csv) writes the same format
-## through its own column-wise path.
+## from outcome codes: one formatted tail per outcome-table row, joined
+## after each shot index.
 
 
 def save_csv(path, header: str, rows, seed: int, version: str) -> None:

@@ -1,6 +1,7 @@
 """Channel construction, the two evaluation backends and the shot sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,22 +361,59 @@ def test_sample_shots_chunks_reassemble_exactly():
 
 
 def test_sample_shots_matches_table_gather_oracle():
-    # the per-pair lookup must pick the outcome the full N x 4d comparison
-    # against each shot's cumulative table row picks
+    # the outcome code must be the table row the full N x 4d comparison
+    # against each shot's cumulative table row picks; the second instance
+    # has 1600 pairs, past the 31 groups a pair index folded above a
+    # 53-bit lattice would allow
     rng = np.random.default_rng(808)
-    dec = random_lcu(6, 8, rng)
-    ch = HybridChannel(dec, Partition([(0,), (1, 2), (3, 4, 5)], 6))
-    sampler = Sampler(ch, random_density(8, rng), random_hermitian(8, rng))
     n = 20_000
-    batch = sampler.sample_shots(seed=2718, count=n, start=1000, stream=4)
-    u = prng.uniforms(2718, np.arange(1000, 1000 + n), 2, stream=4)
-    pair = np.clip(np.searchsorted(sampler.pair_cum, u[:, 0], side="right"), 0, len(sampler.pair_cum) - 1)
+    for dim, part in ((8, Partition([(0,), (1, 2), (3, 4, 5)], 6)), (2, Partition.singletons(40))):
+        ch = HybridChannel(random_lcu(part.m, dim, rng), part)
+        sampler = Sampler(ch, random_density(dim, rng), random_hermitian(dim, rng))
+        batch = sampler.sample_shots(seed=2718, count=n, start=1000, stream=4)
+        u = prng.uniforms(2718, np.arange(1000, 1000 + n), 2, stream=4)
+        pair = np.clip(np.searchsorted(sampler.pair_cum, u[:, 0], side="right"), 0, len(sampler.pair_cum) - 1)
+        out = (u[:, 1:2] >= sampler.table_cum[pair]).sum(axis=1)
+        out = np.clip(out, 0, sampler.table_cum.shape[1] - 1)
+        code = pair * sampler.table_cum.shape[1] + out
+        if ch.G == 3:
+            assert len(np.unique(pair)) == ch.G**2
+        else:
+            assert pair.max() >= 32**2
+        assert np.array_equal(batch.code, code)
+        assert np.array_equal(batch.shot, np.arange(1000, 1000 + n, dtype=np.uint64))
+        expected = sampler.table[code]
+        for field in ("k", "kprime", "z", "b", "j", "g"):
+            assert np.array_equal(getattr(batch, field), expected[field])
+        assert np.array_equal(batch.k * ch.G + batch.kprime, pair)
+
+
+def test_sample_shots_exact_at_table_boundaries(monkeypatch):
+    # u1 one ulp below and exactly at each cumulative boundary of pairs past
+    # 1000: a pair index added to u1 as a float would round both onto the
+    # boundary and pick the same outcome
+    rng = np.random.default_rng(909)
+    ch = HybridChannel(random_lcu(40, 2, rng), Partition.singletons(40))
+    sampler = Sampler(ch, random_density(2, rng), random_hermitian(2, rng))
+    n_out = sampler.table_cum.shape[1]
+    pairs = np.repeat(np.arange(1000, 1600, 7), n_out)
+    bounds = sampler.table_cum[pairs, np.arange(len(pairs)) % n_out]
+    u0 = np.tile(sampler.pair_cum[pairs - 1], 2)
+    u1 = np.concatenate([np.nextafter(bounds, 0.0), bounds])
+    # real draws stay below 1.0
+    u = np.column_stack([u0, u1])[u1 < 1.0]
+    monkeypatch.setattr(prng, "uniforms", lambda seed, shots, n, stream=0: u.copy())
+    batch = sampler.sample_shots(seed=0, count=len(u))
+    pair = np.searchsorted(sampler.pair_cum, u[:, 0], side="right")
+    assert np.array_equal(pair, np.tile(pairs, 2)[u1 < 1.0])
     out = (u[:, 1:2] >= sampler.table_cum[pair]).sum(axis=1)
-    out = np.clip(out, 0, sampler.table_cum.shape[1] - 1)
-    expected = sampler._decode(pair, out)
-    assert len(np.unique(pair)) == ch.G**2
-    for field, column in zip(("k", "kprime", "z", "b", "j", "g"), expected):
-        assert np.array_equal(getattr(batch, field), column)
+    assert np.array_equal(batch.code, pair * n_out + out)
+
+
+def test_sample_shots_rejects_negative_count():
+    ch, rho, obs = _moment_instance()
+    with pytest.raises(ValueError, match="count"):
+        Sampler(ch, rho, obs).sample_shots(seed=5, count=-5)
 
 
 def test_sample_shots_streams_differ():
@@ -470,40 +508,80 @@ def test_write_shot_csv_format(tmp_path):
 
 
 def _write_shot_csv_per_row(path, batch, version):
-    # row-at-a-time reference for the column-wise writer
+    # row-at-a-time reference for the table-tail writer; the derived columns
+    # are read once, not once per row
+    shot, k, kprime, z, b, j = batch.shot, batch.k, batch.kprime, batch.z, batch.b, batch.j
     with open(path, "w") as fh:
         fh.write("shot,k,kprime,z,b,j,g\n")
         for i in range(batch.n):
             fh.write(
-                f"{int(batch.shot[i])},{int(batch.k[i])},{int(batch.kprime[i])},"
-                f"{int(batch.z[i])},{int(batch.b[i])},{int(batch.j[i])},{batch.g[i]:.17g}\n"
+                f"{int(shot[i])},{int(k[i])},{int(kprime[i])},"
+                f"{int(z[i])},{int(b[i])},{int(j[i])},{batch.g[i]:.17g}\n"
             )
         fh.write(f"# seed={batch.seed} version={version}\n")
 
 
 def test_write_shot_csv_matches_per_row_writer(tmp_path):
-    # -0.0 and 0.0 print differently and must not share a formatted tail;
-    # two-digit k and a row count past one chunk cover the joins
+    # -0.0 and 0.0 print differently and sit in separate table rows; two-digit
+    # k and a row count past one chunk cover the joins
     rng = np.random.default_rng(5)
+    g_values = [0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, -2.5e-17, 1.0]
+    rows = 40
+    ints = [rng.integers(0, high, rows) for high in (12, 12, 2, 2, 8)]
+    ints[0][:2] = 11
+    g = [g_values[i % len(g_values)] for i in range(rows)]
+    table = np.rec.fromarrays([*ints, g], names="k,kprime,z,b,j,g")
     n = hybrid._CSV_CHUNK_ROWS + 37
-    g_values = np.array([0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, -2.5e-17, 1.0])
-    batch = hybrid.SampleArrays(
-        np.arange(10**6, 10**6 + n),
-        rng.integers(0, 12, n),
-        rng.integers(0, 12, n),
-        rng.integers(0, 2, n),
-        rng.integers(0, 2, n),
-        rng.integers(0, 8, n),
-        g_values[rng.integers(0, len(g_values), n)],
-        seed=2**64 - 1,
-        stream=0,
-    )
+    batch = hybrid.SampleArrays(10**6, rng.integers(0, rows, n), table, seed=2**64 - 1, stream=0)
     assert np.any(np.signbit(batch.g) & (batch.g == 0)) and np.any(~np.signbit(batch.g) & (batch.g == 0))
     ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
     write_shot_csv(ours, batch, version="0.1.0")
     _write_shot_csv_per_row(reference, batch, version="0.1.0")
     assert ours.read_bytes() == reference.read_bytes()
-    empty = hybrid.SampleArrays(*(np.zeros(0, dtype=np.int64) for _ in range(6)), np.zeros(0), seed=3, stream=0)
+    empty = hybrid.SampleArrays(0, np.zeros(0, dtype=np.intp), table, seed=3, stream=0)
     write_shot_csv(ours, empty, version="0.1.0")
     _write_shot_csv_per_row(reference, empty, version="0.1.0")
     assert ours.read_bytes() == reference.read_bytes()
+
+
+def test_write_shot_csv_indices_past_int64(tmp_path):
+    # the counter range reaches 2**64 - 1; indices past 2**63 - 1 stay positive
+    ch, rho, obs = _moment_instance()
+    batch = Sampler(ch, rho, obs).sample_shots(seed=3, count=3, start=2**63 - 1)
+    path = tmp_path / "shots.csv"
+    write_shot_csv(path, batch, version="0.1.0")
+    rows = path.read_text().splitlines()[1:-1]
+    assert [row.split(",")[0] for row in rows] == [str(2**63 - 1), str(2**63), str(2**63 + 1)]
+    assert [int(i) for i in batch.shot] == [2**63 - 1, 2**63, 2**63 + 1]
+    # a numpy start must not wrap past 2**64 into an empty batch
+    with pytest.raises(ValueError, match="64-bit counter range"):
+        Sampler(ch, rho, obs).sample_shots(seed=3, count=5, start=np.uint64(2**64 - 3))
+
+
+def _traced_peak(func, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        func(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
+    # the writer holds one chunk at a time, and the sampler's per-shot
+    # memory does not depend on the outcome count 4d
+    ch, rho, obs = _moment_instance()
+    sampler = Sampler(ch, rho, obs)
+    peaks = []
+    for n in (100_000, 400_000):
+        batch = sampler.sample_shots(seed=1, count=n)
+        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", batch, version="0.1.0"))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    rng = np.random.default_rng(12)
+    n = 200_000
+    per_shot = []
+    for dim in (2, 8):
+        ch = HybridChannel(random_lcu(4, dim, rng), validate([[0, 1], [2], [3]], 4))
+        sampler = Sampler(ch, random_density(dim, rng), random_hermitian(dim, rng))
+        per_shot.append(_traced_peak(sampler.sample_shots, seed=1, count=n) / n)
+    assert abs(per_shot[1] - per_shot[0]) <= 0.1 * per_shot[0], per_shot
