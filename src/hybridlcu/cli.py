@@ -3,14 +3,18 @@
 Every subcommand writes CSVs whose final line is a metadata comment with
 the seed and package version, and reruns with the same seed reproduce the
 files byte for byte. Every subcommand runs in one thread; --workers is
-accepted and validated but has no effect. Shots are drawn in one call from
-per-shot counter-based substreams.
+accepted and validated but has no effect. ``demo`` draws its shots from
+per-shot counter-based substreams in fixed chunks: each chunk is appended
+to the shot CSV and tallied into a per-stream histogram of g values, and
+the statistics come from those histograms, so memory stays bounded in the
+shot count.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import pathlib
 import sys
 from dataclasses import dataclass, field
@@ -255,30 +259,46 @@ def cmd_demo(config: RunConfig) -> None:
         raise InvariantViolation(f"analytic {analytic!r} vs circuit {circuit!r} disagree")
 
     # stream 0 carries the observable, stream 1 the identity whose mean P
-    # normalises the ratio estimate; both are checked against their exact mean
-    sampler = hybrid.Sampler(channel, psi, obs)
-    sampler_one = hybrid.Sampler(channel, psi, np.eye(dim))
-    batch_obs = sampler.sample_shots(config.seed, config.shots, stream=0)
-    batch_one = sampler_one.sample_shots(config.seed, config.shots, stream=1)
-    for checked, shots in ((sampler, batch_obs), (sampler_one, batch_one)):
-        mean = float(shots.g.mean())
-        # exact variance and |g| <= 1 (unit-norm observables): the bound holds at
-        # every N, also when all shots agree and the sample variance is 0
-        variance = checked.exact_second - checked.exact_mean**2
-        width = estimate.bernstein_half_width(variance, 1.0, shots.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
-        if abs(mean - checked.exact_mean) > width:
-            raise InvariantViolation(f"monte-carlo mean {mean} is farther than {width:.3g} from {checked.exact_mean}")
-    mc = float(batch_obs.g.mean())
-    print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={mc:.12g} (N={batch_obs.n})")
+    # normalises the ratio estimate. Each stream is drawn in chunks whose
+    # distinct g values and counts are merged into its histogram; stream 0's
+    # chunks also go to the shot CSV, moved into place once every check passes.
+    samplers = [hybrid.Sampler(channel, psi, obs), hybrid.Sampler(channel, psi, np.eye(dim))]
+    hists = [estimate.Histogram([]), estimate.Histogram([])]
 
-    batch = estimate.SampleBatch(batch_obs.g, batch_one.g, seed=config.seed)
-    est_cfg = estimate.EstimationConfig(epsilon=epsilon, delta=delta, bound_c=1.0)
-    reports = [
-        estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
-        estimate.estimate_ratio(batch, est_cfg),
-    ]
-    estimate.write_report_csv(config.out_dir / "demo_reports.csv", reports, config.seed, __version__)
-    hybrid.write_shot_csv(config.out_dir / "demo_shots.csv", batch_obs, __version__)
+    def chunks(stream: int):
+        for lo in range(0, config.shots, hybrid._CSV_CHUNK_ROWS):
+            count = min(hybrid._CSV_CHUNK_ROWS, config.shots - lo)
+            chunk = samplers[stream].sample_shots(config.seed, count, start=lo, stream=stream)
+            hists[stream] += estimate.Histogram(*np.unique(chunk.g, return_counts=True))
+            yield chunk
+
+    shots_path = config.out_dir / "demo_shots.csv"
+    partial = shots_path.with_name(shots_path.name + ".tmp")
+    try:
+        hybrid.write_shot_csv(partial, chunks(0), __version__)
+        for _ in chunks(1):
+            pass
+        for checked, hist in zip(samplers, hists):
+            # exact variance and |g| <= 1 (unit-norm observables): the bound holds at
+            # every N, also when all shots agree and the sample variance is 0
+            variance = checked.exact_second - checked.exact_mean**2
+            width = estimate.bernstein_half_width(variance, 1.0, hist.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
+            if abs(hist.mean - checked.exact_mean) > width:
+                raise InvariantViolation(
+                    f"monte-carlo mean {hist.mean} is farther than {width:.3g} from {checked.exact_mean}"
+                )
+        batch = estimate.SampleBatch.from_histograms(*hists, seed=config.seed)
+        print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
+
+        est_cfg = estimate.EstimationConfig(epsilon=epsilon, delta=delta, bound_c=1.0)
+        reports = [
+            estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
+            estimate.estimate_ratio(batch, est_cfg),
+        ]
+        estimate.write_report_csv(config.out_dir / "demo_reports.csv", reports, config.seed, __version__)
+        os.replace(partial, shots_path)
+    finally:
+        partial.unlink(missing_ok=True)
     print(f"demo: wrote demo_partitions.csv demo_reports.csv demo_shots.csv in {config.out_dir}")
 
 

@@ -5,10 +5,18 @@ expectation (numerator) estimator, and the asymptotic delta-method
 interval for the ratio estimator ``mean(g_O)/mean(g_1)``. Variances use
 the population convention (divide by N) to match the planner formulas;
 the small-N bias is documented, not corrected.
+
+Samples are held as histograms, (value, count) pairs. A shot's g is an
+entry of a finite outcome table, so a histogram tallied chunk by chunk
+keeps memory bounded in the shot count, and an array of samples is the
+histogram with unit counts. Every moment is an exact sum rounded once,
+so one multiset of samples gives bit-identical statistics in either form
+and under any split into chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass, field
 
@@ -18,6 +26,7 @@ from . import qcore
 
 __all__ = [
     "EstimationConfig",
+    "Histogram",
     "SampleBatch",
     "EstimationReport",
     "UndefinedRatioError",
@@ -70,16 +79,92 @@ class EstimationConfig:
         return self.ratio_bound_cprime is None
 
 
+# Veltkamp's splitter for doubles: x = hi + lo exactly, each half at most 26 bits wide
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = _SPLITTER * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
+    """``sum(counts * values)`` rounded once, with the sign of a zero sum dropped.
+
+    Each product is split error-free into ``p + err`` (Dekker's two-product,
+    exact unless a partial product underflows) and ``math.fsum`` rounds the
+    exact sum of the pieces. The result therefore depends only on the
+    multiset of products: c copies of (1, v) and one (c, v) agree.
+    """
+    p = counts * values
+    # a unit count's product is exact: an array of samples is summed as it is
+    if np.any(counts != 1.0):
+        (c_hi, c_lo), (v_hi, v_lo) = _split(counts), _split(values)
+        err = ((c_hi * v_hi - p) + c_hi * v_lo + c_lo * v_hi) + c_lo * v_lo
+        p = np.concatenate((p, err[err != 0]))
+    return math.fsum(p.tolist()) + 0.0
+
+
+class Histogram:
+    """A multiset of samples as (value, count) pairs, with exactly summed moments.
+
+    ``Histogram(samples)`` takes an array as unit counts, with no sort.
+    ``a + b`` is the merged multiset, compacted to distinct values, so a
+    histogram of table-valued samples tallied chunk by chunk stays as
+    small as the table. ``mean`` is ``sum(c v) / n`` and ``variance`` the
+    two-pass ``sum(c (v - mean)^2) / n``, each sum exact before its one
+    rounding; both raise ``ValueError`` on an empty histogram.
+    """
+
+    def __init__(self, values, counts=None):
+        self.values = np.asarray(values, dtype=float)
+        # float counts are exact integers below 2**53
+        self.counts = np.ones(len(self.values)) if counts is None else np.asarray(counts, dtype=float)
+        if self.counts.shape != self.values.shape:
+            raise ValueError("values and counts must have equal length")
+        self.n = int(self.counts.sum())
+
+    def __add__(self, other: Histogram) -> Histogram:
+        values, inverse = np.unique(np.concatenate((self.values, other.values)), return_inverse=True)
+        counts = np.bincount(inverse, weights=np.concatenate((self.counts, other.counts)))
+        return Histogram(values, counts)
+
+    @functools.cached_property
+    def mean(self) -> float:
+        if self.n == 0:
+            raise ValueError("moments of an empty batch")
+        return _exact_dot(self.counts, self.values) / self.n
+
+    @functools.cached_property
+    def variance(self) -> float:
+        dev = self.values - self.mean
+        return _exact_dot(self.counts, dev * dev) / self.n
+
+
 class SampleBatch:
-    """Paired g-samples for the observable and for the identity."""
+    """Paired g-samples for the observable and for the identity, as histograms.
+
+    Arrays are taken with unit counts; :meth:`from_histograms` pairs
+    histograms tallied elsewhere, such as chunk by chunk.
+    """
 
     def __init__(self, g_obs, g_one=None, seed: int = 0):
-        self.g_obs = np.asarray(g_obs, dtype=float)
-        self.g_one = None if g_one is None else np.asarray(g_one, dtype=float)
-        if self.g_one is not None and len(self.g_one) != len(self.g_obs):
+        self._pair(Histogram(g_obs), None if g_one is None else Histogram(g_one), seed)
+
+    @classmethod
+    def from_histograms(cls, obs: Histogram, one: Histogram | None = None, seed: int = 0) -> SampleBatch:
+        batch = cls.__new__(cls)
+        batch._pair(obs, one, seed)
+        return batch
+
+    def _pair(self, obs: Histogram, one: Histogram | None, seed: int) -> None:
+        if one is not None and one.n != obs.n:
             raise ValueError("paired batches must have equal length")
+        self.obs = obs
+        self.one = one
         self.seed = seed
-        self.n = len(self.g_obs)
+        self.n = obs.n
 
 
 @dataclass
@@ -160,15 +245,12 @@ def ratio_n(config: EstimationConfig, sigma2_x: float, sigma2_y: float, mu_y_abs
 
 def sample_variance(values) -> float:
     """Population-style variance (1/N) Σ (g_i - mean)^2; biased at small N."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("variance of an empty batch")
-    return float(np.mean((arr - arr.mean()) ** 2))
+    return Histogram(values).variance
 
 
 def estimate_R_obs(batch: SampleBatch) -> float:
     """``sigma_hat^2 + mean^2``, the empirical second moment (converges to R^O)."""
-    return sample_variance(batch.g_obs) + float(batch.g_obs.mean()) ** 2
+    return batch.obs.variance + batch.obs.mean**2
 
 
 def estimate_numerator(batch: SampleBatch, one_norm: float, config: EstimationConfig) -> EstimationReport:
@@ -189,7 +271,7 @@ def estimate_numerator(batch: SampleBatch, one_norm: float, config: EstimationCo
         sigma2 = estimate_R_obs(batch)
         notes.append("sigma2 path: empirical R^O estimate")
     width_g = bernstein_half_width(sigma2, config.bound_c, batch.n, config.delta)
-    mean_g = float(batch.g_obs.mean())
+    mean_g = batch.obs.mean
     return EstimationReport(
         method="bernstein",
         target="numerator",
@@ -198,8 +280,8 @@ def estimate_numerator(batch: SampleBatch, one_norm: float, config: EstimationCo
         delta=config.delta,
         epsilon=config.epsilon,
         n=batch.n,
-        sigma2_obs=sample_variance(batch.g_obs),
-        sigma2_one=sample_variance(batch.g_one) if batch.g_one is not None else float("nan"),
+        sigma2_obs=batch.obs.variance,
+        sigma2_one=batch.one.variance if batch.one is not None else float("nan"),
         r_hat=estimate_R_obs(batch),
         seed=batch.seed,
         notes=tuple(notes),
@@ -208,16 +290,16 @@ def estimate_numerator(batch: SampleBatch, one_norm: float, config: EstimationCo
 
 def estimate_ratio(batch: SampleBatch, config: EstimationConfig) -> EstimationReport:
     """Delta-method report for mean(g_O)/mean(g_1) estimating the normalized expectation."""
-    if batch.g_one is None:
+    if batch.one is None:
         raise ValueError("ratio estimation needs the identity batch")
     if batch.n == 0:
         raise ValueError("empty batch")
-    mean_x = float(batch.g_obs.mean())
-    mean_y = float(batch.g_one.mean())
+    mean_x = batch.obs.mean
+    mean_y = batch.one.mean
     if mean_y == 0.0:
         raise UndefinedRatioError("identity batch mean is zero; ratio undefined")
-    var_x = sample_variance(batch.g_obs)
-    var_y = sample_variance(batch.g_one)
+    var_x = batch.obs.variance
+    var_y = batch.one.variance
     sigma_ratio2 = var_x / mean_y**2 + mean_x**2 * var_y / mean_y**4
     z = z_quantile(config.delta)
     notes = []

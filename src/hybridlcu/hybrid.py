@@ -24,13 +24,18 @@ shot path: each shot reads its two uniforms from its own Philox substream
 (``prng``), so the shots depend only on (seed, stream, shot index). A
 shot is one outcome code, its row in the sampler's one table of G^2 * 4d
 outcomes, found by a lexicographic complex search; the shot CSV formats
-one tail per table row.
+one tail per table row. Because any split of the shot range reassembles
+to the same shots, a long run is drawn in chunks of ``_CSV_CHUNK_ROWS``
+that ``write_shot_csv`` streams to disk one at a time, so memory stays
+bounded in the shot count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -347,25 +352,38 @@ def expectation_rounds(channels: list[HybridChannel], state, obs) -> float:
     return float(np.trace(o.matrix @ rho).real)
 
 
-# rows formatted and written per chunk by write_shot_csv; bounds its memory
+# rows formatted and written per chunk by write_shot_csv, and shots drawn per
+# chunk by the demo's shot stream; bounds the memory of both
 _CSV_CHUNK_ROWS = 65536
 
 
-def write_shot_csv(path, batch: SampleArrays, version: str) -> None:
+def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
     """One row per shot, ``g`` printed with ``.17g``; a seed comment ends the file.
 
-    Apart from ``shot``, a row is a row of the batch's outcome table, so
-    each table row's tail is formatted once and every shot writes its
-    index and the tail its code names, in chunks of ``_CSV_CHUNK_ROWS``.
+    ``batches`` are consecutive shots of one sampler, consumed one at a time,
+    so a generator that draws them keeps only one batch in memory. Apart
+    from ``shot``, a row is a row of the sampler's outcome table, so each
+    table row's tail is formatted once and every shot writes its index and
+    the tail its code names, in chunks of ``_CSV_CHUNK_ROWS``.
     """
-    rows = batch.table[["k", "kprime", "z", "b", "j", "g"]].tolist()
+    batches = iter(batches)
+    first = next(batches, None)
+    if first is None:
+        raise ValueError("write_shot_csv needs at least one batch")
+    rows = first.table[["k", "kprime", "z", "b", "j", "g"]].tolist()
     tails = np.array([f",{k},{kp},{z},{b},{j},{g:.17g}\n" for k, kp, z, b, j, g in rows], dtype=object)
     with open(path, "w") as fh:
         fh.write("shot,k,kprime,z,b,j,g\n")
-        for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
-            codes = batch.code[lo : lo + _CSV_CHUNK_ROWS]
-            parts = [""] * (2 * len(codes))
-            parts[::2] = map(str, range(batch.start + lo, batch.start + lo + len(codes)))
-            parts[1::2] = tails[codes].tolist()
-            fh.write("".join(parts))
-        fh.write(f"# seed={batch.seed} version={version}\n")
+        start = first.start
+        for batch in itertools.chain([first], batches):
+            same_run = batch.table is first.table and (batch.seed, batch.stream) == (first.seed, first.stream)
+            if not same_run or batch.start != start:
+                raise ValueError("batches must be consecutive shots of one sampler")
+            for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
+                codes = batch.code[lo : lo + _CSV_CHUNK_ROWS]
+                parts = [""] * (2 * len(codes))
+                parts[::2] = map(str, range(start + lo, start + lo + len(codes)))
+                parts[1::2] = tails[codes].tolist()
+                fh.write("".join(parts))
+            start += batch.n
+        fh.write(f"# seed={first.seed} version={version}\n")

@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,43 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
     for seed in ("1", "2", "3"):
         assert cli.main(["demo", "--seed", seed, "--out", str(tmp_path)]) == 3
         assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
+
+
+def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
+    # the shot CSV is written under a temporary name and moved into place only
+    # after both Monte-Carlo gates pass; a failed gate leaves the partition table
+    unbiased = hybrid.Sampler.sample_shots
+
+    def biased(self, *args, **kwargs):
+        batch = unbiased(self, *args, **kwargs)
+        batch.g = 0.9 * batch.g + 0.02
+        return batch
+
+    monkeypatch.setattr(hybrid.Sampler, "sample_shots", biased)
+    assert cli.main(["demo", "--seed", "2", "--out", str(tmp_path)]) == 3
+    assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["demo_partitions.csv"]
+
+
+def test_demo_memory_bounded_in_shots(tmp_path, monkeypatch):
+    # shots are drawn, written and tallied one chunk at a time: four times the
+    # chunks moves the traced peak by under 10 %. Chunks of 8192 rows keep the
+    # traced runs short; a run that kept 16 B per shot would add 2 MB to a
+    # peak of about 2 MB.
+    monkeypatch.setattr(hybrid, "_CSV_CHUNK_ROWS", 8192)
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("demo.m = 6\ndemo.dim = 8\n")
+    peaks = []
+    for chunks in (4, 16):
+        shots = str(chunks * hybrid._CSV_CHUNK_ROWS)
+        tracemalloc.start()
+        try:
+            code = cli.main(["demo", "--config", str(cfg), "--seed", "1", "--shots", shots, "--out", str(tmp_path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_demo_few_shots_pass_or_config_error(tmp_path):

@@ -1,6 +1,7 @@
 """Planners, interval estimators and their coverage behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_density, random_hermitian, random_lcu
 from hybridlcu import lcu
 from hybridlcu.estimate import (
     EstimationConfig,
+    Histogram,
     SampleBatch,
     UndefinedRatioError,
     bernstein_half_width,
@@ -21,7 +23,7 @@ from hybridlcu.estimate import (
     write_report_csv,
     z_quantile,
 )
-from hybridlcu.hybrid import HybridChannel, Sampler
+from hybridlcu.hybrid import HybridChannel, Sampler, write_shot_csv
 from hybridlcu.partition import Partition, reduction_factor_obs, validate
 from hybridlcu.qcore import Observable
 
@@ -111,6 +113,40 @@ def test_sample_variance_cases():
     assert sample_variance([7.0]) == 0.0
     with pytest.raises(ValueError):
         sample_variance([])
+
+
+def test_histogram_counts_match_repeated_samples():
+    # a count c on value v sums like c copies of v, bit for bit: the products
+    # c*v are rounded only inside the one exact sum
+    rng = np.random.default_rng(27)
+    values = np.concatenate([rng.normal(size=40), [0.1, 1.0 / 3.0, -2.5e-17, 0.0, -0.0]])
+    counts = rng.integers(1, 3000, size=len(values))
+    hist = Histogram(values, counts)
+    flat = Histogram(np.repeat(values, counts))
+    assert hist.n == flat.n == counts.sum()
+    assert hist.mean == flat.mean
+    assert hist.variance == flat.variance
+    # and neither depends on the order of the samples
+    shuffled = Histogram(rng.permutation(np.repeat(values, counts)))
+    assert (shuffled.mean, shuffled.variance) == (flat.mean, flat.variance)
+    merged = Histogram(values[:20], counts[:20]) + Histogram(np.repeat(values[10:], counts[10:]))
+    both = Histogram(np.repeat(values, counts)) + Histogram(np.repeat(values[10:20], counts[10:20]))
+    assert len(merged.values) == len(np.unique(values))
+    assert (merged.n, merged.mean, merged.variance) == (both.n, both.mean, both.variance)
+
+
+def test_histogram_sum_is_exact():
+    # 10 * 0.1 is 1 + 2**-54 exactly but rounds to 1.0; adding 2**-53 to the
+    # exact product rounds up to 1 + 2**-52, to the rounded one ties down to 1.0
+    hist = Histogram([0.1, 2.0**-53], [10, 1])
+    exact_sum = float(Fraction(0.1) * 10 + Fraction(2.0**-53))
+    assert exact_sum == 1.0 + 2.0**-52
+    assert hist.mean == exact_sum / 11 != math.fsum([10 * 0.1, 2.0**-53]) / 11
+    assert hist.mean == Histogram([0.1] * 10 + [2.0**-53]).mean
+    with pytest.raises(ValueError):
+        Histogram([]).mean
+    with pytest.raises(ValueError):
+        Histogram([1.0, 2.0], [1.0])
 
 
 def test_estimate_R_obs_trivial_and_singleton():
@@ -302,6 +338,50 @@ def test_ratio_error_scales_as_sqrt_R_over_P():
         ys.append(math.log(math.sqrt(float(np.mean(errs**2)))))
     slope = np.polyfit(xs, ys, 1)[0]
     assert abs(slope - 1.0) <= 0.2
+
+
+## ------------------------------------------------------------------
+## chunked shots
+## ------------------------------------------------------------------
+
+
+def test_statistics_are_split_invariant(tmp_path):
+    # a shot run cut into unequal chunks gives the single batch's CSV bytes,
+    # and its merged chunk histograms give the concatenated arrays' statistics
+    rng = np.random.default_rng(28)
+    dec = random_lcu(3, 3, rng)
+    ch = HybridChannel(dec, validate([[0, 1], [2]], 3))
+    rho = random_density(3, rng)
+    herm = random_hermitian(3, rng)
+    samplers = [Sampler(ch, rho, herm / np.abs(np.linalg.eigvalsh(herm)).max()), Sampler(ch, rho, np.eye(3))]
+    sizes = [1, 7000, 65536 + 5, 300, 0, 2999]
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(edges[-1])
+    chunks = [
+        [sampler.sample_shots(12, int(hi - lo), start=int(lo), stream=stream) for lo, hi in zip(edges, edges[1:])]
+        for stream, sampler in enumerate(samplers)
+    ]
+    whole = [sampler.sample_shots(12, n, stream=stream) for stream, sampler in enumerate(samplers)]
+
+    single, split = tmp_path / "single.csv", tmp_path / "split.csv"
+    write_shot_csv(single, [whole[0]], version="0.1.0")
+    write_shot_csv(split, iter(chunks[0]), version="0.1.0")
+    assert split.read_bytes() == single.read_bytes()
+
+    hists = []
+    for stream_chunks in chunks:
+        hist = Histogram([])
+        for chunk in stream_chunks:
+            hist += Histogram(*np.unique(chunk.g, return_counts=True))
+        hists.append(hist)
+    assert len(hists[0].values) <= len(samplers[0].table)
+    merged = SampleBatch.from_histograms(hists[0], hists[1], seed=12)
+    flat = SampleBatch(np.concatenate([c.g for c in chunks[0]]), np.concatenate([c.g for c in chunks[1]]), seed=12)
+    for ours, theirs in ((merged.obs, flat.obs), (merged.one, flat.one)):
+        assert (ours.n, ours.mean, ours.variance) == (theirs.n, theirs.mean, theirs.variance)
+    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
+    assert estimate_numerator(merged, dec.one_norm, config) == estimate_numerator(flat, dec.one_norm, config)
+    assert estimate_ratio(merged, config) == estimate_ratio(flat, config)
 
 
 ## ------------------------------------------------------------------

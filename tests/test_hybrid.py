@@ -497,7 +497,7 @@ def test_write_shot_csv_format(tmp_path):
     ch, rho, obs = _moment_instance()
     batch = Sampler(ch, rho, obs).sample_shots(seed=9, count=5)
     path = tmp_path / "shots.csv"
-    write_shot_csv(path, batch, version="0.1.0")
+    write_shot_csv(path, [batch], version="0.1.0")
     lines = path.read_text().splitlines()
     assert lines[0] == "shot,k,kprime,z,b,j,g"
     assert len(lines) == 7
@@ -535,11 +535,11 @@ def test_write_shot_csv_matches_per_row_writer(tmp_path):
     batch = hybrid.SampleArrays(10**6, rng.integers(0, rows, n), table, seed=2**64 - 1, stream=0)
     assert np.any(np.signbit(batch.g) & (batch.g == 0)) and np.any(~np.signbit(batch.g) & (batch.g == 0))
     ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    write_shot_csv(ours, batch, version="0.1.0")
+    write_shot_csv(ours, [batch], version="0.1.0")
     _write_shot_csv_per_row(reference, batch, version="0.1.0")
     assert ours.read_bytes() == reference.read_bytes()
     empty = hybrid.SampleArrays(0, np.zeros(0, dtype=np.intp), table, seed=3, stream=0)
-    write_shot_csv(ours, empty, version="0.1.0")
+    write_shot_csv(ours, [empty], version="0.1.0")
     _write_shot_csv_per_row(reference, empty, version="0.1.0")
     assert ours.read_bytes() == reference.read_bytes()
 
@@ -549,13 +549,30 @@ def test_write_shot_csv_indices_past_int64(tmp_path):
     ch, rho, obs = _moment_instance()
     batch = Sampler(ch, rho, obs).sample_shots(seed=3, count=3, start=2**63 - 1)
     path = tmp_path / "shots.csv"
-    write_shot_csv(path, batch, version="0.1.0")
+    write_shot_csv(path, [batch], version="0.1.0")
     rows = path.read_text().splitlines()[1:-1]
     assert [row.split(",")[0] for row in rows] == [str(2**63 - 1), str(2**63), str(2**63 + 1)]
     assert [int(i) for i in batch.shot] == [2**63 - 1, 2**63, 2**63 + 1]
     # a numpy start must not wrap past 2**64 into an empty batch
     with pytest.raises(ValueError, match="64-bit counter range"):
         Sampler(ch, rho, obs).sample_shots(seed=3, count=5, start=np.uint64(2**64 - 3))
+
+
+def test_write_shot_csv_takes_consecutive_batches_of_one_sampler(tmp_path):
+    ch, rho, obs = _moment_instance()
+    sampler = Sampler(ch, rho, obs)
+    path = tmp_path / "shots.csv"
+    with pytest.raises(ValueError, match="at least one batch"):
+        write_shot_csv(path, [], version="0.1.0")
+    first = sampler.sample_shots(seed=3, count=4)
+    for stray in (
+        sampler.sample_shots(seed=3, count=4, start=5),
+        sampler.sample_shots(seed=3, count=4, start=4, stream=1),
+        sampler.sample_shots(seed=4, count=4, start=4),
+        Sampler(ch, rho, obs).sample_shots(seed=3, count=4, start=4),
+    ):
+        with pytest.raises(ValueError, match="consecutive shots of one sampler"):
+            write_shot_csv(path, [first, stray], version="0.1.0")
 
 
 def _traced_peak(func, *args, **kwargs):
@@ -575,7 +592,7 @@ def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
     peaks = []
     for n in (100_000, 400_000):
         batch = sampler.sample_shots(seed=1, count=n)
-        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", batch, version="0.1.0"))
+        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", [batch], version="0.1.0"))
     assert peaks[1] <= 1.25 * peaks[0], peaks
     rng = np.random.default_rng(12)
     n = 200_000
