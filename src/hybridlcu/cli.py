@@ -5,9 +5,9 @@ the seed and package version, and reruns with the same seed reproduce the
 files byte for byte. Every subcommand runs in one thread; --workers is
 accepted and validated but has no effect. ``demo`` draws its shots from
 per-shot counter-based substreams in fixed chunks: each chunk is appended
-to the shot CSV and tallied into a per-stream histogram of g values, and
-the statistics come from those histograms, so memory stays bounded in the
-shot count.
+to the shot CSV and its outcome codes are counted per stream, and the
+statistics come from those counts on the sampler's table of g values, so
+memory stays bounded in the shot count.
 """
 
 from __future__ import annotations
@@ -260,16 +260,16 @@ def cmd_demo(config: RunConfig) -> None:
 
     # stream 0 carries the observable, stream 1 the identity whose mean P
     # normalises the ratio estimate. Each stream is drawn in chunks whose
-    # distinct g values and counts are merged into its histogram; stream 0's
-    # chunks also go to the shot CSV, moved into place once every check passes.
+    # outcome codes are counted per table row; stream 0's chunks also go to
+    # the shot CSV, moved into place once every check passes.
     samplers = [hybrid.Sampler(channel, psi, obs), hybrid.Sampler(channel, psi, np.eye(dim))]
-    hists = [estimate.Histogram([]), estimate.Histogram([])]
+    counts = [np.zeros(len(sampler.table), dtype=np.int64) for sampler in samplers]
 
     def chunks(stream: int):
         for lo in range(0, config.shots, hybrid._CSV_CHUNK_ROWS):
             count = min(hybrid._CSV_CHUNK_ROWS, config.shots - lo)
             chunk = samplers[stream].sample_shots(config.seed, count, start=lo, stream=stream)
-            hists[stream] += estimate.Histogram(*np.unique(chunk.g, return_counts=True))
+            counts[stream] += np.bincount(chunk.code, minlength=len(chunk.table))
             yield chunk
 
     shots_path = config.out_dir / "demo_shots.csv"
@@ -278,6 +278,7 @@ def cmd_demo(config: RunConfig) -> None:
         hybrid.write_shot_csv(partial, chunks(0), __version__)
         for _ in chunks(1):
             pass
+        hists = [estimate.Histogram(sampler.table["g"], tally) for sampler, tally in zip(samplers, counts)]
         for checked, hist in zip(samplers, hists):
             # exact variance and |g| <= 1 (unit-norm observables): the bound holds at
             # every N, also when all shots agree and the sample variance is 0
@@ -287,7 +288,7 @@ def cmd_demo(config: RunConfig) -> None:
                 raise InvariantViolation(
                     f"monte-carlo mean {hist.mean} is farther than {width:.3g} from {checked.exact_mean}"
                 )
-        batch = estimate.SampleBatch.from_histograms(*hists, seed=config.seed)
+        batch = estimate.SampleBatch(*hists, seed=config.seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
 
         est_cfg = estimate.EstimationConfig(epsilon=epsilon, delta=delta, bound_c=1.0)
@@ -338,12 +339,10 @@ def cmd_lchs(config: RunConfig) -> None:
 
 def cmd_qlss(config: RunConfig) -> None:
     kappas = config.get("qlss.kappas", (4.0, 8.0, 16.0, 32.0))
-    rows = qlss.sweep(
-        kappas,
-        epsilon=config.get("qlss.epsilon", 1e-2),
-        dim=_count(config, "qlss.dim", 8),
-        seed=config.seed,
-    )
+    dim = config.get("qlss.dim", 8)
+    if not 1 <= dim <= qcore.MAX_PURE_DIM:
+        raise ConfigError(f"qlss.dim = {dim} outside 1..{qcore.MAX_PURE_DIM}")
+    rows = qlss.sweep(kappas, epsilon=config.get("qlss.epsilon", 1e-2), dim=dim, seed=config.seed)
     qlss.write_table_csv(config.out_dir / "qlss_table.csv", rows, config.seed, __version__)
     line = f"qlss: {len(rows)} rows"
     if len(rows) >= 2:
@@ -354,8 +353,8 @@ def cmd_qlss(config: RunConfig) -> None:
 
 def cmd_gsp(config: RunConfig) -> None:
     dim = config.get("gsp.dim", 16)
-    if dim < 2:
-        raise ConfigError(f"gsp.dim = {dim} below 2")
+    if not 2 <= dim <= qcore.MAX_PURE_DIM:
+        raise ConfigError(f"gsp.dim = {dim} outside 2..{qcore.MAX_PURE_DIM}")
     delta = config.get("gsp.delta", 0.2)
     p0 = config.get("gsp.p0", 0.5)
     epsilon = config.get("gsp.epsilon", 1e-3)

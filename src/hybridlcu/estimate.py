@@ -6,12 +6,13 @@ interval for the ratio estimator ``mean(g_O)/mean(g_1)``. Variances use
 the population convention (divide by N) to match the planner formulas;
 the small-N bias is documented, not corrected.
 
-Samples are held as histograms, (value, count) pairs. A shot's g is an
-entry of a finite outcome table, so a histogram tallied chunk by chunk
-keeps memory bounded in the shot count, and an array of samples is the
-histogram with unit counts. Every moment is an exact sum rounded once,
-so one multiset of samples gives bit-identical statistics in either form
-and under any split into chunks.
+Samples are held as histograms, (value, count) pairs. A shot's g is the
+g of its row in the sampler's outcome table, so the table's g column with
+the count of shots per outcome code is a histogram whose size does not
+grow with the shot count, and an array of samples is the histogram with
+unit counts. Every moment is an exact sum rounded once, so one multiset
+of samples gives bit-identical statistics in either form and under any
+split into chunks.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import astuple, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,40 +81,23 @@ class EstimationConfig:
         return self.ratio_bound_cprime is None
 
 
-# Veltkamp's splitter for doubles: x = hi + lo exactly, each half at most 26 bits wide
-_SPLITTER = 2.0**27 + 1.0
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    t = _SPLITTER * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
 def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
     """``sum(counts * values)`` rounded once, with the sign of a zero sum dropped.
 
-    Each product is split error-free into ``p + err`` (Dekker's two-product,
-    exact unless a partial product underflows) and ``math.fsum`` rounds the
-    exact sum of the pieces. The result therefore depends only on the
-    multiset of products: c copies of (1, v) and one (c, v) agree.
+    Unit counts (an array of samples) are summed by ``math.fsum``, other
+    counts in rationals; both round the exact sum once, so c copies of
+    (1, v) and one (c, v) agree to the bit.
     """
-    p = counts * values
-    # a unit count's product is exact: an array of samples is summed as it is
-    if np.any(counts != 1.0):
-        (c_hi, c_lo), (v_hi, v_lo) = _split(counts), _split(values)
-        err = ((c_hi * v_hi - p) + c_hi * v_lo + c_lo * v_hi) + c_lo * v_lo
-        p = np.concatenate((p, err[err != 0]))
-    return math.fsum(p.tolist()) + 0.0
+    if np.all(counts == 1.0):
+        return math.fsum(values.tolist()) + 0.0
+    return float(sum(Fraction(v) * int(c) for c, v in zip(counts.tolist(), values.tolist()) if c))
 
 
 class Histogram:
     """A multiset of samples as (value, count) pairs, with exactly summed moments.
 
-    ``Histogram(samples)`` takes an array as unit counts, with no sort.
-    ``a + b`` is the merged multiset, compacted to distinct values, so a
-    histogram of table-valued samples tallied chunk by chunk stays as
-    small as the table. ``mean`` is ``sum(c v) / n`` and ``variance`` the
+    ``Histogram(samples)`` takes an array as unit counts, with no sort, and
+    values may repeat. ``mean`` is ``sum(c v) / n`` and ``variance`` the
     two-pass ``sum(c (v - mean)^2) / n``, each sum exact before its one
     rounding; both raise ``ValueError`` on an empty histogram.
     """
@@ -124,11 +109,6 @@ class Histogram:
         if self.counts.shape != self.values.shape:
             raise ValueError("values and counts must have equal length")
         self.n = int(self.counts.sum())
-
-    def __add__(self, other: Histogram) -> Histogram:
-        values, inverse = np.unique(np.concatenate((self.values, other.values)), return_inverse=True)
-        counts = np.bincount(inverse, weights=np.concatenate((self.counts, other.counts)))
-        return Histogram(values, counts)
 
     @functools.cached_property
     def mean(self) -> float:
@@ -142,29 +122,23 @@ class Histogram:
         return _exact_dot(self.counts, dev * dev) / self.n
 
 
+def _as_histogram(samples) -> Histogram:
+    return samples if isinstance(samples, Histogram) else Histogram(samples)
+
+
 class SampleBatch:
     """Paired g-samples for the observable and for the identity, as histograms.
 
-    Arrays are taken with unit counts; :meth:`from_histograms` pairs
-    histograms tallied elsewhere, such as chunk by chunk.
+    Each side is a :class:`Histogram` or an array of samples.
     """
 
     def __init__(self, g_obs, g_one=None, seed: int = 0):
-        self._pair(Histogram(g_obs), None if g_one is None else Histogram(g_one), seed)
-
-    @classmethod
-    def from_histograms(cls, obs: Histogram, one: Histogram | None = None, seed: int = 0) -> SampleBatch:
-        batch = cls.__new__(cls)
-        batch._pair(obs, one, seed)
-        return batch
-
-    def _pair(self, obs: Histogram, one: Histogram | None, seed: int) -> None:
-        if one is not None and one.n != obs.n:
+        self.obs = _as_histogram(g_obs)
+        self.one = None if g_one is None else _as_histogram(g_one)
+        if self.one is not None and self.one.n != self.obs.n:
             raise ValueError("paired batches must have equal length")
-        self.obs = obs
-        self.one = one
         self.seed = seed
-        self.n = obs.n
+        self.n = self.obs.n
 
 
 @dataclass

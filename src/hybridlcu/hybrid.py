@@ -24,7 +24,8 @@ shot path: each shot reads its two uniforms from its own Philox substream
 (``prng``), so the shots depend only on (seed, stream, shot index). A
 shot is one outcome code, its row in the sampler's one table of G^2 * 4d
 outcomes, found by a lexicographic complex search; the shot CSV formats
-one tail per table row. Because any split of the shot range reassembles
+one tail per table row, and a run's statistics need only the count of
+shots per outcome code. Because any split of the shot range reassembles
 to the same shots, a long run is drawn in chunks of ``_CSV_CHUNK_ROWS``
 that ``write_shot_csv`` streams to disk one at a time, so memory stays
 bounded in the shot count.
@@ -196,13 +197,12 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
 
     Returned array has shape ``(2, 2, d)`` indexed by the ancilla-projector
     bit z (0 = all-zero outcome), the X-basis bit b and the observable
-    eigenindex j. For k = k' the B register is skipped and the whole b = 1
-    plane is zero.
+    eigenindex j.
 
     Only the first block column of each encoding acts on |0>_A (x) rho; its
     ancilla-a block B_{k,a} gives the amplitude (B_{k',a} + (-1)^b B_{k,a})/2
-    after the X-basis measurement of B (B_{k,a} alone for k = k'), and
-    z = 0 is the a = 0 block.
+    after the X-basis measurement of B, and z = 0 is the a = 0 block. For
+    k = k' that is exactly B_{k,a} for b = 0 and exactly 0 for b = 1.
     """
     rho = qcore.density(state)
     o = qcore.as_observable(obs)
@@ -212,16 +212,11 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
     # first block columns split into ancilla blocks (a, d, d), in O's eigenbasis
     rot = o.eigenvectors.conj().T
     col_k = rot @ padded[k][:, :d].reshape(na, d, d)
-    if k == kprime:
-        amps = col_k[None]
-    else:
-        col_kp = rot @ padded[kprime][:, :d].reshape(na, d, d)
-        amps = np.stack([col_kp + col_k, col_kp - col_k]) / 2.0
+    col_kp = rot @ padded[kprime][:, :d].reshape(na, d, d)
+    amps = np.stack([col_kp + col_k, col_kp - col_k]) / 2.0
     # <j|A rho A^dag|j> for each amplitude A, indexed (b, a, j)
     diag = ((amps @ rho) * amps.conj()).sum(axis=-1).real
-    probs = np.zeros((2, 2, d))
-    probs[0, : len(amps)] = diag[:, 0]
-    probs[1, : len(amps)] = diag[:, 1:].sum(axis=1)
+    probs = np.stack([diag[:, 0], diag[:, 1:].sum(axis=1)])
     np.clip(probs, 0.0, None, out=probs)
     return probs
 
@@ -234,8 +229,8 @@ class SampleArrays:
     """Shots ``start .. start+n`` as outcome codes, plus the provenance needed for CSV.
 
     ``code[i]`` is the row of shot ``start + i`` in ``table``, a record array
-    with fields ``k, kprime, z, b, j, g``. ``g`` is gathered once into a plain
-    array; ``shot`` and the integer columns are derived when read.
+    with fields ``k, kprime, z, b, j, g``. ``shot`` and every column are
+    derived when read; ``np.bincount(code)`` tallies the shots per table row.
     """
 
     k = _table_column("k")
@@ -243,12 +238,12 @@ class SampleArrays:
     z = _table_column("z")
     b = _table_column("b")
     j = _table_column("j")
+    g = _table_column("g")
 
     def __init__(self, start: int, code, table, seed: int, stream: int):
         self.start = int(start)
         self.code = code
         self.table = table
-        self.g = table["g"][code]
         self.seed = seed
         self.stream = stream
         self.n = len(code)
@@ -306,9 +301,7 @@ class Sampler:
         """
         if count < 0:
             raise ValueError(f"count = {count} is negative")
-        # a numpy start would wrap start + count silently at 2**64
-        start = int(start)
-        u = prng.uniforms(seed, np.arange(start, start + count, dtype=np.uint64), 2, stream=stream)
+        u = prng.uniforms(seed, start, count, 2, stream=stream)
         # pair_cum and every table_cum row end at exactly 1.0 (x / x) and u < 1,
         # so neither search runs past the last pair or its own pair's rows
         pair = np.searchsorted(self.pair_cum, u[:, 0], side="right")

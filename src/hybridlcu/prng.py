@@ -17,6 +17,8 @@ index covers a whole contiguous shot range.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.random import Philox
 
@@ -52,28 +54,22 @@ def _counter_before(start: int, block: int) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-def uniforms(seed: int, shots, n: int, stream: int = 0) -> np.ndarray:
-    """Per-shot uniform doubles in [0, 1), shape ``(len(shots), n)``.
+def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.ndarray:
+    """Uniform doubles in [0, 1) for shots ``start .. start+count``, shape ``(count, n)``.
 
-    ``shots`` are global shot indices forming a contiguous ascending range
-    below 2**64; the result for shot i is the same whichever batch it is
-    computed in.
+    The shots must lie below 2**64; the result for shot i is the same
+    whichever range it is computed in.
     """
-    shots = np.atleast_1d(np.asarray(shots))
-    count = shots.size
+    # a numpy start would wrap start + count silently at 2**64; a float is refused
+    start = operator.index(start)
     out = np.empty((count, n), dtype=np.float64)
     if count == 0:
         return out
-    if shots.dtype.kind not in "iu":
-        raise ValueError(f"shot indices must be integers, got dtype {shots.dtype}")
-    start = int(shots[0])
     if start < 0:
         raise ValueError(f"shot index {start} is negative")
     if start + count > 2**64:
         # the counter would carry into the block word and reuse a substream
         raise ValueError(f"shots {start} .. {start + count - 1} pass the 64-bit counter range")
-    if int(shots[-1]) != start + count - 1 or not np.all(np.diff(shots) == 1):
-        raise ValueError("shot indices must form a contiguous ascending range")
     key = np.array(derive_key(seed, stream), dtype=np.uint64)
     for block in range((n + 3) // 4):
         gen = Philox(key=key, counter=_counter_before(start, block))

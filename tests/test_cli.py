@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridlcu import cli, hybrid, qcore, qed
+from hybridlcu import cli, gsp, hybrid, qcore, qed, qlss
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -18,6 +18,20 @@ def run_cli(args, tmp_path, capsys=None):
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def patch_table_g(monkeypatch, transform):
+    # rewrite the g column of every sampler's outcome table, which both the
+    # shot CSV and the shot statistics read
+    unpatched = hybrid.Sampler.__init__
+
+    def init(self, channel, state, obs):
+        unpatched(self, channel, state, obs)
+        table = self.table.copy()
+        table.g = transform(table.g, obs)
+        self.table = table
+
+    monkeypatch.setattr(hybrid.Sampler, "__init__", init)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +146,21 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         assert "gsp.dim" in capsys.readouterr().err
 
 
+def test_dimension_above_pure_state_cap_is_config_error(tmp_path, monkeypatch, capsys):
+    # refused by key before any instance is built, not by a MemoryError
+    def never_built(*args, **kwargs):
+        raise AssertionError("instance built for an over-cap dimension")
+
+    monkeypatch.setattr(gsp, "random_gsp_instance", never_built)
+    monkeypatch.setattr(qlss, "sweep", never_built)
+    for subcommand in ("gsp", "qlss"):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"{subcommand}.dim = {qcore.MAX_PURE_DIM + 1}\n")
+        capsys.readouterr()
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, subcommand
+        assert f"{subcommand}.dim" in capsys.readouterr().err
+
+
 def test_absent_config_file_is_config_error(tmp_path):
     assert cli.main(["demo", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
@@ -174,26 +203,14 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
 
     # a biased sampler fails the Monte-Carlo cross-check
     monkeypatch.undo()
-    unbiased = hybrid.Sampler.sample_shots
-
-    def biased(self, *args, **kwargs):
-        batch = unbiased(self, *args, **kwargs)
-        batch.g = 0.9 * batch.g + 0.02
-        return batch
-
-    monkeypatch.setattr(hybrid.Sampler, "sample_shots", biased)
+    patch_table_g(monkeypatch, lambda g, obs: 0.9 * g + 0.02)
     capsys.readouterr()
     assert cli.main(["demo", "--seed", "2", "--out", str(tmp_path)]) == 3
     assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
 
     # so does one that halves the identity batch (stream 1) behind the ratio estimate
-    def halved_identity(self, *args, **kwargs):
-        batch = unbiased(self, *args, **kwargs)
-        if kwargs.get("stream") == 1:
-            batch.g = batch.g / 2.0
-        return batch
-
-    monkeypatch.setattr(hybrid.Sampler, "sample_shots", halved_identity)
+    monkeypatch.undo()
+    patch_table_g(monkeypatch, lambda g, obs: g / 2.0 if np.array_equal(obs, np.eye(len(obs))) else g)
     for seed in ("1", "2", "3"):
         assert cli.main(["demo", "--seed", seed, "--out", str(tmp_path)]) == 3
         assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
@@ -202,14 +219,7 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
 def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
     # the shot CSV is written under a temporary name and moved into place only
     # after both Monte-Carlo gates pass; a failed gate leaves the partition table
-    unbiased = hybrid.Sampler.sample_shots
-
-    def biased(self, *args, **kwargs):
-        batch = unbiased(self, *args, **kwargs)
-        batch.g = 0.9 * batch.g + 0.02
-        return batch
-
-    monkeypatch.setattr(hybrid.Sampler, "sample_shots", biased)
+    patch_table_g(monkeypatch, lambda g, obs: 0.9 * g + 0.02)
     assert cli.main(["demo", "--seed", "2", "--out", str(tmp_path)]) == 3
     assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["demo_partitions.csv"]
@@ -234,6 +244,18 @@ def test_demo_memory_bounded_in_shots(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert code == 0
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_demo_outputs_are_chunk_invariant(tmp_path, monkeypatch):
+    # 2500 shots in one chunk, in chunks of 1000 and in chunks of 777 (a
+    # partial last chunk) write the same three CSVs, byte for byte
+    outputs = []
+    for rows in (hybrid._CSV_CHUNK_ROWS, 1000, 777):
+        monkeypatch.setattr(hybrid, "_CSV_CHUNK_ROWS", rows)
+        out = tmp_path / str(rows)
+        assert cli.main(["demo", "--seed", "5", "--shots", "2500", "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in cli._OUTPUT_FILES["demo"]})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_demo_few_shots_pass_or_config_error(tmp_path):

@@ -371,7 +371,7 @@ def test_sample_shots_matches_table_gather_oracle():
         ch = HybridChannel(random_lcu(part.m, dim, rng), part)
         sampler = Sampler(ch, random_density(dim, rng), random_hermitian(dim, rng))
         batch = sampler.sample_shots(seed=2718, count=n, start=1000, stream=4)
-        u = prng.uniforms(2718, np.arange(1000, 1000 + n), 2, stream=4)
+        u = prng.uniforms(2718, 1000, n, 2, stream=4)
         pair = np.clip(np.searchsorted(sampler.pair_cum, u[:, 0], side="right"), 0, len(sampler.pair_cum) - 1)
         out = (u[:, 1:2] >= sampler.table_cum[pair]).sum(axis=1)
         out = np.clip(out, 0, sampler.table_cum.shape[1] - 1)
@@ -402,7 +402,7 @@ def test_sample_shots_exact_at_table_boundaries(monkeypatch):
     u1 = np.concatenate([np.nextafter(bounds, 0.0), bounds])
     # real draws stay below 1.0
     u = np.column_stack([u0, u1])[u1 < 1.0]
-    monkeypatch.setattr(prng, "uniforms", lambda seed, shots, n, stream=0: u.copy())
+    monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0: u.copy())
     batch = sampler.sample_shots(seed=0, count=len(u))
     pair = np.searchsorted(sampler.pair_cum, u[:, 0], side="right")
     assert np.array_equal(pair, np.tile(pairs, 2)[u1 < 1.0])
