@@ -216,16 +216,6 @@ def _write_partition_csv(path, rows, seed: int) -> None:
     qcore.save_csv(path, "partition,a_star,R,R_minus_P", quoted, seed, __version__)
 
 
-def _partition_scan_rows(dec: lcu.LcuDecomposition, psi: np.ndarray) -> list[tuple[str, int, float, float]]:
-    g = partition_mod.gram(dec, psi)
-    p_value = partition_mod.r_from_gram(g, dec.probs, partition_mod.Partition.coherent(dec.m))
-    rows = []
-    for part in partition_mod.enumerate_partitions(dec.m):
-        r_value = partition_mod.r_from_gram(g, dec.probs, part)
-        rows.append((part.to_text(), part.a_star, r_value, r_value - p_value))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -243,7 +233,7 @@ def cmd_demo(config: RunConfig) -> None:
     rng = np.random.default_rng(config.seed)
     dec, psi, obs = _random_instance(m, dim, rng)
 
-    _write_partition_csv(config.out_dir / "demo_partitions.csv", _partition_scan_rows(dec, psi), config.seed)
+    _write_partition_csv(config.out_dir / "demo_partitions.csv", partition_mod.scan(dec, psi), config.seed)
 
     # three-way cross-check on a two-group split (richer pair circuits
     # than the coherent or fully randomized extremes)
@@ -313,7 +303,7 @@ def cmd_partitions(config: RunConfig) -> None:
         raise ConfigError(f"partitions.dim = {dim} outside 2..8")
     rng = np.random.default_rng(config.seed)
     dec, psi, _ = _random_instance(m, dim, rng)
-    rows = _partition_scan_rows(dec, psi)
+    rows = partition_mod.scan(dec, psi)
     _write_partition_csv(config.out_dir / "partitions.csv", rows, config.seed)
     print(f"partitions: {len(rows)} rows for m={m} in {config.out_dir}")
 

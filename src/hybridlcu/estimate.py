@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import astuple, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -85,12 +84,15 @@ def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
     """``sum(counts * values)`` rounded once, with the sign of a zero sum dropped.
 
     Unit counts (an array of samples) are summed by ``math.fsum``, other
-    counts in rationals; both round the exact sum once, so c copies of
-    (1, v) and one (c, v) agree to the bit.
+    counts as one integer over the values' largest power-of-two
+    denominator, divided once; both round the exact sum once, so c copies
+    of (1, v) and one (c, v) agree to the bit.
     """
     if np.all(counts == 1.0):
         return math.fsum(values.tolist()) + 0.0
-    return float(sum(Fraction(v) * int(c) for c, v in zip(counts.tolist(), values.tolist()) if c))
+    terms = [(int(c), *v.as_integer_ratio()) for c, v in zip(counts.tolist(), values.tolist()) if c]
+    den = max((d for _, _, d in terms), default=1)
+    return sum(c * n * (den // d) for c, n, d in terms) / den
 
 
 class Histogram:

@@ -12,14 +12,14 @@ is the second-moment scale of the hybrid estimator and satisfies
 extremes. R (W = 1), R^O and the split increase (W = O^2) and the channel
 expectation (W = O) are quadratic forms in one m x m matrix per instance,
 ``G_ij = p_i p_j Re tr[W U_i rho U_j^dag]``; group operators are assembled
-only for block encodings.
+only for block encodings. R sums ``f(S) = 1^T G[S,S] 1 / q_S`` over groups,
+so the exhaustive scan reads it from one table of f over all 2^m subsets.
 
 Indices are 0-based internally; the text form (``1,2|3|4,5``) is 1-based.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "group_operators",
     "GroupOperator",
     "gram",
+    "subset_values",
     "r_from_gram",
     "reduction_factor",
     "reduction_factor_obs",
@@ -45,7 +46,9 @@ __all__ = [
     "fragment_bound",
     "harmonic_mean",
     "tail_bound_R",
+    "label_arrays",
     "enumerate_partitions",
+    "scan",
     "MAX_ENUM_M",
 ]
 
@@ -93,7 +96,7 @@ class Partition:
     @property
     def a_star(self) -> int:
         """Common ancilla width ``max_k ceil(log2 |S_k|)`` of the block encodings."""
-        return max(math.ceil(math.log2(len(g))) for g in self.groups)
+        return max((len(g) - 1).bit_length() for g in self.groups)
 
     def to_text(self) -> str:
         return "|".join(",".join(str(i + 1) for i in g) for g in self.groups)
@@ -170,15 +173,28 @@ def gram(dec: lcu.LcuDecomposition, state, weight=None) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+def _sum_left(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sums along the last axis, with the sign of a zero sum dropped."""
+    return np.cumsum(x, axis=-1)[..., -1] + 0.0
+
+
+def subset_values(g: np.ndarray, probs, masks: np.ndarray) -> np.ndarray:
+    """``f(S) = 1^T G[S,S] 1 / q_S`` per row S of the boolean ``(n, m)`` array ``masks``; 0 for S empty.
+
+    Both sums run left to right over members by elementwise operations, so
+    no row's bits depend on the BLAS kernel or on the other rows.
+    """
+    block = _sum_left(np.where(masks, _sum_left(np.where(masks[:, None, :], g, 0.0)), 0.0))
+    q = _sum_left(np.where(masks, probs, 0.0))
+    return np.divide(block, q, out=np.zeros_like(block), where=masks.any(axis=1))
+
+
 def r_from_gram(g: np.ndarray, probs, part: Partition) -> float:
-    """``sum_k 1^T G[S_k, S_k] 1 / q_k``: R or R^O, by the weight ``g`` was built with."""
+    """``sum_k f(S_k)`` left to right: R or R^O, by the weight ``g`` was built with."""
     if part.m != g.shape[0]:
         raise ValueError(f"partition over {part.m} indices, Gram matrix has {g.shape[0]} terms")
-    # column k of the indicator e marks S_k, so e^T G e holds the block sums on its diagonal
-    e = np.zeros((part.m, part.G))
-    for k, grp in enumerate(part.groups):
-        e[list(grp), k] = 1.0
-    return float(((e.T @ g @ e).diagonal() / (probs @ e)).sum())
+    masks = np.array([np.isin(np.arange(part.m), grp) for grp in part.groups])
+    return float(_sum_left(subset_values(g, probs, masks)))
 
 
 def reduction_factor(dec: lcu.LcuDecomposition, part: Partition, state) -> float:
@@ -249,25 +265,45 @@ def tail_bound_R(q_a: float, q_b: float, p: float) -> float:
     return p + q_b + 2.0 * harmonic_mean(q_a, q_b)
 
 
-def enumerate_partitions(m: int) -> list[Partition]:
-    """All set partitions of ``range(m)`` (count = Bell number B(m))."""
+def label_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Restricted-growth labels of every partition of ``range(m)``, with its group bitmasks.
+
+    Row r of the labels puts index i in group ``r[i]``, groups numbered by
+    least member, in :func:`enumerate_partitions` order. Column k of the
+    bitmasks holds group k's, 0 past the last group.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > MAX_ENUM_M:
         raise ValueError(f"enumeration capped at m = {MAX_ENUM_M}")
-    out: list[Partition] = []
+    labels, masks = np.zeros((1, 1), dtype=np.int8), np.eye(1, m, dtype=np.int64)
+    for i in range(1, m):
+        fan = labels.max(axis=1) + 2  # a row with top label t continues with each of 0..t+1
+        child = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        labels = np.column_stack((np.repeat(labels, fan, axis=0), child.astype(np.int8)))
+        masks = np.repeat(masks, fan, axis=0)
+        masks[np.arange(len(masks)), child] += 1 << i
+    return labels, masks
 
-    def extend(i: int, groups: list[list[int]]):
-        if i == m:
-            out.append(Partition([tuple(g) for g in groups], m))
-            return
-        for g in groups:
-            g.append(i)
-            extend(i + 1, groups)
-            g.pop()
-        groups.append([i])
-        extend(i + 1, groups)
-        groups.pop()
 
-    extend(0, [])
-    return out
+def enumerate_partitions(m: int) -> list[Partition]:
+    """All set partitions of ``range(m)`` (count = Bell number B(m))."""
+    masks = label_arrays(m)[1].tolist()
+    members = [[i for i in range(m) if s >> i & 1] for s in range(1 << m)]
+    return [Partition([members[s] for s in row if s], m) for row in masks]
+
+
+def scan(dec: lcu.LcuDecomposition, state) -> list[tuple[str, int, float, float]]:
+    """``(text, a*, R, R - P)`` of every partition, in :func:`enumerate_partitions` order.
+
+    R is the left-to-right sum of one table of f over the row's group
+    bitmasks, so it equals :func:`reduction_factor` to the bit.
+    """
+    masks = label_arrays(dec.m)[1]
+    members = (np.arange(1 << dec.m)[:, None] >> np.arange(dec.m)) & 1 == 1
+    table = subset_values(gram(dec, state), dec.probs, members)
+    r = _sum_left(table[masks])
+    texts = [",".join(str(i + 1) for i in np.flatnonzero(row)) for row in members]
+    widths = np.array([max(int(n) - 1, 0).bit_length() for n in members.sum(axis=1)])
+    parts = ["|".join(texts[s] for s in row if s) for row in masks.tolist()]
+    return list(zip(parts, widths[masks].max(axis=1).tolist(), r.tolist(), (r - table[-1]).tolist()))

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridlcu import cli, gsp, hybrid, qcore, qed, qlss
+from hybridlcu import cli, gsp, hybrid, partition, qcore, qed, qlss
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -334,6 +334,32 @@ def test_partitions_table_m5(tmp_path):
     assert coarsest[2] == 0.0
     assert min(r for _, r, _ in rows.values()) == pytest.approx(coarsest[1])
     assert all(gap >= -1e-12 for _, _, gap in rows.values())
+
+
+def indicator_r(g, probs, part):
+    # column k of e marks group k, so e^T G e holds the block sums on its diagonal
+    e = np.zeros((part.m, part.G))
+    for k, grp in enumerate(part.groups):
+        e[list(grp), k] = 1.0
+    return float(((e.T @ g @ e).diagonal() / (probs @ e)).sum())
+
+
+def test_partitions_m8_match_indicator_formula(tmp_path):
+    cfg = tmp_path / "p8.cfg"
+    cfg.write_text("partitions.m = 8\npartitions.dim = 8\n")
+    assert cli.main(["partitions", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path)]) == 0
+    body = read_lines(tmp_path / "partitions.csv")[1:-1]
+    dec, psi, _ = cli._random_instance(8, 8, np.random.default_rng(1))
+    g = partition.gram(dec, psi)
+    p_value = indicator_r(g, dec.probs, partition.Partition.coherent(8))
+    parts = partition.enumerate_partitions(8)
+    assert len(body) == len(parts) == 4140
+    for line, part in zip(body, parts):
+        text, a_star, r, gap = line.rsplit(",", 3)
+        assert (text, int(a_star)) == (f'"{part.to_text()}"', part.a_star)
+        expected = indicator_r(g, dec.probs, part)
+        assert abs(float(r) - expected) <= 1e-15
+        assert abs(float(gap) - (expected - p_value)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

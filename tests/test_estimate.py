@@ -9,6 +9,7 @@ from conftest import random_density, random_hermitian, random_lcu
 
 from hybridlcu import lcu
 from hybridlcu.estimate import (
+    _exact_dot,
     EstimationConfig,
     Histogram,
     SampleBatch,
@@ -147,6 +148,24 @@ def test_histogram_sum_is_exact():
         Histogram([]).mean
     with pytest.raises(ValueError):
         Histogram([1.0, 2.0], [1.0])
+
+
+def test_weighted_sums_match_rational_oracle():
+    # counts up to 1e11 and values over 60 decades, signed zeros and zero
+    # counts included, against one rounding of the rational sum
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n)
+        values[rng.random(n) < 0.1] = rng.choice([0.0, -0.0])
+        if trial % 10 == 0:
+            values = rng.choice([0.0, -0.0], n)
+        counts = rng.integers(0, 10**11, n).astype(float)
+        counts[rng.random(n) < 0.1] = 0.0
+        counts[0] = 2.0
+        got = _exact_dot(counts, values)
+        oracle = float(sum(Fraction(v) * int(c) for c, v in zip(counts.tolist(), values.tolist())))
+        assert (got, math.copysign(1.0, got)) == (oracle, math.copysign(1.0, oracle))
 
 
 def test_estimate_R_obs_trivial_and_singleton():

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import PAULI_Z, PLUS, bell_number, random_density, random_hermitian, random_lcu
+from conftest import PAULI_Z, PLUS, bell_number, random_density, random_hermitian, random_lcu, random_pure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridlcu import lcu, partition
 from hybridlcu.partition import (
+    MAX_ENUM_M,
     EmptyGroupError,
     GapError,
     OverlapError,
@@ -15,8 +18,10 @@ from hybridlcu.partition import (
     group_operators,
     harmonic_mean,
     is_refinement,
+    label_arrays,
     reduction_factor,
     reduction_factor_obs,
+    scan,
     split_delta,
     tail_bound_R,
     validate,
@@ -71,15 +76,67 @@ def test_random_group_assignment_always_validates(m, seed):
 ## ------------------------------------------------------------------
 
 def test_enumerate_counts_match_bell_numbers():
+    for m in range(1, MAX_ENUM_M + 1):
+        labels, masks = label_arrays(m)
+        assert labels.shape == masks.shape == (bell_number(m), m)
+        assert len(np.unique(labels, axis=0)) == len(labels)
+        # restricted growth: each label is at most one above every label before it
+        assert np.all(labels[:, 0] == 0)
+        assert np.all(labels[:, 1:] <= np.maximum.accumulate(labels, axis=1)[:, :-1] + 1)
+        # column k of the bitmasks is the set of indices labelled k
+        bits = 1 << np.arange(m)
+        for k in range(m):
+            assert np.array_equal(masks[:, k], ((labels == k) * bits).sum(axis=1))
     for m in (1, 2, 3, 4, 5, 6):
         parts = enumerate_partitions(m)
         assert len(parts) == bell_number(m)
         assert len(set(parts)) == len(parts)
 
 
+def test_label_rows_validate_in_enumeration_order():
+    rng = np.random.default_rng(8)
+    for m in range(1, 8):
+        labels, _ = label_arrays(m)
+        parts = [validate([np.flatnonzero(row == k) for k in range(row.max() + 1)], m) for row in labels]
+        assert parts == enumerate_partitions(m)
+        texts = [row[0] for row in scan(random_lcu(m, 2, rng), random_pure(2, rng))]
+        assert texts == [p.to_text() for p in parts]
+
+
 def test_enumerate_cap():
-    with pytest.raises(ValueError, match="capped"):
-        enumerate_partitions(11)
+    for enumerate_ in (enumerate_partitions, label_arrays):
+        with pytest.raises(ValueError, match="capped"):
+            enumerate_(11)
+        with pytest.raises(ValueError, match=">= 1"):
+            enumerate_(0)
+
+
+def test_scan_rows_equal_reduction_factor_bitwise():
+    for m in range(1, 7):
+        for seed in range(3):
+            rng = np.random.default_rng(10 * m + seed)
+            dec = random_lcu(m, 3, rng)
+            state = random_pure(3, rng) if seed % 2 else random_density(3, rng)
+            p_value = reduction_factor(dec, Partition.coherent(m), state)
+            parts, rows = enumerate_partitions(m), scan(dec, state)
+            assert len(rows) == len(parts)
+            for part, (text, a_star, r, gap) in zip(parts, rows):
+                expected = reduction_factor(dec, part, state)
+                assert (text, a_star) == (part.to_text(), part.a_star)
+                assert r.hex() == expected.hex()
+                assert gap.hex() == (expected - p_value).hex()
+
+
+def test_a_star_is_one_integer_rule():
+    # every nonempty S is the one group of width > 0 in {S} + singletons,
+    # so the scan's a* of that partition is its per-mask width
+    rng = np.random.default_rng(9)
+    for m in range(1, MAX_ENUM_M + 1):
+        scanned = {text: a_star for text, a_star, _, _ in scan(random_lcu(m, 2, rng), random_pure(2, rng))}
+        for s in range(1, 1 << m):
+            group = [i for i in range(m) if s >> i & 1]
+            part = Partition([group] + [[i] for i in range(m) if i not in group], m)
+            assert scanned[part.to_text()] == part.a_star == math.ceil(math.log2(len(group)))
 
 
 ## ------------------------------------------------------------------
