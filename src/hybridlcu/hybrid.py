@@ -23,12 +23,16 @@ input. They drive :class:`Sampler`, whose ``sample_shots`` is the only
 shot path: each shot reads its two uniforms from its own Philox substream
 (``prng``), so the shots depend only on (seed, stream, shot index). A
 shot is one outcome code, its row in the sampler's one table of G^2 * 4d
-outcomes, found by a lexicographic complex search; the shot CSV formats
-one tail per table row, and a run's statistics need only the count of
-shots per outcome code. Because any split of the shot range reassembles
-to the same shots, a long run is drawn in chunks of ``_CSV_CHUNK_ROWS``
-that ``write_shot_csv`` streams to disk one at a time, so memory stays
-bounded in the shot count.
+outcomes. Its pair and its row are each read from a guide table, one
+entry per equal bucket of the uniform's range (Chen & Asau 1974); a shot
+whose bucket holds a threshold falls back to the exact lexicographic
+complex search over ``pair + 1j * cumulative probability``, so the codes
+are those of that search for any number of pairs. The shot CSV formats
+one tail per table row and each chunk with one ``%`` template, and a
+run's statistics need only the count of shots per outcome code. Because
+any split of the shot range reassembles to the same shots, a long run is
+drawn in chunks of ``_CSV_CHUNK_ROWS`` that ``write_shot_csv`` streams to
+disk one at a time, so memory stays bounded in the shot count.
 """
 
 from __future__ import annotations
@@ -221,6 +225,39 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
     return probs
 
 
+# Guide tables (Chen & Asau 1974; Devroye 1986, sec. III.2.4) index the two
+# inverse-CDF searches of a shot by bucket. A cumulative row of width w gets
+# the power of two at or above 64 * w buckets, so about one bucket in 64
+# holds a threshold and sends its shots on to the exact search. A guide
+# keeps at most _GUIDE_ENTRIES entries (fewer buckets per row when rows are
+# many, at least one), so a sampler's two int64 guides take at most 1 MiB
+# while it has at most _GUIDE_ENTRIES pairs.
+_GUIDE_ENTRIES = 2**16
+
+
+def _guide_buckets(rows: int, width: int) -> int:
+    """Buckets per row: 64 per threshold, rounded up to a power of two, within the entry cap."""
+    want = 1 << (64 * width - 1).bit_length()
+    room = 1 << (max(_GUIDE_ENTRIES // rows, 1).bit_length() - 1)
+    return min(want, room)
+
+
+def _guide_table(keys: np.ndarray, buckets: int, rows: int = 1) -> np.ndarray:
+    """The search result of every bucket of every row, or -1 where a bucket holds a threshold.
+
+    ``keys`` are sorted complex keys ``row + 1j*cum`` over ``rows`` rows.
+    Entry ``r * buckets + i`` is ``searchsorted(keys, r + 1j*u, "right")``
+    for every u in ``[i, i + 1) / buckets``: the result at the low edge,
+    when no key lies between the edges. Otherwise it is -1 and a shot in
+    that bucket must run the search.
+    """
+    edges = np.arange(buckets + 1) / buckets
+    row = np.arange(rows)[:, None]
+    low = np.searchsorted(keys, (row + 1j * edges[:-1]).ravel(), side="right")
+    high = np.searchsorted(keys, (row + 1j * edges[1:]).ravel(), side="left")
+    return np.where(low == high, low, -1)
+
+
 def _table_column(field: str) -> property:
     return property(lambda self: self.table[field][self.code], doc=f"``{field}`` of each shot, read from its table row.")
 
@@ -259,6 +296,8 @@ class Sampler:
 
     Row ``pair * 4d + (z, b, j)`` of ``table`` is outcome (z, b, j) of pair
     ``pair = k * G + k'``; a shot is drawn as the index of its row.
+    ``pair_guide`` and ``table_guide`` are the guide tables of the pair
+    search and of each pair's outcome search (see ``_guide_table``).
     """
 
     def __init__(self, channel: HybridChannel, state, obs):
@@ -282,6 +321,8 @@ class Sampler:
         self.table_cum /= self.table_cum[:, -1:]
         # non-decreasing in numpy's lexicographic complex order: pair first, then table_cum
         self.flat_cum = (np.arange(n_pairs)[:, None] + 1j * self.table_cum).ravel()
+        self.pair_guide = _guide_table(1j * self.pair_cum, _guide_buckets(1, n_pairs))
+        self.table_guide = _guide_table(self.flat_cum, _guide_buckets(n_pairs, n_out), rows=n_pairs)
         k, kp, z, b, j = np.unravel_index(np.arange(n_pairs * n_out), (g_count, g_count, 2, 2, d))
         g = np.where(z == 0, 1.0, 0.0) * np.where(b == 0, 1.0, -1.0) * o.eigenvalues[j]
         self.table = np.rec.fromarrays([k, kp, z, b, j, g], names="k,kprime,z,b,j,g")
@@ -295,19 +336,27 @@ class Sampler:
 
         The result depends only on (seed, stream, shot index), so any
         split of the shot range into batches reassembles to the identical
-        arrays. A shot's code is ``searchsorted(flat_cum, pair + 1j*u1)``:
-        real parts compare pair indices exactly and imaginary parts compare
-        ``u1`` itself against ``table_cum[pair]``, for any number of pairs.
+        arrays. A shot's code is ``searchsorted(flat_cum, pair + 1j*u1)``,
+        with ``pair = searchsorted(pair_cum, u0)``: real parts compare pair
+        indices exactly and imaginary parts compare ``u1`` itself against
+        ``table_cum[pair]``, for any number of pairs. Each search is first
+        read from a guide table at the bucket ``floor(u * buckets)`` of its
+        uniform; only a shot whose bucket holds a threshold runs the search.
         """
         if count < 0:
             raise ValueError(f"count = {count} is negative")
         u = prng.uniforms(seed, start, count, 2, stream=stream)
+        u0, u1 = u[:, 0], u[:, 1]
         # pair_cum and every table_cum row end at exactly 1.0 (x / x) and u < 1,
-        # so neither search runs past the last pair or its own pair's rows
-        pair = np.searchsorted(self.pair_cum, u[:, 0], side="right")
-        # u0 is spent: each row of u now reads as the complex query pair + 1j*u1
-        u[:, 0] = pair
-        code = np.searchsorted(self.flat_cum, u.view(complex)[:, 0], side="right")
+        # so no search runs past the last pair or its own pair's rows. The
+        # buckets are powers of two, so u * buckets is exact and floors by astype.
+        pair = self.pair_guide[(u0 * self.pair_guide.size).astype(np.intp)]
+        miss = np.flatnonzero(pair < 0)
+        pair[miss] = np.searchsorted(self.pair_cum, u0[miss], side="right")
+        buckets = self.table_guide.size // self.pair_cum.size
+        code = self.table_guide[pair * buckets + (u1 * buckets).astype(np.intp)]
+        miss = np.flatnonzero(code < 0)
+        code[miss] = np.searchsorted(self.flat_cum, pair[miss] + 1j * u1[miss], side="right")
         return SampleArrays(start, code, self.table, seed=seed, stream=stream)
 
 
@@ -356,8 +405,9 @@ def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
     ``batches`` are consecutive shots of one sampler, consumed one at a time,
     so a generator that draws them keeps only one batch in memory. Apart
     from ``shot``, a row is a row of the sampler's outcome table, so each
-    table row's tail is formatted once and every shot writes its index and
-    the tail its code names, in chunks of ``_CSV_CHUNK_ROWS``.
+    table row's tail is formatted once. A chunk of ``_CSV_CHUNK_ROWS``
+    shots is one ``"%d%s" * n`` template applied to its indices, as Python
+    ints (exact past 2**63), interleaved with the tails its codes name.
     """
     batches = iter(batches)
     first = next(batches, None)
@@ -374,9 +424,9 @@ def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
                 raise ValueError("batches must be consecutive shots of one sampler")
             for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
                 codes = batch.code[lo : lo + _CSV_CHUNK_ROWS]
-                parts = [""] * (2 * len(codes))
-                parts[::2] = map(str, range(start + lo, start + lo + len(codes)))
+                parts = [0] * (2 * len(codes))
+                parts[::2] = range(start + lo, start + lo + len(codes))
                 parts[1::2] = tails[codes].tolist()
-                fh.write("".join(parts))
+                fh.write("%d%s" * len(codes) % tuple(parts))
             start += batch.n
         fh.write(f"# seed={first.seed} version={version}\n")

@@ -185,14 +185,23 @@ def density(state) -> np.ndarray:
 ## --- CSV tables ---------------------------------------------------------
 ## Header line, one line per row, then a "# seed=<seed> version=<version>"
 ## comment. The shot CSV (hybrid.write_shot_csv) writes the same format
-## from outcome codes: one formatted tail per outcome-table row, joined
-## after each shot index.
+## from outcome codes: one formatted tail per outcome-table row, placed
+## after each shot index by one %-template per chunk.
 
 
 def save_csv(path, header: str, rows, seed: int, version: str) -> None:
-    """Write ``rows`` under ``header``: ``float`` cells as ``.17g``, every other cell by ``str``."""
+    """Write ``rows`` under ``header``: ``float`` cells as ``.17g``, every other cell by ``str``.
+
+    Each row is formatted by one ``%`` template, built once per tuple of cell types.
+    """
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\n"
+            fh.write(template % row)
         fh.write(f"# seed={seed} version={version}\n")

@@ -410,6 +410,75 @@ def test_sample_shots_exact_at_table_boundaries(monkeypatch):
     assert np.array_equal(batch.code, pair * n_out + out)
 
 
+def _edge_values(buckets: int) -> np.ndarray:
+    """Every bucket edge k / buckets below 1 and the double one ulp below each edge above 0."""
+    edges = np.arange(buckets + 1) / buckets
+    return np.concatenate([edges[:-1], np.nextafter(edges[1:], 0.0)])
+
+
+def _guide_sampler(name: str) -> Sampler:
+    rng = np.random.default_rng(515)
+    if name == "three-groups":
+        return Sampler(*_moment_instance(seed=515))
+    if name == "1600-pairs":
+        ch = HybridChannel(random_lcu(40, 2, rng), Partition.singletons(40))
+        return Sampler(ch, random_density(2, rng), random_hermitian(2, rng))
+    # dyadic rho and diagonal observables: every pair weight and outcome
+    # probability is a power of two, so the thresholds sit on bucket edges,
+    # and the empty z = 1 planes (no ancilla) and b = 1 planes repeat them
+    rho = np.diag([0.5, 0.25, 0.125, 0.125])
+    if name == "one-group-dyadic":
+        one = lcu.LcuDecomposition([1.0], [np.eye(4)])
+        return Sampler(HybridChannel(one, Partition.coherent(1)), rho, np.diag([0.4, 0.3, 0.2, 0.1]))
+    two = lcu.LcuDecomposition([0.5, 0.5], [np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0])])
+    return Sampler(HybridChannel(two, Partition.singletons(2)), rho, np.diag([0.1, 0.2, 0.3, 0.4]))
+
+
+@pytest.mark.parametrize("name", ["three-groups", "1600-pairs", "one-group-dyadic", "two-groups-dyadic"])
+def test_guided_search_exact_at_bucket_edges(monkeypatch, name):
+    # u0 on every pair-guide edge and one ulp below it, and for every pair,
+    # u1 on every table-guide edge and one ulp below it: the guided lookup
+    # must pick the rows of the full comparison against the cumulative rows
+    sampler = _guide_sampler(name)
+    n_pairs, n_out = sampler.table_cum.shape
+    buckets = sampler.table_guide.size // n_pairs
+    assert sampler.pair_guide.nbytes + sampler.table_guide.nbytes <= 2**20
+    u1 = _edge_values(buckets)
+    u0_pairs = np.concatenate([[0.0], sampler.pair_cum[:-1]])
+    u0 = np.concatenate([np.repeat(u0_pairs, len(u1)), _edge_values(sampler.pair_guide.size)])
+    u1 = np.resize(u1, len(u0))
+    u = np.column_stack([u0, u1])
+    monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0: u.copy())
+    batch = sampler.sample_shots(seed=0, count=len(u))
+    pair = np.searchsorted(sampler.pair_cum, u0, side="right")
+    assert np.array_equal(np.unique(pair), np.arange(n_pairs))
+    out = (u1[:, None] >= sampler.table_cum[pair]).sum(axis=1)
+    assert np.array_equal(batch.code, pair * n_out + out)
+    if name.endswith("dyadic"):
+        # thresholds on the edges, some repeated: no bucket holds one inside
+        on_edge = sampler.table_cum * buckets
+        assert np.array_equal(on_edge, np.floor(on_edge))
+        assert np.any(np.diff(sampler.table_cum, axis=1) == 0.0)
+        assert (sampler.table_guide >= 0).all() and (sampler.pair_guide >= 0).all()
+    else:
+        # most buckets answer from the guide; the rest hold a threshold
+        assert 0 < (sampler.table_guide < 0).mean() < 0.5
+
+
+def test_guide_size_follows_table_width_within_cap():
+    # 64 buckets per threshold rounded up to a power of two, at most
+    # _GUIDE_ENTRIES per guide and never less than one bucket per row
+    assert hybrid._guide_buckets(1, 4) == 256
+    assert hybrid._guide_buckets(4, 32) == 2048
+    assert hybrid._guide_buckets(1, 1600) == hybrid._GUIDE_ENTRIES
+    assert hybrid._guide_buckets(1600, 8) == 32
+    assert hybrid._guide_buckets(2 * hybrid._GUIDE_ENTRIES, 8) == 1
+    for rows, width in ((1, 1), (3, 5), (9, 32), (1600, 8), (5000, 512)):
+        buckets = hybrid._guide_buckets(rows, width)
+        assert buckets & (buckets - 1) == 0
+        assert rows * buckets <= max(hybrid._GUIDE_ENTRIES, rows)
+
+
 def test_sample_shots_rejects_negative_count():
     ch, rho, obs = _moment_instance()
     with pytest.raises(ValueError, match="count"):

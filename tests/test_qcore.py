@@ -94,3 +94,22 @@ def test_save_csv_cell_format(tmp_path):
         "1e-300,2,0,True,0,x",
         "# seed=18446744073709551615 version=0.1.0",
     ]
+
+
+def test_save_csv_bytes_match_per_cell_formatting(tmp_path):
+    # one %-template per tuple of cell types writes the bytes of formatting
+    # each cell on its own: float subclasses at .17g, everything else by str
+    rows = [
+        (-0.0, float("inf"), float("-inf"), np.float64(-1e-320), np.int64(2**63 - 1), '"1,2|3"'),
+        (np.float32(0.1), True, np.bool_(False), np.uint8(255), 2**70, 5e-324),
+        [1.5, 2, "x", None, float("nan"), -7],
+        (-0.0, float("inf"), float("-inf"), np.float64(2.5), np.int64(-3), '"4"'),
+    ]
+    path = tmp_path / "t.csv"
+    qcore.save_csv(path, "a,b,c,d,e,f", iter(rows), seed=0, version="0.1.0")
+    cells = [",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) for row in rows]
+    assert path.read_bytes() == "\n".join(["a,b,c,d,e,f", *cells, "# seed=0 version=0.1.0\n"]).encode()
+    assert path.read_bytes().splitlines()[1:3] == [
+        b'-0,inf,-inf,-9.9998886718268301e-321,9223372036854775807,"1,2|3"',
+        b"0.1,True,False,255,1180591620717411303424,4.9406564584124654e-324",
+    ]
