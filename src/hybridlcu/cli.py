@@ -18,6 +18,7 @@ import os
 import pathlib
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
-DEFAULT_SHOTS = 20000
-
 # Leading term, in standard errors, of the Bernstein half-width that the
 # Monte-Carlo mean may sit from the analytic value before the demo
 # cross-check is declared broken.
@@ -60,28 +59,57 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config files
 
-_RUN_KEYS = {"run.seed": "u64", "run.shots": "int", "run.out": "str", "run.workers": "int"}
 
-_PARAM_KEYS: dict[str, dict[str, str]] = {
-    "demo": {"demo.m": "int", "demo.dim": "int", "demo.epsilon": "float", "demo.delta": "float"},
-    "lchs": {
-        "lchs.l_norm": "float",
-        "lchs.t": "float",
-        "lchs.epsilon": "float",
-        "lchs.points": "int",
-        "lchs.p_assumed": "float",
-    },
-    "qlss": {"qlss.kappas": "floats", "qlss.epsilon": "float", "qlss.dim": "int"},
-    "gsp": {"gsp.dim": "int", "gsp.delta": "float", "gsp.p0": "float", "gsp.epsilon": "float"},
-    "qed": {
-        "qed.r_values": "floats",
-        "qed.pz_min": "float",
-        "qed.pz_max": "float",
-        "qed.pz_points": "int",
-        "qed.codewords": "int",
-    },
-    "partitions": {"partitions.m": "int", "partitions.dim": "int"},
+class _Param(NamedTuple):
+    """One config key: how its text is read, its default, and its inclusive range."""
+
+    kind: str
+    default: object
+    lo: int | None = None
+    hi: int | None = None
+
+    def range_text(self) -> str:
+        if self.lo is None:
+            return ""
+        return f">= {self.lo}" if self.hi is None else f"{self.lo}..{self.hi}"
+
+
+# The one declaration of every config key; a subcommand reads the run.* keys
+# and its own. Flags override the run.* keys. Keys without a range here are
+# validated by the driver that reads them.
+_PARAMS = {
+    "run.seed": _Param("u64", 0),
+    "run.shots": _Param("int", 20000, 1),
+    "run.out": _Param("str", "."),
+    "run.workers": _Param("int", 1, 1),
+    "demo.m": _Param("int", 4, 1, 6),
+    "demo.dim": _Param("int", 4, 2, 8),
+    "demo.epsilon": _Param("float", 0.05),
+    "demo.delta": _Param("float", 0.05),
+    "lchs.l_norm": _Param("float", 2.0),
+    "lchs.t": _Param("float", 3.0),
+    "lchs.epsilon": _Param("float", 5e-5),
+    "lchs.points": _Param("int", 60, 1),
+    "lchs.p_assumed": _Param("float", 1e-2),
+    "qlss.kappas": _Param("floats", (4.0, 8.0, 16.0, 32.0)),
+    "qlss.epsilon": _Param("float", 1e-2),
+    "qlss.dim": _Param("int", 8, 1, qcore.MAX_PURE_DIM),
+    "gsp.dim": _Param("int", 16, 2, qcore.MAX_PURE_DIM),
+    "gsp.delta": _Param("float", 0.2),
+    "gsp.p0": _Param("float", 0.5),
+    "gsp.epsilon": _Param("float", 1e-3),
+    "qed.r_values": _Param("floats", (0.1, 0.2, 0.3)),
+    "qed.pz_min": _Param("float", 1e-3),
+    "qed.pz_max": _Param("float", 1e-1),
+    "qed.pz_points": _Param("int", 10, 1),
+    "qed.codewords": _Param("int", 32, 1),
+    "partitions.m": _Param("int", 5, 1, 8),
+    "partitions.dim": _Param("int", 4, 2, 8),
 }
+
+
+def _table(subcommand: str) -> dict[str, _Param]:
+    return {key: param for key, param in _PARAMS.items() if key.split(".")[0] in ("run", subcommand)}
 
 
 def _finite(key: str, value: float) -> float:
@@ -131,11 +159,10 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-_MISSING = object()
-
-
 @dataclass
 class RunConfig:
+    """A resolved run: every key of the subcommand's table in ``params``, coerced and range-checked."""
+
     subcommand: str
     seed: int
     shots: int
@@ -143,49 +170,48 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     emit_plot_script: bool = False
 
-    def get(self, key: str, default=_MISSING):
-        if key in self.params:
-            return self.params[key]
-        if default is _MISSING:
-            raise ConfigError(f"missing config key {key!r}")
-        return default
-
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict[str, str] = {}
+    texts: dict[str, str] = {}
     if args.config is not None:
         path = pathlib.Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        file_cfg = parse_config_text(path.read_text())
-    known = dict(_RUN_KEYS)
-    known.update(_PARAM_KEYS[args.subcommand])
-    unknown = sorted(set(file_cfg) - set(known))
+        texts = parse_config_text(path.read_text())
+    table = _table(args.subcommand)
+    unknown = sorted(set(texts) - set(table))
     if unknown:
         raise ConfigError(f"unknown config keys for {args.subcommand}: {', '.join(unknown)}")
-    coerced = {key: _coerce(key, known[key], value) for key, value in file_cfg.items()}
-
-    def pick(flag_value, key, default):
-        return flag_value if flag_value is not None else coerced.get(key, default)
-
-    seed = pick(args.seed, "run.seed", 0)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed {seed} outside the 64-bit range")
-    shots = pick(args.shots, "run.shots", DEFAULT_SHOTS)
-    if shots < 1:
-        raise ConfigError("shots must be >= 1")
-    if pick(args.workers, "run.workers", 1) < 1:
-        raise ConfigError("workers must be >= 1")
-    out_dir = pathlib.Path(pick(args.out, "run.out", "."))
-    params = {key: value for key, value in coerced.items() if not key.startswith("run.")}
+    # the qed noise grid is given whole or not at all
+    grid = ("qed.pz_min", "qed.pz_max", "qed.pz_points")
+    missing = [key for key in grid if key not in texts]
+    if 0 < len(missing) < len(grid):
+        raise ConfigError(f"missing config key {missing[0]!r}")
+    texts.update((key, flag) for key, flag in vars(args).items() if key.startswith("run.") and flag is not None)
+    values = {}
+    for key, param in table.items():
+        value = _coerce(key, param.kind, texts[key]) if key in texts else param.default
+        if (param.lo is not None and value < param.lo) or (param.hi is not None and value > param.hi):
+            raise ConfigError(f"{key} = {value} out of range ({param.range_text()})")
+        values[key] = value
     return RunConfig(
         subcommand=args.subcommand,
-        seed=seed,
-        shots=shots,
-        out_dir=out_dir,
-        params=params,
+        seed=values["run.seed"],
+        shots=values["run.shots"],
+        out_dir=pathlib.Path(values["run.out"]),
+        params={key: value for key, value in values.items() if not key.startswith("run.")},
         emit_plot_script=args.emit_plot_script,
     )
+
+
+def _keys_epilog(subcommand: str) -> str:
+    """The --help listing of a subcommand's config keys, read from the parameter table."""
+    lines = ["config keys (key = value lines in --config; flags override run.*):"]
+    for key, param in _table(subcommand).items():
+        default = ", ".join(map(str, param.default)) if param.kind == "floats" else param.default
+        span = param.range_text()
+        lines.append(f"  {key:<16} {param.kind:<7} default {default}" + (f", range {span}" if span else ""))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +248,8 @@ def _write_partition_csv(path, rows, seed: int) -> None:
 
 def cmd_demo(config: RunConfig) -> None:
     """Random instance, partition scan, three-way cross-check, estimation."""
-    m = config.get("demo.m", 4)
-    dim = config.get("demo.dim", 4)
-    if not 1 <= m <= 6:
-        raise ConfigError(f"demo.m = {m} outside 1..6")
-    if not 2 <= dim <= 8:
-        raise ConfigError(f"demo.dim = {dim} outside 2..8")
-    epsilon = config.get("demo.epsilon", 0.05)
-    delta = config.get("demo.delta", 0.05)
+    p = config.params
+    m, dim = p["demo.m"], p["demo.dim"]
     rng = np.random.default_rng(config.seed)
     dec, psi, obs = _random_instance(m, dim, rng)
 
@@ -271,8 +291,9 @@ def cmd_demo(config: RunConfig) -> None:
         hists = [estimate.Histogram(sampler.table["g"], tally) for sampler, tally in zip(samplers, counts)]
         for checked, hist in zip(samplers, hists):
             # exact variance and |g| <= 1 (unit-norm observables): the bound holds at
-            # every N, also when all shots agree and the sample variance is 0
-            variance = checked.exact_second - checked.exact_mean**2
+            # every N, also when all shots agree and the sample variance is 0. The
+            # clamp drops a rounding-negative difference at zero variance.
+            variance = max(0.0, checked.exact_second - checked.exact_mean**2)
             width = estimate.bernstein_half_width(variance, 1.0, hist.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
             if abs(hist.mean - checked.exact_mean) > width:
                 raise InvariantViolation(
@@ -281,7 +302,7 @@ def cmd_demo(config: RunConfig) -> None:
         batch = estimate.SampleBatch(*hists, seed=config.seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
 
-        est_cfg = estimate.EstimationConfig(epsilon=epsilon, delta=delta, bound_c=1.0)
+        est_cfg = estimate.EstimationConfig(epsilon=p["demo.epsilon"], delta=p["demo.delta"], bound_c=1.0)
         reports = [
             estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
             estimate.estimate_ratio(batch, est_cfg),
@@ -295,44 +316,24 @@ def cmd_demo(config: RunConfig) -> None:
 
 def cmd_partitions(config: RunConfig) -> None:
     """Exhaustive table of partition, ancilla width a*, R, R - P."""
-    m = config.get("partitions.m", 5)
-    dim = config.get("partitions.dim", 4)
-    if not 1 <= m <= 8:
-        raise ConfigError(f"partitions.m = {m} outside 1..8")
-    if not 2 <= dim <= 8:
-        raise ConfigError(f"partitions.dim = {dim} outside 2..8")
+    m = config.params["partitions.m"]
     rng = np.random.default_rng(config.seed)
-    dec, psi, _ = _random_instance(m, dim, rng)
+    dec, psi, _ = _random_instance(m, config.params["partitions.dim"], rng)
     rows = partition_mod.scan(dec, psi)
     _write_partition_csv(config.out_dir / "partitions.csv", rows, config.seed)
     print(f"partitions: {len(rows)} rows for m={m} in {config.out_dir}")
 
 
-def _count(config: RunConfig, key: str, default=_MISSING) -> int:
-    value = config.get(key, default)
-    if value < 1:
-        raise ConfigError(f"{key} must be >= 1")
-    return value
-
-
 def cmd_lchs(config: RunConfig) -> None:
-    rows = lchs.fig_sweep(
-        l_norm=config.get("lchs.l_norm", 2.0),
-        t=config.get("lchs.t", 3.0),
-        epsilon=config.get("lchs.epsilon", 5e-5),
-        points=_count(config, "lchs.points", 60),
-        p_assumed=config.get("lchs.p_assumed", 1e-2),
-    )
+    # each lchs.* key names a fig_sweep parameter
+    rows = lchs.fig_sweep(**{key.removeprefix("lchs."): value for key, value in config.params.items()})
     lchs.write_sweep_csv(config.out_dir / "lchs_bound.csv", rows, config.seed, __version__)
     print(f"lchs: {len(rows)} rows, M from {rows[0].m} to {rows[-1].m}, in {config.out_dir}")
 
 
 def cmd_qlss(config: RunConfig) -> None:
-    kappas = config.get("qlss.kappas", (4.0, 8.0, 16.0, 32.0))
-    dim = config.get("qlss.dim", 8)
-    if not 1 <= dim <= qcore.MAX_PURE_DIM:
-        raise ConfigError(f"qlss.dim = {dim} outside 1..{qcore.MAX_PURE_DIM}")
-    rows = qlss.sweep(kappas, epsilon=config.get("qlss.epsilon", 1e-2), dim=dim, seed=config.seed)
+    p = config.params
+    rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=config.seed)
     qlss.write_table_csv(config.out_dir / "qlss_table.csv", rows, config.seed, __version__)
     line = f"qlss: {len(rows)} rows"
     if len(rows) >= 2:
@@ -342,29 +343,17 @@ def cmd_qlss(config: RunConfig) -> None:
 
 
 def cmd_gsp(config: RunConfig) -> None:
-    dim = config.get("gsp.dim", 16)
-    if not 2 <= dim <= qcore.MAX_PURE_DIM:
-        raise ConfigError(f"gsp.dim = {dim} outside 2..{qcore.MAX_PURE_DIM}")
-    delta = config.get("gsp.delta", 0.2)
-    p0 = config.get("gsp.p0", 0.5)
-    epsilon = config.get("gsp.epsilon", 1e-3)
-    h_matrix, psi = gsp.random_gsp_instance(dim, delta, p0, seed=config.seed)
-    report = gsp.hybrid_gsp(gsp.GspConfig(h_matrix=h_matrix, p0=p0, epsilon=epsilon), psi)
+    p = config.params
+    h_matrix, psi = gsp.random_gsp_instance(p["gsp.dim"], p["gsp.delta"], p["gsp.p0"], seed=config.seed)
+    report = gsp.hybrid_gsp(gsp.GspConfig(h_matrix=h_matrix, p0=p["gsp.p0"], epsilon=p["gsp.epsilon"]), psi)
     gsp.write_report_rows_csv(config.out_dir / "gsp_report.csv", [report], config.seed, __version__)
     print(f"gsp: final distance {report.final_distance:.3e}, R {report.r_factor:.6f}, in {config.out_dir}")
 
 
 def cmd_qed(config: RunConfig) -> None:
-    r_values = config.get("qed.r_values", (0.1, 0.2, 0.3))
-    grid_keys = ("qed.pz_min", "qed.pz_max", "qed.pz_points")
-    if any(key in config.params for key in grid_keys):
-        # a partial grid spec is an error naming the absent key
-        pz_grid = np.geomspace(
-            config.get("qed.pz_min"), config.get("qed.pz_max"), _count(config, "qed.pz_points")
-        )
-    else:
-        pz_grid = np.geomspace(1e-3, 1e-1, 10)
-    rows = qed.fig_sweep(r_values, pz_grid, _count(config, "qed.codewords", 32), config.seed)
+    p = config.params
+    pz_grid = np.geomspace(p["qed.pz_min"], p["qed.pz_max"], p["qed.pz_points"])
+    rows = qed.fig_sweep(p["qed.r_values"], pz_grid, p["qed.codewords"], config.seed)
     qed.write_sweep_csv(config.out_dir / "qed_sweep.csv", rows, config.seed, __version__)
     print(f"qed: {len(rows)} rows, in {config.out_dir}")
 
@@ -449,12 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         "partitions": "exhaustive partition table with ancilla widths and R",
     }
     for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc)
+        p = sub.add_parser(name, help=desc, epilog=_keys_epilog(name), formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", metavar="PATH", help="key = value config file")
-        p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--shots", type=int, metavar="N")
-        p.add_argument("--out", metavar="DIR")
-        p.add_argument("--workers", type=int, metavar="N", help="accepted; has no effect")
+        # each flag overrides its run.* key and is read and checked as config text
+        p.add_argument("--seed", dest="run.seed", metavar="U64")
+        p.add_argument("--shots", dest="run.shots", metavar="N")
+        p.add_argument("--out", dest="run.out", metavar="DIR")
+        p.add_argument("--workers", dest="run.workers", metavar="N", help="accepted; has no effect")
         p.add_argument("--emit-plot-script", action="store_true")
     return parser
 

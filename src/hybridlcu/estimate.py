@@ -68,8 +68,13 @@ class EstimationConfig:
             raise ValueError("epsilon must be positive and finite")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.bound_c > 0:
-            raise ValueError("bound_c must be positive")
+        if not 0 < self.bound_c < math.inf:
+            raise ValueError("bound_c must be positive and finite")
+        # a bound below the truth would report an interval narrower than the data allow
+        if self.ratio_bound_cprime is not None and not 0 < self.ratio_bound_cprime < math.inf:
+            raise ValueError("ratio_bound_cprime must be positive and finite")
+        if self.sigma2_obs_bound is not None and not 0 <= self.sigma2_obs_bound < math.inf:
+            raise ValueError("sigma2_obs_bound must be nonnegative and finite")
 
     @property
     def cprime(self) -> float:
@@ -195,6 +200,8 @@ def bernstein_half_width(sigma2_bound: float, c: float, n: int, delta: float) ->
     """Invert the Bernstein tail: epsilon with 2 exp(-N eps^2/(2 sigma2 + 4 c eps/3)) = delta."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if sigma2_bound < 0:
+        raise ValueError("sigma2 must be nonnegative")
     ell = math.log(2.0 / delta)
     b = (4.0 * c / 3.0) * ell
     return (b + math.sqrt(b * b + 8.0 * sigma2_bound * n * ell)) / (2.0 * n)

@@ -8,7 +8,8 @@ probability-weighted mixture of unitaries, the composite reduction
 factor equals the survival probability of the cosine stage alone,
 R = <psi| cos^{2T'}(H) |psi>.
 
-Filters are computed spectrally from the exact eigensystem; the energy
+Filters are computed spectrally from the exact eigensystem, which a
+GspConfig diagonalises once for the whole run; the energy
 estimates E and E' the algorithm would obtain from measurements are
 modeled as the true ground energy plus injected offsets, so the
 robustness claims can be probed directly.
@@ -37,32 +38,44 @@ __all__ = [
     "write_report_rows_csv",
 ]
 
+# Theta-hidden constants of the cosine order T', the Gaussian width sigma^2
+# and its shift tau'; 1 meets the accuracy the tests check.
+C_T = 1.0
+C_SIGMA = 1.0
+C_TAU_PRIME = 1.0
+
 
 def cosine_filter(h_matrix, e: float, tau: float, order: int) -> np.ndarray:
     """cos^order(H - (e - tau) 1), evaluated on the spectrum of H."""
+    return _cosine_filter(qcore.eigh(h_matrix), e, tau, order)
+
+
+def _cosine_filter(spectrum, e: float, tau: float, order: int) -> np.ndarray:
     if order < 0:
         raise ValueError("filter order must be nonnegative")
-    h = qcore.require_hermitian(qcore.as_matrix(h_matrix), what="h_matrix")
-    w, v = qcore.eigh(h)
+    w, v = spectrum
     vals = np.cos(w - (e - tau)) ** order
     return (v * vals[None, :]) @ v.conj().T
 
 
 def gaussian_filter(h_matrix, e_prime: float, tau_prime: float, sigma2: float) -> np.ndarray:
     """exp(-sigma2 (H - (e_prime - tau_prime) 1)^2 / 2) on the spectrum of H."""
+    return _gaussian_filter(qcore.eigh(h_matrix), e_prime, tau_prime, sigma2)
+
+
+def _gaussian_filter(spectrum, e_prime: float, tau_prime: float, sigma2: float) -> np.ndarray:
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
-    h = qcore.require_hermitian(qcore.as_matrix(h_matrix), what="h_matrix")
-    w, v = qcore.eigh(h)
+    w, v = spectrum
     shifted = w - (e_prime - tau_prime)
     vals = np.exp(-0.5 * sigma2 * shifted**2)
     return (v * vals[None, :]) @ v.conj().T
 
 
-def cosine_params(delta: float, p0: float, eps: float, c_t: float = 1.0, c_tau: float = 1.0) -> tuple[int, float]:
+def cosine_params(delta: float, p0: float, eps: float, c_tau: float = 1.0) -> tuple[int, float]:
     """Filter order and shift for a target distance eps from overlap bound p0.
 
-    order = ceil(c_t * delta^-2 * log^2(1/(p0*eps))),
+    order = ceil(C_T * delta^-2 * log^2(1/(p0*eps))),
     tau   = c_tau * delta / log(1/(p0*eps)).
     """
     if not delta > 0.0:
@@ -72,14 +85,14 @@ def cosine_params(delta: float, p0: float, eps: float, c_t: float = 1.0, c_tau: 
     log_term = math.log(1.0 / (p0 * eps))
     if not log_term > 0.0:
         raise ValueError("p0 * eps must be < 1")
-    order = math.ceil(c_t * log_term**2 / delta**2)
+    order = math.ceil(C_T * log_term**2 / delta**2)
     tau = c_tau * delta / log_term
     return order, tau
 
 
-def _ground_state(h: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """(ground energy, spectral gap, ground eigenvector) of a Hermitian matrix."""
-    w, v = qcore.eigh(h)
+def _ground_state(spectrum) -> tuple[float, float, np.ndarray]:
+    """(ground energy, spectral gap, ground eigenvector) from the spectrum of a Hermitian matrix."""
+    w, v = spectrum
     if w.size < 2:
         raise ValueError("need at least a two-level spectrum")
     gap = float(w[1] - w[0])
@@ -94,12 +107,14 @@ def filter_quality(h_matrix, psi, filter_matrix) -> tuple[float, float]:
     distance = min over phases of || filtered/||filtered|| - e^{i phi} |lam0> ||,
     survival = || filter |psi> || for a normalized input.
     """
-    h = qcore.require_hermitian(qcore.as_matrix(h_matrix), what="h_matrix")
+    return _filter_quality(_ground_state(qcore.eigh(h_matrix))[2], psi, filter_matrix)
+
+
+def _filter_quality(ground: np.ndarray, psi, filter_matrix) -> tuple[float, float]:
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("psi must be normalized")
-    _, _, ground = _ground_state(h)
     filtered = qcore.as_matrix(filter_matrix) @ vec
     survival = float(np.linalg.norm(filtered))
     if survival <= 1e-300:
@@ -115,8 +130,10 @@ class GspConfig:
 
     e_offset / e_prime_offset model the errors of the measured energy
     estimates E and E' relative to the exact ground energy; delta_pp gives
-    the accuracy scale E' is supposed to respect.  Theta constants default
-    to 1 and are calibrated by the accuracy tests.
+    the accuracy scale E' is supposed to respect.  ``c_tau`` scales the
+    cosine shift tau; the other Theta constants are the module constants
+    C_T, C_SIGMA and C_TAU_PRIME.  The eigendecomposition of H is taken
+    once here and every filter of the run is built from it.
     """
 
     h_matrix: np.ndarray
@@ -124,25 +141,22 @@ class GspConfig:
     epsilon: float
     e_offset: float = 0.0
     e_prime_offset: float = 0.0
-    c_t: float = 1.0
     c_tau: float = 1.0
-    c_sigma: float = 1.0
-    c_tau_prime: float = 1.0
 
     def __post_init__(self):
         h = qcore.require_hermitian(qcore.as_matrix(self.h_matrix), what="h_matrix")
-        w = np.linalg.eigvalsh(h)
-        if w.min() < -1e-9 or w.max() > 1.0 + 1e-9:
+        spectrum = qcore.eigh(h)
+        if spectrum[0].min() < -1e-9 or spectrum[0].max() > 1.0 + 1e-9:
             raise ValueError("spectrum must be normalized into [0, 1]")
-        lam0, gap, _ = _ground_state(h)
+        lam0, gap, _ = _ground_state(spectrum)
         if not 0.0 < self.p0 < 1.0:
             raise ValueError("p0 must lie in (0, 1)")
         if not 0.0 < self.epsilon < self.p0:
             raise ValueError("two-stage filtering assumes 0 < epsilon < p0")
-        for name in ("c_t", "c_tau", "c_sigma", "c_tau_prime"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not self.c_tau > 0.0:
+            raise ValueError("c_tau must be positive")
         object.__setattr__(self, "h_matrix", h)
+        object.__setattr__(self, "_spectrum", spectrum)
         object.__setattr__(self, "_lambda0", lam0)
         object.__setattr__(self, "_gap", gap)
 
@@ -161,15 +175,15 @@ class GspConfig:
     @property
     def stage1_params(self) -> tuple[int, float]:
         """(T', tau) for the cosine stage, targeting distance O(p0)."""
-        return cosine_params(self.gap, self.p0, self.p0, c_t=self.c_t, c_tau=self.c_tau)
+        return cosine_params(self.gap, self.p0, self.p0, c_tau=self.c_tau)
 
     @property
     def sigma2(self) -> float:
-        return self.c_sigma * math.log(self.p0 / self.epsilon) / self.gap**2
+        return C_SIGMA * math.log(self.p0 / self.epsilon) / self.gap**2
 
     @property
     def tau_prime(self) -> float:
-        return self.c_tau_prime * self.gap / math.sqrt(math.log(self.p0 / self.epsilon))
+        return C_TAU_PRIME * self.gap / math.sqrt(math.log(self.p0 / self.epsilon))
 
     @property
     def delta_pp(self) -> float:
@@ -221,18 +235,19 @@ def hybrid_gsp(config: GspConfig, psi) -> GspReport:
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("psi must be normalized")
     vec = vec / nrm
-    _, _, ground = _ground_state(config.h_matrix)
+    spectrum = config._spectrum
+    _, _, ground = _ground_state(spectrum)
     overlap = float(abs(np.vdot(ground, vec)) ** 2)
 
     t_prime, tau = config.stage1_params
-    filt1 = cosine_filter(config.h_matrix, config.e_estimate, tau, t_prime)
-    stage1_distance, stage1_survival = filter_quality(config.h_matrix, vec, filt1)
+    filt1 = _cosine_filter(spectrum, config.e_estimate, tau, t_prime)
+    stage1_distance, stage1_survival = _filter_quality(ground, vec, filt1)
     r_factor = stage1_survival**2
 
     psi1 = filt1 @ vec
     psi1 = psi1 / np.linalg.norm(psi1)
-    filt2 = gaussian_filter(config.h_matrix, config.e_prime_estimate, config.tau_prime, config.sigma2)
-    final_distance, final_survival = filter_quality(config.h_matrix, psi1, filt2)
+    filt2 = _gaussian_filter(spectrum, config.e_prime_estimate, config.tau_prime, config.sigma2)
+    final_distance, final_survival = _filter_quality(ground, psi1, filt2)
 
     inv_eps2 = 1.0 / config.epsilon**2
     log_p0 = math.log(1.0 / config.p0)

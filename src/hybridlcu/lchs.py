@@ -52,7 +52,7 @@ __all__ = [
 # Theta-hidden trapezoid constant, calibrated so the bound-vs-M curve hits
 # the documented operating point (|L|=2, T=3, 2*eps=1e-4: bound <= 1.1e-2
 # at M ~ 2^21 while the fully coherent window needs ~2^29 nodes).
-DEFAULT_M_MULTIPLIER = 0.5
+M_MULTIPLIER = 0.5
 
 # largest window that is ever materialized as node and weight arrays
 MAX_WINDOW_NODES = 1 << 22
@@ -94,16 +94,14 @@ class LchsConfig:
     t: float
     epsilon: float
     k2: float | None = None
-    m_multiplier: float = DEFAULT_M_MULTIPLIER
     l_norm: float | None = None
+    m_multiplier = M_MULTIPLIER  # a class constant, not a field
 
     def __post_init__(self):
         if not (math.isfinite(self.t) and self.t >= 0):
             raise ValueError("t must be finite and nonnegative")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if not (math.isfinite(self.m_multiplier) and self.m_multiplier > 0):
-            raise ValueError("m_multiplier must be finite and positive")
         if self.a_matrix is not None:
             l_psd, h, shift = split_hermitian(self.a_matrix)
             object.__setattr__(self, "a_matrix", qcore.as_matrix(self.a_matrix))
@@ -170,7 +168,7 @@ class LchsDiscretization:
 
 
 def node_count(config: LchsConfig) -> int:
-    """M = ceil(C * |L| * T * sqrt(K2^3 / eps)); 0 for an empty window.
+    """M = ceil(M_MULTIPLIER * |L| * T * sqrt(K2^3 / eps)); 0 for an empty window.
 
     A floor of ceil(2 K2 / sqrt(eps)) keeps the trapezoid resolving the
     Cauchy weight itself; the oscillation term vanishes at T = 0 and the
@@ -179,7 +177,7 @@ def node_count(config: LchsConfig) -> int:
     k2 = float(config.k2)
     if k2 == 0.0:
         return 0
-    osc = config.m_multiplier * config.l_norm * config.t * math.sqrt(k2**3 / config.epsilon)
+    osc = M_MULTIPLIER * config.l_norm * config.t * math.sqrt(k2**3 / config.epsilon)
     floor = 2.0 * k2 / math.sqrt(config.epsilon)
     if not math.isfinite(osc + floor):
         raise ValueError(f"node count overflows at K2 = {k2:.6g}, eps = {config.epsilon:.3g}")
@@ -241,6 +239,8 @@ def discretize(config: LchsConfig) -> LchsDiscretization:
 
 
 def _window_unitaries(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
+    if disc.m == 0:
+        raise ValueError("empty window has no group operator")
     h = config.antihermitian_part
     l_psd = config.hermitian_part
     out = np.empty((disc.nodes.size,) + h.shape, dtype=complex)
@@ -251,7 +251,7 @@ def _window_unitaries(config: LchsConfig, disc: LchsDiscretization) -> np.ndarra
 
 def window_operator(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
     """Normalized coherent-group operator sum_j (s_j/|s|_1) U_j."""
-    return lcu.assemble_klcu(window_decomposition(config, disc))
+    return np.tensordot(disc.weights / disc.s_norm1, _window_unitaries(config, disc), axes=1)
 
 
 def window_decomposition(config: LchsConfig, disc: LchsDiscretization):
@@ -260,8 +260,6 @@ def window_decomposition(config: LchsConfig, disc: LchsDiscretization):
     Together with a one-group partition this is the coherent side of the
     channel; tail draws stay continuous via sample_tail/tail_unitary.
     """
-    if disc.m == 0:
-        raise ValueError("empty window has no group operator")
     return lcu.LcuDecomposition.from_terms(disc.weights, _window_unitaries(config, disc))
 
 
@@ -279,15 +277,9 @@ def _tail_integral(config: LchsConfig, k2: float, k1: float) -> np.ndarray:
     # scipy costs about half a second to import and only the accuracy checks need it
     from scipy.integrate import quad_vec
 
-    h = config.antihermitian_part
-    l_psd = config.hermitian_part
-    t = config.t
-
     def integrand(theta: float) -> np.ndarray:
         k = math.tan(theta)
-        plus = qcore.expm_i_hermitian(h + k * l_psd, t)
-        minus = qcore.expm_i_hermitian(h - k * l_psd, t)
-        return (plus + minus) / math.pi
+        return (tail_unitary(config, k) + tail_unitary(config, -k)) / math.pi
 
     val, _ = quad_vec(integrand, math.atan(k2), math.atan(k1), epsabs=1e-12, epsrel=1e-10)
     return val
@@ -326,14 +318,16 @@ def measured_r(config: LchsConfig, disc: LchsDiscretization, state) -> float:
 
 
 def measured_p(config: LchsConfig, disc: LchsDiscretization, state) -> float:
-    """tr[K rho K^dag] for the normalized truncated representation."""
+    """tr[K rho K^dag] for the normalized truncated representation.
+
+    K = q_window * window_operator + q_tail * tail_operator, which is the
+    assembled window sum plus tail integral over |s|_1 + (2/pi) alpha.
+    """
     rho = qcore.density(state)
-    parts = []
-    if disc.m > 0:
-        parts.append(disc.q_window * window_operator(config, disc))
-    if disc.alpha > 0.0:
-        parts.append(disc.q_tail * tail_operator(config, disc))
-    k_norm = sum(parts)
+    mass = disc.s_norm1 + (2.0 / math.pi) * disc.alpha
+    if mass == 0.0:
+        raise ValueError("empty representation: no window nodes and no tail")
+    k_norm = assemble(config, disc) / mass
     return float(np.trace(k_norm @ rho @ k_norm.conj().T).real)
 
 
@@ -390,7 +384,6 @@ def fig_sweep(
     epsilon: float = 5e-5,
     points: int = 60,
     p_assumed: float = 1e-2,
-    m_multiplier: float = DEFAULT_M_MULTIPLIER,
 ) -> list[SweepRow]:
     """Bound-vs-M curve: sweep K2 over (0, K1], analytic figures only.
 
@@ -404,7 +397,7 @@ def fig_sweep(
         raise ValueError("epsilon = 1 truncates the integral at K1 = 0: no window to sweep")
     rows = []
     for k2 in np.geomspace(k1 * 1e-4, k1, points):
-        config = LchsConfig(None, t, epsilon, k2=float(k2), m_multiplier=m_multiplier, l_norm=l_norm)
+        config = LchsConfig(None, t, epsilon, k2=float(k2), l_norm=l_norm)
         m = node_count(config)
         s1 = window_weight_sum(float(k2), m)
         alpha = math.atan(k1) - math.atan(float(k2))

@@ -50,24 +50,20 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # 2 so both cutoff errors scale as (eps/kappa)^2; with multipliers of 1
 # they scale as sqrt(eps/kappa), which saturates the 5*eps inverse-error
 # budget already at kappa = 4.  The step multipliers stay at 1.
-DEFAULT_C_J = 2.0
-DEFAULT_C_K = 2.0
-DEFAULT_C_Y = 1.0
-DEFAULT_C_Z = 1.0
+C_J = 2.0
+C_K = 2.0
+C_Y = 1.0
+C_Z = 1.0
 
 
 @dataclass(frozen=True)
 class QlssConfig:
-    """Problem instance: Hermitian matrix, unit right-hand side, grid constants."""
+    """Problem instance: Hermitian matrix, unit right-hand side, kappa, epsilon (grid constants C_J..C_Z)."""
 
     m_matrix: np.ndarray
     b: np.ndarray
     kappa: float
     epsilon: float
-    c_j: float = DEFAULT_C_J
-    c_k: float = DEFAULT_C_K
-    c_y: float = DEFAULT_C_Y
-    c_z: float = DEFAULT_C_Z
 
     def __post_init__(self):
         m = qcore.require_hermitian(qcore.as_matrix(self.m_matrix), what="m_matrix")
@@ -81,9 +77,6 @@ class QlssConfig:
             raise ValueError("kappa must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        for name in ("c_j", "c_k", "c_y", "c_z"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
         evals, evecs = qcore.eigh(m)
         lo = 1.0 / self.kappa - 1e-9
         hi = 1.0 + 1e-9
@@ -169,10 +162,10 @@ class QlssGrid:
 
 def build_grid(config: QlssConfig) -> QlssGrid:
     ell = config.log_factor
-    j_count = max(1, math.ceil(config.c_j * (config.kappa / config.epsilon) * ell))
-    k_count = max(1, math.ceil(config.c_k * config.kappa * ell))
-    dy = config.c_y * config.epsilon / math.sqrt(ell)
-    dz = config.c_z / (config.kappa * math.sqrt(ell))
+    j_count = max(1, math.ceil(C_J * (config.kappa / config.epsilon) * ell))
+    k_count = max(1, math.ceil(C_K * config.kappa * ell))
+    dy = C_Y * config.epsilon / math.sqrt(ell)
+    dz = C_Z / (config.kappa * math.sqrt(ell))
     z_nodes = np.arange(-k_count, k_count + 1) * dz
     z_weights = dz * z_nodes * np.exp(-0.5 * z_nodes**2)
     beta = float(np.abs(z_weights).sum())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridlcu import cli, gsp, hybrid, partition, qcore, qed, qlss
+from hybridlcu import cli, gsp, hybrid, lchs, partition, qcore, qed, qlss
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -145,6 +146,25 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["gsp", "--config", str(cfg), "--out", str(tmp_path)]) == 2, value
         assert "gsp.dim" in capsys.readouterr().err
+    # one step past each side of every bound in the key table (so demo.dim = 9,
+    # partitions.m = 0, ...) is refused by key, as is a seed below 0
+    out_of_range = [("run.seed", -1)]
+    for key, param in cli._PARAMS.items():
+        out_of_range += [(key, bound + step) for bound, step in ((param.lo, -1), (param.hi, 1)) if bound is not None]
+    for key, value in out_of_range:
+        subcommand = "demo" if key.startswith("run.") else key.split(".")[0]
+        # the qed grid is given whole
+        grid = "qed.pz_min = 1e-3\nqed.pz_max = 1e-1\n" if key == "qed.pz_points" else ""
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(f"{grid}{key} = {value}\n")
+        capsys.readouterr()
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (key, value)
+        assert key in capsys.readouterr().err, (key, value)
+    # flags are checked by the same table
+    for flag, key in (("--shots", "run.shots"), ("--workers", "run.workers"), ("--seed", "run.seed")):
+        capsys.readouterr()
+        assert cli.main(["partitions", flag, "-1", "--out", str(tmp_path)]) == 2, flag
+        assert key in capsys.readouterr().err, flag
 
 
 def test_dimension_above_pure_state_cap_is_config_error(tmp_path, monkeypatch, capsys):
@@ -160,6 +180,40 @@ def test_dimension_above_pure_state_cap_is_config_error(tmp_path, monkeypatch, c
         capsys.readouterr()
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, subcommand
         assert f"{subcommand}.dim" in capsys.readouterr().err
+
+
+def test_cli_defaults_match_driver_signatures():
+    def defaults(fn):
+        return {name: param.default for name, param in inspect.signature(fn).parameters.items()}
+
+    table = cli._PARAMS
+    sweep = defaults(lchs.fig_sweep)
+    # cmd_lchs passes each lchs.* key as the fig_sweep parameter it names
+    names = [key.removeprefix("lchs.") for key in table if key.startswith("lchs.")]
+    assert names == ["l_norm", "t", "epsilon", "points", "p_assumed"]
+    for name in names:
+        assert table[f"lchs.{name}"].default == sweep[name], name
+    sweep = defaults(qlss.sweep)
+    for name in ("epsilon", "dim"):
+        assert table[f"qlss.{name}"].default == sweep[name], name
+    sweep = defaults(qed.fig_sweep)
+    assert table["qed.r_values"].default == sweep["r_values"]
+    assert table["qed.codewords"].default == sweep["codewords"]
+    # the driver's own grid, taken when pz_grid is None
+    grid = np.geomspace(table["qed.pz_min"].default, table["qed.pz_max"].default, table["qed.pz_points"].default)
+    assert sweep["pz_grid"] is None
+    assert [row.p_z for row in qed.fig_sweep(r_values=(0.1,), codewords=1)] == grid.tolist()
+
+
+def test_help_lists_every_config_key(capsys):
+    for subcommand in cli._HANDLERS:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([subcommand, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key, param in cli._table(subcommand).items():
+            (line,) = [line for line in lines if line.split()[:1] == [key]]
+            assert param.kind in line and "default" in line and param.range_text() in line, line
 
 
 def test_absent_config_file_is_config_error(tmp_path):
@@ -268,6 +322,14 @@ def test_demo_few_shots_pass_or_config_error(tmp_path):
         for seed in (1, 2, 3, 4)
     }
     assert set(codes.values()) <= {0, 2}, codes
+
+
+def test_demo_rounding_negative_variance_passes_gate(tmp_path):
+    # at m = 1, seed 27 the exact variance E[g^2] - E[g]^2 rounds to -6.7e-16; the
+    # Bernstein gate, which refuses a negative variance, must see it as 0
+    cfg = tmp_path / "m1.cfg"
+    cfg.write_text("demo.m = 1\ndemo.dim = 2\n")
+    assert cli.main(["demo", "--config", str(cfg), "--seed", "27", "--shots", "100", "--out", str(tmp_path)]) == 0
 
 
 def test_missing_subcommand_is_usage_error():

@@ -85,6 +85,27 @@ def test_config_domain_and_cprime_default():
     assert config.cprime == 0.7 and not config.cprime_defaulted
 
 
+def test_config_rejects_dishonest_bounds():
+    # a negative variance bound narrowed the Bernstein interval below the one
+    # for a bound of 0, and a NaN bound gave a NaN width with no error
+    for bounds in (
+        {"sigma2_obs_bound": -0.01},
+        {"sigma2_obs_bound": math.nan},
+        {"sigma2_obs_bound": math.inf},
+        {"ratio_bound_cprime": 0.0},
+        {"ratio_bound_cprime": -1.0},
+        {"ratio_bound_cprime": math.nan},
+        {"ratio_bound_cprime": math.inf},
+        {"bound_c": math.inf},
+        {"bound_c": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            EstimationConfig(**{"epsilon": 0.1, "delta": 0.05, "bound_c": 1.0, **bounds})
+    EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0, sigma2_obs_bound=0.0)
+    with pytest.raises(ValueError):
+        bernstein_half_width(-0.01, 1.0, 10, 0.05)
+
+
 def test_z_quantile_value_and_bound():
     assert abs(z_quantile(0.05) - 1.9599639845400545) <= 1e-8
     for delta in (0.3, 0.1, 0.05, 0.01, 1e-4):

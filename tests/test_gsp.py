@@ -261,6 +261,26 @@ def test_hybrid_report_at_operating_point():
         assert rep.r_factor == pytest.approx(rep.stage1_survival**2, abs=1e-12)
 
 
+def test_hybrid_diagonalises_once(monkeypatch):
+    # the config's one eigendecomposition feeds both filters and the ground vector,
+    # and the report matches the public filter functions that diagonalise on their own
+    h, psi = random_gsp_instance(16, 0.2, 0.5, seed=1)
+    calls = []
+    unpatched = qcore.eigh
+    monkeypatch.setattr(qcore, "eigh", lambda m: calls.append(1) or unpatched(m))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
+    rep = hybrid_gsp(cfg, psi)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    t_prime, tau = cfg.stage1_params
+    filt1 = cosine_filter(h, cfg.e_estimate, tau, t_prime)
+    assert (rep.stage1_distance, rep.stage1_survival) == filter_quality(h, psi, filt1)
+    psi1 = filt1 @ psi / np.linalg.norm(filt1 @ psi)
+    filt2 = gaussian_filter(h, cfg.e_prime_estimate, cfg.tau_prime, cfg.sigma2)
+    assert (rep.final_distance, rep.final_survival) == filter_quality(h, psi1, filt2)
+
+
 def test_hybrid_flags_low_overlap():
     h, _ = random_gsp_instance(8, 0.2, 0.5, seed=2)
     w, v = np.linalg.eigh(h)

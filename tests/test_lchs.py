@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from hybridlcu import lchs, partition
+from hybridlcu import lchs, lcu, partition
 from hybridlcu.lchs import (
     LchsConfig,
     discretization_at,
@@ -198,7 +198,7 @@ def test_config_validation():
     config = LchsConfig(None, t=1.0, epsilon=0.1, l_norm=1.0)
     with pytest.raises(ValueError):
         _ = config.hermitian_part
-    for bad in ({"t": math.inf}, {"t": math.nan}, {"l_norm": math.inf}, {"m_multiplier": math.inf}):
+    for bad in ({"t": math.inf}, {"t": math.nan}, {"l_norm": math.inf}):
         with pytest.raises(ValueError, match="finite"):
             LchsConfig(None, **{"t": 1.0, "epsilon": 0.1, "l_norm": 1.0, **bad})
     # finite inputs whose node count overflows a float
@@ -404,6 +404,28 @@ def test_propagator_error_grows_when_halving_m():
         err_full = np.linalg.norm(lchs.assemble(config, disc) - lchs._tail_integral(config, disc.k2, disc.k1) - exact_window, 2)
         err_half = np.linalg.norm(lchs.assemble(config, half) - lchs._tail_integral(config, disc.k2, disc.k1) - exact_window, 2)
         assert err_half >= err_full
+
+
+def test_operators_match_decomposition_oracles():
+    # window_operator against the explicit decomposition, and measured_p against
+    # q_window * window + q_tail * tail built from the oracle operators
+    rng = np.random.default_rng(13)
+    for seed, k2 in ((13, 2.0), (14, 0.5), (15, None)):
+        config = LchsConfig(random_a(seed, dim=3), t=1.0, epsilon=0.05, k2=k2)
+        disc = discretize(config)
+        k_a = lcu.assemble_klcu(window_decomposition(config, disc))
+        assert np.linalg.norm(window_operator(config, disc) - k_a, 2) <= 1e-13
+        k_norm = disc.q_window * k_a
+        if disc.alpha > 0.0:
+            k_norm = k_norm + disc.q_tail * lchs.tail_operator(config, disc)
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        want = float(np.trace(k_norm @ rho @ k_norm.conj().T).real)
+        assert measured_p(config, disc, rho) == pytest.approx(want, abs=1e-12)
+    # neither window nodes nor a tail
+    config = LchsConfig(random_a(12), t=1.0, epsilon=1.0)
+    with pytest.raises(ValueError, match="empty representation"):
+        measured_p(config, discretization_at(config, 0), np.eye(4) / 4.0)
 
 
 def test_window_operator_requires_nodes():

@@ -91,11 +91,11 @@ def test_grid_example_values():
 
 
 def test_grid_z_cutoff_tracks_sqrt_log():
-    # K*Dz should equal c_k*c_z*sqrt(log(kappa/eps)) up to one ceil step
+    # K*Dz should equal C_K*C_Z*sqrt(log(kappa/eps)) up to one ceil step
     for kappa in (2.0, 5.0, 17.0, 40.0):
         cfg = identity_config(epsilon=0.02, kappa=kappa)
         grid = build_grid(cfg)
-        target = cfg.c_k * cfg.c_z * math.sqrt(cfg.log_factor)
+        target = qlss.C_K * qlss.C_Z * math.sqrt(cfg.log_factor)
         assert abs(grid.k_count * grid.dz - target) <= grid.dz
 
 
