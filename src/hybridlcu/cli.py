@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvariantViolation, hybrid.DegenerateRoundError, np.linalg.LinAlgError) as exc:
+    except (InvariantViolation, np.linalg.LinAlgError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, estimate.UndefinedRatioError) as exc:

@@ -49,21 +49,14 @@ from .qcore import TOL
 
 __all__ = [
     "HybridChannel",
-    "DegenerateRoundError",
     "build_block_encoding",
     "build_controlled_pair",
     "exact_expectation",
     "outcome_distribution",
     "Sampler",
     "SampleArrays",
-    "compose_rounds",
-    "expectation_rounds",
     "write_shot_csv",
 ]
-
-
-class DegenerateRoundError(ValueError):
-    """A multi-round composition hit an intermediate state of vanishing trace."""
 
 
 def _householder_prepare(column: np.ndarray) -> np.ndarray:
@@ -358,40 +351,6 @@ class Sampler:
         miss = np.flatnonzero(code < 0)
         code[miss] = np.searchsorted(self.flat_cum, pair[miss] + 1j * u1[miss], side="right")
         return SampleArrays(start, code, self.table, seed=seed, stream=stream)
-
-
-def compose_rounds(channels: list[HybridChannel], state) -> tuple[list[np.ndarray], float]:
-    """Multi-round composition: intermediate states and the R product.
-
-    Round ``mu`` maps ``rho`` to the normalized mixture
-    ``sum_k q_k K_k rho K_k^dag / tr[...]``; the generalized reduction
-    factor is the product of per-round factors
-    ``sum_k q_k tr[K_k^dag K_k rho_mu]``.
-    """
-    rho = qcore.density(state)
-    intermediates = []
-    r_total = 1.0
-    for ch in channels:
-        sigma = np.zeros_like(rho)
-        for g in ch.group_ops:
-            sigma += g.weight * (g.operator @ rho @ g.operator.conj().T)
-        t = float(np.trace(sigma).real)
-        if t < 1e-14:
-            raise DegenerateRoundError(f"intermediate trace {t:.3e} vanishes")
-        r_total *= t
-        rho = sigma / t
-        intermediates.append(rho)
-    return intermediates, r_total
-
-
-def expectation_rounds(channels: list[HybridChannel], state, obs) -> float:
-    """``tr[O K^(r) ... K^(1) rho K^(1)dag ... K^(r)dag]`` for chained maps."""
-    rho = qcore.density(state)
-    o = qcore.as_observable(obs)
-    for ch in channels:
-        k = lcu.assemble_klcu(ch.decomposition)
-        rho = k @ rho @ k.conj().T
-    return float(np.trace(o.matrix @ rho).real)
 
 
 # rows formatted and written per chunk by write_shot_csv, and shots drawn per

@@ -7,15 +7,24 @@ mixture of its eight (unitary) elements gives the reduction factor
 R = tr[P_X rho], which depends on the Z-error rate only; the fully
 coherent method pays 1/P with P = tr[P_C rho].
 
-Everything is dense 7-qubit (128 x 128) density-matrix arithmetic; inputs
-are Haar-random codewords, not stabilizer states, so tableau methods
-would not apply.  Every operator is an X-type or Z-type Pauli string,
-held as a 7-bit mask of its qubits with qubit 0 the most significant bit
-(the leftmost Kronecker factor).  One convention serves the stabilizer
-generators, the eight elements of each sector (the XOR span of its
-generators), the projectors and the noise channel: an X string permutes
-the basis indices, i -> i ^ mask, and a Z string multiplies index i by
-(-1)^parity(i & mask), so the channel forms no 128 x 128 product.
+Every operator is an X-type or Z-type Pauli string, held as a 7-bit mask
+of its qubits with qubit 0 the most significant bit (the leftmost
+Kronecker factor).  One convention serves the stabilizer generators, the
+eight elements of each sector (the XOR span of its generators), the
+projectors and the noise channel: an X string permutes the basis indices,
+i -> i ^ mask, and a Z string multiplies index i by
+(-1)^parity(i & mask).
+
+P and R are read in the Heisenberg picture.  P_C is the mean of the 64
+products Z^f X^e of a Z-sector element f and an X-sector element e, and
+P_X the mean of the X^e alone.  The biased channel only rescales each
+product: dephasing at p_Z multiplies Z^f X^e by (1 - 2 p_Z)^|e| and bit
+flips at p_X by (1 - 2 p_X)^|f|, with |.| the weight of the mask.  So P
+and R at every noise point are weighted sums of one 8 x 8 table
+T[f, e] = tr[Z^f X^e rho], taken once from a gather of 1024 entries of
+rho with no 128 x 128 product.  Inputs are Haar-random codewords, not
+stabilizer states, so rho itself is dense; the dense Schroedinger-picture
+channel and projectors stay as the oracle the table is checked against.
 """
 
 from __future__ import annotations
@@ -25,20 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hybrid, lcu, partition, qcore
+from . import qcore
 
 __all__ = [
     "NoiseModel",
     "QedMetrics",
-    "QedHybridReport",
     "SweepRow",
     "N_QUBITS",
     "steane_projectors",
     "random_codeword",
     "apply_pauli_channel",
     "apply_biased_noise",
+    "stabilizer_traces",
+    "metrics_from_traces",
     "qed_metrics",
-    "hybrid_qed_channel",
     "fig_sweep",
     "write_sweep_csv",
 ]
@@ -66,6 +75,14 @@ def _flip(mask: int) -> np.ndarray:
 def _signs(mask: int) -> np.ndarray:
     """The Z string on ``mask`` as a diagonal: (-1)^parity(i & mask)."""
     return 1.0 - 2.0 * _PARITY[_INDEX & mask]
+
+
+# row k, column e: k ^ e, so rho[_SHIFTED, k] holds the diagonal of every X^e rho
+_SHIFTED = _INDEX[:, None] ^ np.array(_ELEMENT_MASKS)
+# row f: the Z string on element f as a diagonal
+_Z_SIGNS = np.array([_signs(f) for f in _ELEMENT_MASKS])
+# the qubits each element acts on, the exponent of its noise damping
+_WEIGHTS = np.array([bin(mask).count("1") for mask in _ELEMENT_MASKS])
 
 
 def _sector_elements(pauli: str):
@@ -147,11 +164,16 @@ def apply_pauli_channel(rho: np.ndarray, qubit: int, p: float, pauli: str) -> np
     return (1.0 - p) * rho + p * conj
 
 
+def _as_density(rho) -> np.ndarray:
+    rho = qcore.as_matrix(rho)
+    if rho.shape != (DIM, DIM):
+        raise ValueError(f"expected a {DIM} x {DIM} density matrix")
+    return rho
+
+
 def apply_biased_noise(rho, noise: NoiseModel) -> np.ndarray:
     """Z-dephasing then X-flip channel on every qubit."""
-    out = np.array(qcore.as_matrix(rho), dtype=complex)
-    if out.shape != (DIM, DIM):
-        raise ValueError(f"expected a {DIM} x {DIM} density matrix")
+    out = np.array(_as_density(rho), dtype=complex)
     for q in range(N_QUBITS):
         out = apply_pauli_channel(out, q, noise.p_z, "Z")
     for q in range(N_QUBITS):
@@ -169,54 +191,30 @@ class QedMetrics:
         return self.r_factor - self.p
 
 
+def stabilizer_traces(rho) -> np.ndarray:
+    """T[f, e] = tr[Z^f X^e rho] over the sector elements: an 8 x 8 real array.
+
+    The diagonal of X^e rho is rho[k ^ e, k], so column e is the Z sign
+    table applied to one gathered off-diagonal of rho.  Each Z^f X^e is
+    Hermitian (the two sectors commute), so a Hermitian rho has real traces.
+    """
+    return (_Z_SIGNS @ _as_density(rho)[_SHIFTED, _INDEX[:, None]]).real
+
+
+def metrics_from_traces(traces: np.ndarray, p_z: float = 0.0, p_x: float = 0.0) -> QedMetrics:
+    """P and R after the biased noise, from the table of :func:`stabilizer_traces`.
+
+    P = wz @ T @ wx / 64 and R = T[0] @ wx / 8 (element 0 is the identity),
+    with wx[e] = (1 - 2 p_Z)^|e| and wz[f] = (1 - 2 p_X)^|f|.
+    """
+    wx = (1.0 - 2.0 * p_z) ** _WEIGHTS
+    wz = (1.0 - 2.0 * p_x) ** _WEIGHTS
+    return QedMetrics(p=float(wz @ traces @ wx) / 64, r_factor=float(traces[0] @ wx) / 8)
+
+
 def qed_metrics(rho) -> QedMetrics:
     """P = tr[P_C rho] (fully coherent) and R = tr[P_X rho] (hybrid)."""
-    px, _, pc = steane_projectors()
-    rho = qcore.as_matrix(rho)
-    p = float(np.trace(pc @ rho).real)
-    r = float(np.trace(px @ rho).real)
-    return QedMetrics(p=p, r_factor=r)
-
-
-@dataclass(frozen=True)
-class QedHybridReport:
-    """Cross-check of the two-round wiring against the direct projector traces."""
-
-    r_composed: float
-    r_direct: float
-    p_composed: float
-    p_direct: float
-
-
-def hybrid_qed_channel(rho, z_round_identity_only: bool = False) -> QedHybridReport:
-    """Route the detection through the generic two-round hybrid machinery.
-
-    Round 1 is the coherent X-sector detection (all eight elements in one
-    group, K = P_X); round 2 samples the Z-sector elements as singletons
-    (q_S = 1/8, each element unitary).  The composed reduction factor must
-    equal tr[P_X rho] and the composed identity expectation tr[P_C rho].
-    With z_round_identity_only the second round is the trivial group {1},
-    which collapses the construction to plain coherent P_X detection.
-    """
-    rho = qcore.as_matrix(rho)
-    weights = [1.0 / len(_ELEMENT_MASKS)] * len(_ELEMENT_MASKS)
-    dec_x = lcu.LcuDecomposition.from_terms(weights, _sector_elements("X"))
-    ch_x = hybrid.HybridChannel(dec_x, partition.Partition.coherent(dec_x.m))
-    if z_round_identity_only:
-        dec_z = lcu.LcuDecomposition.from_terms([1.0], [np.eye(DIM)])
-    else:
-        dec_z = lcu.LcuDecomposition.from_terms(weights, _sector_elements("Z"))
-    ch_z = hybrid.HybridChannel(dec_z, partition.Partition.singletons(dec_z.m))
-    _, r_composed = hybrid.compose_rounds([ch_x, ch_z], rho)
-    p_composed = hybrid.expectation_rounds([ch_x, ch_z], rho, qcore.Observable.identity(DIM))
-    metrics = qed_metrics(rho)
-    p_direct = metrics.r_factor if z_round_identity_only else metrics.p
-    return QedHybridReport(
-        r_composed=r_composed,
-        r_direct=metrics.r_factor,
-        p_composed=p_composed,
-        p_direct=p_direct,
-    )
+    return metrics_from_traces(stabilizer_traces(rho))
 
 
 @dataclass(frozen=True)
@@ -242,21 +240,22 @@ def fig_sweep(
     """P and R averaged over a fixed set of random codewords.
 
     The codeword set is drawn once from the seed and shared across every
-    (r, p_Z) cell, so the r-independence of R holds row-to-row exactly.
-    P = tr[P_C rho] and R = tr[P_X rho] are linear in rho, and so is the
-    Pauli channel, so their codeword averages equal their values on the
-    averaged density; each cell takes one noise pass on that density.
+    (r, p_Z) cell.  P and R are linear in rho, so their codeword averages
+    equal their values on the averaged density, and the noise only
+    reweights that density's stabilizer traces: the table is taken once
+    and each cell is two small products with its noise weights.  R reads
+    p_Z alone, so it is bit-identical across r.
     """
     if pz_grid is None:
         pz_grid = np.geomspace(1e-3, 1e-1, 10)
     rng = np.random.default_rng(seed)
     states = np.array([random_codeword(rng) for _ in range(codewords)])
-    rho_bar = states.T @ states.conj() / codewords
+    traces = stabilizer_traces(states.T @ states.conj() / codewords)
     rows = []
     for r in r_values:
         for p_z in pz_grid:
             noise = NoiseModel(p_z=float(p_z), r=float(r))
-            metrics = qed_metrics(apply_biased_noise(rho_bar, noise))
+            metrics = metrics_from_traces(traces, noise.p_z, noise.p_x)
             rows.append(
                 SweepRow(
                     r=float(r),

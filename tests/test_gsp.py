@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from rounds import compose_rounds
 from scipy.linalg import cosm
 
 from hybridlcu import gsp, hybrid, lcu, partition, qcore
@@ -321,7 +322,7 @@ def test_hybrid_r_matches_multi_round_composition():
         [qcore.expm_i_hermitian(h, 0.3), qcore.expm_i_hermitian(h, -0.7)],
     )
     ch2 = hybrid.HybridChannel(dec2, partition.Partition.singletons(dec2.m))
-    _, r_total = hybrid.compose_rounds([ch1, ch2], psi)
+    _, r_total = compose_rounds([ch1, ch2], psi)
     assert abs(r_total - rep.r_factor) <= 1e-10
 
 
@@ -347,6 +348,24 @@ def test_energy_estimate_robustness():
         off = float(rng.uniform(-allowed, allowed))
         rep = hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3, e_offset=off), psi)
         assert rep.final_distance <= 2.0 * base
+
+
+def test_refined_estimate_robustness():
+    # an E' within delta_pp of the ground energy keeps the final distance
+    # O(epsilon); E' enters only the Gaussian stage, so R does not move
+    h, psi = random_gsp_instance(16, 0.2, 0.5, seed=3)
+    cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
+    base = hybrid_gsp(cfg, psi)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        off = float(rng.uniform(-cfg.delta_pp, cfg.delta_pp))
+        rep = hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3, e_prime_offset=off), psi)
+        assert rep.final_distance <= 2.0 * cfg.epsilon
+        assert rep.r_factor == base.r_factor
+        assert rep.stage1_distance == base.stage1_distance
+    # the scale binds: four times delta_pp off, the filter misses the ground state
+    far = hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3, e_prime_offset=4.0 * cfg.delta_pp), psi)
+    assert far.final_distance > 0.1
 
 
 # ---------------------------------------------------------------------------

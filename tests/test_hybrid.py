@@ -6,17 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import PAULI_I, PAULI_X, PAULI_Z, haar_unitary, random_density, random_hermitian, random_lcu
+from rounds import DegenerateRoundError, compose_rounds, expectation_rounds
 
 from hybridlcu import hybrid, lcu, partition, prng, qcore
 from hybridlcu.hybrid import (
-    DegenerateRoundError,
     HybridChannel,
     Sampler,
     build_block_encoding,
     build_controlled_pair,
-    compose_rounds,
     exact_expectation,
-    expectation_rounds,
     outcome_distribution,
     write_shot_csv,
 )

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import random_density
+from rounds import hybrid_qed_channel
 
-from hybridlcu import qcore, qed
+from hybridlcu import lcu, qcore, qed
 from hybridlcu.qed import (
     NoiseModel,
     apply_biased_noise,
     apply_pauli_channel,
     fig_sweep,
-    hybrid_qed_channel,
     qed_metrics,
     random_codeword,
     steane_projectors,
@@ -62,14 +63,14 @@ def test_steane_projectors_match_kron_reference():
 def test_hybrid_channel_elements_match_kron_reference(monkeypatch):
     # the unitaries handed to the two LCU rounds, in element order
     seen = []
-    from_terms = qed.lcu.LcuDecomposition.from_terms
+    from_terms = lcu.LcuDecomposition.from_terms
 
     def record(coefficients, unitaries):
         unitaries = list(unitaries)
         seen.append(unitaries)
         return from_terms(coefficients, unitaries)
 
-    monkeypatch.setattr(qed.lcu.LcuDecomposition, "from_terms", record)
+    monkeypatch.setattr(lcu.LcuDecomposition, "from_terms", record)
     hybrid_qed_channel(codeword_density(0))
     assert len(seen) == 2
     for got, kind in zip(seen, "XZ"):
@@ -279,7 +280,7 @@ def test_fig_sweep_shape_and_invariants():
         assert row.gap >= -1e-12
         assert row.p_x == pytest.approx(row.r * row.p_z, rel=1e-15)
     for values in by_pz.values():
-        assert max(values) - min(values) <= 1e-12
+        assert len(set(values)) == 1  # R reads p_Z alone, to the bit
     for r in (0.1, 0.3):
         ps = [row.p for row in rows if row.r == r]
         assert all(a > b for a, b in zip(ps, ps[1:]))
@@ -314,6 +315,41 @@ def test_fig_sweep_matches_per_codeword_average():
     for row, (p, r_factor) in zip(rows, expected):
         assert abs(row.p - p) <= 1e-14
         assert abs(row.r_factor - r_factor) <= 1e-14
+
+
+def dense_metrics(rho, p_z, p_x):
+    """(P, R) by the Schroedinger-picture channel and the dense projectors."""
+    px, _, pc = steane_projectors()
+    if p_z > 0.0:
+        noise = NoiseModel(p_z=p_z, r=p_x / p_z)
+        assert noise.p_x == p_x
+        rho = apply_biased_noise(rho, noise)
+    else:
+        # no NoiseModel has p_z = 0 < p_x: the X half of apply_biased_noise
+        for q in range(7):
+            rho = apply_pauli_channel(rho, q, p_x, "X")
+    return np.trace(pc @ rho).real, np.trace(px @ rho).real
+
+
+def test_trace_table_matches_dense_channel_on_mixed_states():
+    # full-rank mixed states: unlike codewords, they have traces off the code
+    # space, and tr[Z^f X^e rho] differs from tr[Z^e X^f rho]
+    rng = np.random.default_rng(17)
+    rates = (0.0, 0.03, 0.5, 1.0)
+    for _ in range(3):
+        rho = random_density(128, rng)
+        traces = qed.stabilizer_traces(rho)
+        assert traces.shape == (8, 8)
+        assert np.abs(traces - traces.T).max() > 1e-3
+        assert qed_metrics(rho) == qed.metrics_from_traces(traces)
+        for p_z in rates:
+            for p_x in rates:
+                got = qed.metrics_from_traces(traces, p_z, p_x)
+                p, r_factor = dense_metrics(rho, p_z, p_x)
+                assert abs(got.p - p) <= 1e-14
+                assert abs(got.r_factor - r_factor) <= 1e-14
+    with pytest.raises(ValueError):
+        qed_metrics(np.eye(64) / 64)
 
 
 def test_write_sweep_csv(tmp_path):
