@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,8 +149,7 @@ class SampleBatch:
         self.n = self.obs.n
 
 
-@dataclass
-class EstimationReport:
+class EstimationReport(NamedTuple):
     method: str
     target: str
     estimate: float
@@ -161,7 +161,7 @@ class EstimationReport:
     sigma2_one: float
     r_hat: float
     seed: int
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def z_quantile(delta: float) -> float:
@@ -307,4 +307,4 @@ def estimate_ratio(batch: SampleBatch, config: EstimationConfig) -> EstimationRe
 def write_report_csv(path, reports: list[EstimationReport], seed: int, version: str) -> None:
     header = "method,target,estimate,half_width,delta,epsilon,N,sigma2_O,sigma2_one,R_hat,seed"
     # every field but the trailing notes, in column order
-    qcore.save_csv(path, header, (astuple(r)[:-1] for r in reports), seed, version)
+    qcore.save_csv(path, header, (r[:-1] for r in reports), seed, version)

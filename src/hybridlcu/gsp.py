@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,8 +200,7 @@ class GspConfig:
         return self.lambda0 + self.e_prime_offset
 
 
-@dataclass(frozen=True)
-class GspReport:
+class GspReport(NamedTuple):
     """Outcome of the two-stage run on one input state."""
 
     dimension: int
@@ -279,8 +279,7 @@ def hybrid_gsp(config: GspConfig, psi) -> GspReport:
     )
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     """Total-time expressions for the two-stage method.
 
     term1/term2 are the two summands of the total time

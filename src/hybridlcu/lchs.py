@@ -18,7 +18,8 @@ bound, summed explicitly only where that bound is not negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,7 @@ class LchsConfig:
         return self._shift
 
 
-@dataclass(frozen=True)
-class LchsDiscretization:
+class LchsDiscretization(NamedTuple):
     """Trapezoid window nodes/weights plus the analytic tail summary."""
 
     nodes: np.ndarray
@@ -367,8 +367,7 @@ def sample_tail(k1: float, k2: float, u) -> np.ndarray:
     return sign * np.tan(math.atan(k2) + frac * alpha)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     k2: float
     m: int
     alpha: float
@@ -433,4 +432,4 @@ def propagator_error(config: LchsConfig) -> float:
 
 def write_sweep_csv(path, rows: list[SweepRow], seed: int, version: str) -> None:
     header = "K2,M,alpha,s_norm1,rp_bound,overhead_bound_at_P,P_assumed"
-    qcore.save_csv(path, header, map(astuple, rows), seed, version)
+    qcore.save_csv(path, header, rows, seed, version)

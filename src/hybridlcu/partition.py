@@ -20,7 +20,7 @@ Indices are 0-based internally; the text form (``1,2|3|4,5``) is 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +139,7 @@ def validate(groups, m: int) -> Partition:
     return Partition(cleaned, m)
 
 
-@dataclass(frozen=True)
-class GroupOperator:
+class GroupOperator(NamedTuple):
     """Weight, normalized operator and member indices of one group."""
 
     weight: float

@@ -11,7 +11,7 @@ Every operator is an X-type or Z-type Pauli string, held as a 7-bit mask
 of its qubits with qubit 0 the most significant bit (the leftmost
 Kronecker factor).  One convention serves the stabilizer generators, the
 eight elements of each sector (the XOR span of its generators), the
-projectors and the noise channel: an X string permutes the basis indices,
+code basis and the noise channel: an X string permutes the basis indices,
 i -> i ^ mask, and a Z string multiplies index i by
 (-1)^parity(i & mask).
 
@@ -22,15 +22,23 @@ product: dephasing at p_Z multiplies Z^f X^e by (1 - 2 p_Z)^|e| and bit
 flips at p_X by (1 - 2 p_X)^|f|, with |.| the weight of the mask.  So P
 and R at every noise point are weighted sums of one 8 x 8 table
 T[f, e] = tr[Z^f X^e rho], taken once from a gather of 1024 entries of
-rho with no 128 x 128 product.  Inputs are Haar-random codewords, not
-stabilizer states, so rho itself is dense; the dense Schroedinger-picture
-channel and projectors stay as the oracle the table is checked against.
+rho with no 128 x 128 product.
+
+The code basis is closed-form: |0_L> is the uniform superposition of the
+basis states on the eight X-sector masks and |1_L> its image under
+transversal X, so no projector is built and no eigensolver runs.  Inputs
+are Haar-random codewords in that basis, not stabilizer states, so rho
+itself is dense.  The dense Schroedinger-picture channel stays as the
+oracle the table is checked against; the dense stabilizer projectors are
+test oracles only.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +49,6 @@ __all__ = [
     "QedMetrics",
     "SweepRow",
     "N_QUBITS",
-    "steane_projectors",
     "random_codeword",
     "apply_pauli_channel",
     "apply_biased_noise",
@@ -85,35 +92,19 @@ _Z_SIGNS = np.array([_signs(f) for f in _ELEMENT_MASKS])
 _WEIGHTS = np.array([bin(mask).count("1") for mask in _ELEMENT_MASKS])
 
 
-def _sector_elements(pauli: str):
-    """The X-type or Z-type stabilizer elements, one 128 x 128 matrix at a time."""
-    eye = np.eye(DIM, dtype=complex)
-    for e in _ELEMENT_MASKS:
-        yield eye[_flip(e)] if pauli == "X" else np.diag(_signs(e).astype(complex))
-
-
-@functools.lru_cache(maxsize=1)
-def steane_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P_X, P_Z, P_C = P_Z P_X): sector group averages and the code projector.
-
-    Cached; the returned matrices are read-only.
-    """
-    px = sum(_sector_elements("X")) / len(_ELEMENT_MASKS)
-    pz = sum(_sector_elements("Z")) / len(_ELEMENT_MASKS)
-    out = (px, pz, pz @ px)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 @functools.lru_cache(maxsize=1)
 def _code_basis() -> np.ndarray:
-    """Orthonormal (128, 2) basis of the code space. Cached; read-only."""
-    _, _, pc = steane_projectors()
-    vals, vecs = np.linalg.eigh(pc)
-    basis = vecs[:, vals > 0.5]
-    if basis.shape[1] != 2:
-        raise qcore.InvariantViolation(f"code space has dimension {basis.shape[1]}, expected 2")
+    """Orthonormal (128, 2) basis |0_L>, |1_L> of the code space. Cached; read-only.
+
+    |0_L> is the uniform superposition of the basis states |e> over the eight
+    X-sector masks e, and |1_L> its image under transversal X, |e ^ 1111111>.
+    Each Z generator overlaps every X-sector mask and the all-ones mask on an
+    even number of qubits, so both states are fixed by the Z sector; the X
+    sector permutes each orbit onto itself.
+    """
+    masks = np.array(_ELEMENT_MASKS)
+    basis = np.zeros((DIM, 2))
+    basis[masks, 0] = basis[masks ^ (DIM - 1), 1] = len(masks) ** -0.5
     basis.setflags(write=False)
     return basis
 
@@ -135,8 +126,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.p_z <= 1.0:
             raise ValueError("p_z must lie in [0, 1]")
-        if self.r < 0.0 or self.p_x > 1.0:
-            raise ValueError("r must be >= 0 with p_x = r*p_z <= 1")
+        if not (math.isfinite(self.r) and self.r >= 0.0 and self.p_x <= 1.0):
+            raise ValueError("r must be finite and >= 0 with p_x = r*p_z <= 1")
 
     @property
     def p_x(self) -> float:
@@ -181,8 +172,7 @@ def apply_biased_noise(rho, noise: NoiseModel) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QedMetrics:
+class QedMetrics(NamedTuple):
     p: float
     r_factor: float
 
@@ -217,8 +207,7 @@ def qed_metrics(rho) -> QedMetrics:
     return metrics_from_traces(stabilizer_traces(rho))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     r: float
     p_z: float
     p_x: float

@@ -19,7 +19,8 @@ scale with K and the dimension only.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,8 +242,7 @@ def inverse_error(config: QlssConfig, grid: QlssGrid) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class QlssPartition:
+class QlssPartition(NamedTuple):
     """Hybrid grouping of the double sum: one group per outer node y_j."""
 
     config: QlssConfig
@@ -263,8 +263,7 @@ def hybrid_partition(config: QlssConfig, grid: QlssGrid) -> QlssPartition:
     return QlssPartition(config=config, grid=grid, weights=weights)
 
 
-@dataclass(frozen=True)
-class ReductionFactors:
+class ReductionFactors(NamedTuple):
     """The three reduction factors plus the closed-form check value.
 
     r_rand: fully randomized singleton sampling, identically 1.
@@ -319,8 +318,7 @@ def ancilla_counts(grid: QlssGrid) -> tuple[int, int]:
     return hybrid, coherent
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     kappa: float
     epsilon: float
     j_count: int
@@ -407,4 +405,4 @@ def fit_exponents(rows: list[TableRow]) -> tuple[float, float]:
 
 def write_table_csv(path, rows: list[TableRow], seed: int, version: str) -> None:
     header = "kappa,epsilon,J,K,one_norm,P,R_int,R_int_closed_form,R_rand,anc_hybrid,anc_coherent"
-    qcore.save_csv(path, header, map(astuple, rows), seed, version)
+    qcore.save_csv(path, header, rows, seed, version)

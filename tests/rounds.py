@@ -1,18 +1,42 @@
-"""Multi-round composition of hybrid channels, kept as a test oracle.
+"""Dense test oracles: multi-round composition and the Steane projectors.
 
 Chaining rounds is the paper's generalisation of the reduction factor to
 several detection rounds. No subcommand runs it: the QED sweep reads its two
 factors from the stabilizer trace table, and these helpers check that
-table and the GSP composite factor against the generic machinery.
+table and the GSP composite factor against the generic machinery. The dense
+128 x 128 stabilizer elements and projectors check the closed-form code
+basis and the trace table the same way.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from hybridlcu import hybrid, lcu, partition, qcore, qed
+
+
+def sector_elements(pauli: str):
+    """The X-type or Z-type stabilizer elements, one 128 x 128 matrix at a time."""
+    eye = np.eye(qed.DIM, dtype=complex)
+    for e in qed._ELEMENT_MASKS:
+        yield eye[qed._flip(e)] if pauli == "X" else np.diag(qed._signs(e).astype(complex))
+
+
+@functools.lru_cache(maxsize=1)
+def steane_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_X, P_Z, P_C = P_Z P_X): sector group averages and the code projector.
+
+    Cached; the returned matrices are read-only.
+    """
+    px = sum(sector_elements("X")) / len(qed._ELEMENT_MASKS)
+    pz = sum(sector_elements("Z")) / len(qed._ELEMENT_MASKS)
+    out = (px, pz, pz @ px)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 class DegenerateRoundError(ValueError):
@@ -75,12 +99,12 @@ def hybrid_qed_channel(rho, z_round_identity_only: bool = False) -> QedHybridRep
     """
     rho = qcore.as_matrix(rho)
     weights = [1.0 / len(qed._ELEMENT_MASKS)] * len(qed._ELEMENT_MASKS)
-    dec_x = lcu.LcuDecomposition.from_terms(weights, qed._sector_elements("X"))
+    dec_x = lcu.LcuDecomposition.from_terms(weights, sector_elements("X"))
     ch_x = hybrid.HybridChannel(dec_x, partition.Partition.coherent(dec_x.m))
     if z_round_identity_only:
         dec_z = lcu.LcuDecomposition.from_terms([1.0], [np.eye(qed.DIM)])
     else:
-        dec_z = lcu.LcuDecomposition.from_terms(weights, qed._sector_elements("Z"))
+        dec_z = lcu.LcuDecomposition.from_terms(weights, sector_elements("Z"))
     ch_z = hybrid.HybridChannel(dec_z, partition.Partition.singletons(dec_z.m))
     _, r_composed = compose_rounds([ch_x, ch_z], rho)
     p_composed = expectation_rounds([ch_x, ch_z], rho, qcore.Observable.identity(qed.DIM))

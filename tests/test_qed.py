@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 from conftest import random_density
-from rounds import hybrid_qed_channel
+from rounds import hybrid_qed_channel, sector_elements, steane_projectors
 
-from hybridlcu import lcu, qcore, qed
+from hybridlcu import cli, lcu, qcore, qed
 from hybridlcu.qed import (
     NoiseModel,
     apply_biased_noise,
@@ -13,7 +13,6 @@ from hybridlcu.qed import (
     fig_sweep,
     qed_metrics,
     random_codeword,
-    steane_projectors,
     write_sweep_csv,
 )
 
@@ -82,7 +81,7 @@ def test_hybrid_channel_elements_match_kron_reference(monkeypatch):
 
 def test_pauli_string_matrix_is_hermitian_unitary():
     for kind in "XZ":
-        for m in qed._sector_elements(kind):
+        for m in sector_elements(kind):
             assert np.array_equal(m, m.conj().T)
             assert qcore.is_unitary(m)
 
@@ -122,7 +121,7 @@ def test_steane_code_space_rank_two():
 def test_group_closure_of_x_sector():
     # X strings multiply by XOR of their masks, with sign +1
     masks = set(qed._ELEMENT_MASKS)
-    elements = list(qed._sector_elements("X"))
+    elements = list(sector_elements("X"))
     index = {mask: k for k, mask in enumerate(qed._ELEMENT_MASKS)}
     for a in qed._ELEMENT_MASKS:
         for b in qed._ELEMENT_MASKS:
@@ -132,6 +131,21 @@ def test_group_closure_of_x_sector():
 
 # ---------------------------------------------------------------------------
 # codewords
+
+
+def test_code_basis_closed_form():
+    basis = qed._code_basis()
+    assert basis is qed._code_basis()
+    assert basis.shape == (128, 2)
+    assert not basis.flags.writeable
+    assert np.abs(basis.T @ basis - np.eye(2)).max() <= 1e-15
+    # Z^f X^e maps amplitude i to (-1)^parity(i & f) times amplitude i ^ e
+    for f in qed._ELEMENT_MASKS:
+        for e in qed._ELEMENT_MASKS:
+            moved = qed._signs(f)[:, None] * basis[qed._flip(e)]
+            assert np.array_equal(moved, basis)
+    _, _, pc = steane_projectors()
+    assert np.abs(basis @ basis.conj().T - pc).max() <= 1e-12
 
 
 def test_random_codeword_fixpoint_and_norm():
@@ -165,6 +179,12 @@ def test_noise_model_validation():
         NoiseModel(p_z=1.1, r=0.1)
     with pytest.raises(ValueError):
         NoiseModel(p_z=0.8, r=2.0)  # p_x = 1.6
+    for p_z in (0.0, 0.01):
+        for r in (float("nan"), float("inf")):  # at p_z = 0, p_x = inf * 0 is nan
+            with pytest.raises(ValueError):
+                NoiseModel(p_z=p_z, r=r)
+    with pytest.raises(ValueError):
+        fig_sweep(r_values=(float("nan"),), pz_grid=[0.01])
     assert NoiseModel(p_z=0.5, r=0.2).p_x == pytest.approx(0.1)
 
 
@@ -284,6 +304,31 @@ def test_fig_sweep_shape_and_invariants():
     for r in (0.1, 0.3):
         ps = [row.p for row in rows if row.r == r]
         assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+def test_fig_sweep_matches_codeword_closed_forms():
+    # every stabilizer fixes a codeword, so each trace is 1: P and R are the
+    # mean noise weights, (sum wz)(sum wx)/64 and sum wx/8
+    weights = np.array([bin(mask).count("1") for mask in qed._ELEMENT_MASKS])
+    rows = fig_sweep(seed=4)
+    assert len(rows) == 30
+    for row in rows:
+        wx = ((1.0 - 2.0 * row.p_z) ** weights).sum()
+        wz = ((1.0 - 2.0 * row.p_x) ** weights).sum()
+        assert abs(row.p - wz * wx / 64) <= 1e-14
+        assert abs(row.r_factor - wx / 8) <= 1e-14
+
+
+def test_qed_run_calls_no_eigensolver(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(qcore, "eigh", refuse)
+    qed._code_basis.cache_clear()  # build the basis under the patch
+    assert len(fig_sweep(r_values=(0.2,), pz_grid=[0.01, 0.1], codewords=3, seed=8)) == 2
+    assert cli.main(["qed", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "qed_sweep.csv").is_file()
 
 
 def reference_sweep(r_values, pz_grid, codewords, seed):
