@@ -17,6 +17,7 @@ import math
 import os
 import pathlib
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,6 +52,10 @@ EXIT_INVARIANT = 3
 # cross-check is declared broken.
 MC_SIGMAS = 6.0
 
+# Accuracy target of the demo's estimation reports. Neither report plans a
+# sample size from it; it is echoed into the epsilon column of demo_reports.csv.
+DEMO_EPSILON = 0.05
+
 
 class ConfigError(Exception):
     """Bad flag, unknown or missing config key, out-of-range parameter."""
@@ -84,7 +89,6 @@ _PARAMS = {
     "run.workers": _Param("int", 1, 1),
     "demo.m": _Param("int", 4, 1, 6),
     "demo.dim": _Param("int", 4, 2, 8),
-    "demo.epsilon": _Param("float", 0.05),
     "demo.delta": _Param("float", 0.05),
     "lchs.l_norm": _Param("float", 2.0),
     "lchs.t": _Param("float", 3.0),
@@ -302,7 +306,7 @@ def cmd_demo(config: RunConfig) -> None:
         batch = estimate.SampleBatch(*hists, seed=config.seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
 
-        est_cfg = estimate.EstimationConfig(epsilon=p["demo.epsilon"], delta=p["demo.delta"], bound_c=1.0)
+        est_cfg = estimate.EstimationConfig(epsilon=DEMO_EPSILON, delta=p["demo.delta"], bound_c=1.0)
         reports = [
             estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
             estimate.estimate_ratio(batch, est_cfg),
@@ -311,7 +315,7 @@ def cmd_demo(config: RunConfig) -> None:
         os.replace(partial, shots_path)
     finally:
         partial.unlink(missing_ok=True)
-    print(f"demo: wrote demo_partitions.csv demo_reports.csv demo_shots.csv in {config.out_dir}")
+    print(f"demo: wrote {' '.join(_SUBCOMMANDS['demo'].outputs)} in {config.out_dir}")
 
 
 def cmd_partitions(config: RunConfig) -> None:
@@ -393,32 +397,37 @@ for name in FILES:
     print("wrote", out)
 '''
 
-_OUTPUT_FILES = {
-    "demo": ["demo_partitions.csv", "demo_reports.csv", "demo_shots.csv"],
-    "partitions": ["partitions.csv"],
-    "lchs": ["lchs_bound.csv"],
-    "qlss": ["qlss_table.csv"],
-    "gsp": ["gsp_report.csv"],
-    "qed": ["qed_sweep.csv"],
-}
-
 
 def _emit_plot_script(config: RunConfig) -> None:
     path = config.out_dir / f"plot_{config.subcommand}.py"
-    path.write_text(_PLOT_STUB.format(files=_OUTPUT_FILES[config.subcommand]))
+    path.write_text(_PLOT_STUB.format(files=_SUBCOMMANDS[config.subcommand].outputs))
     print(f"plot stub: {path}")
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-_HANDLERS = {
-    "demo": cmd_demo,
-    "lchs": cmd_lchs,
-    "qlss": cmd_qlss,
-    "gsp": cmd_gsp,
-    "qed": cmd_qed,
-    "partitions": cmd_partitions,
+
+class _Subcommand(NamedTuple):
+    """What a subcommand runs, its --help line and the CSVs it writes into --out."""
+
+    handler: Callable[[RunConfig], None]
+    help: str
+    outputs: list[str]
+
+
+# The one declaration of every subcommand, in --help order.
+_SUBCOMMANDS = {
+    "demo": _Subcommand(
+        cmd_demo,
+        "random LCU instance: partition scan, cross-checks, estimation reports",
+        ["demo_partitions.csv", "demo_reports.csv", "demo_shots.csv"],
+    ),
+    "lchs": _Subcommand(cmd_lchs, "Hamiltonian-simulation bound-vs-nodes sweep", ["lchs_bound.csv"]),
+    "qlss": _Subcommand(cmd_qlss, "linear-systems reduction-factor table over condition numbers", ["qlss_table.csv"]),
+    "gsp": _Subcommand(cmd_gsp, "two-stage ground-state filter report", ["gsp_report.csv"]),
+    "qed": _Subcommand(cmd_qed, "Steane-code biased-noise sweep", ["qed_sweep.csv"]),
+    "partitions": _Subcommand(cmd_partitions, "exhaustive partition table with ancilla widths and R", ["partitions.csv"]),
 }
 
 
@@ -429,16 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "demo": "random LCU instance: partition scan, cross-checks, estimation reports",
-        "lchs": "Hamiltonian-simulation bound-vs-nodes sweep",
-        "qlss": "linear-systems reduction-factor table over condition numbers",
-        "gsp": "two-stage ground-state filter report",
-        "qed": "Steane-code biased-noise sweep",
-        "partitions": "exhaustive partition table with ancilla widths and R",
-    }
-    for name, desc in descriptions.items():
-        p = sub.add_parser(name, help=desc, epilog=_keys_epilog(name), formatter_class=argparse.RawDescriptionHelpFormatter)
+    for name, subcommand in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=subcommand.help, epilog=_keys_epilog(name), formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", metavar="PATH", help="key = value config file")
         # each flag overrides its run.* key and is read and checked as config text
         p.add_argument("--seed", dest="run.seed", metavar="U64")
@@ -454,7 +455,7 @@ def main(argv=None) -> int:
     try:
         config = build_run_config(args)
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[config.subcommand](config)
+        _SUBCOMMANDS[config.subcommand].handler(config)
         if config.emit_plot_script:
             _emit_plot_script(config)
     except ConfigError as exc:

@@ -36,7 +36,6 @@ __all__ = [
     "bernstein_n",
     "bernstein_half_width",
     "ratio_n",
-    "sample_variance",
     "estimate_numerator",
     "estimate_ratio",
     "estimate_R_obs",
@@ -224,11 +223,6 @@ def ratio_n(config: EstimationConfig, sigma2_x: float, sigma2_y: float, mu_y_abs
     den_term = (sigma2_y / (mu_y_abs**2 * eps**2)) * cprime**2 + (c / (6.0 * mu_y_abs * eps)) * cprime
     val = 32.0 * math.log(4.0 / delta) * max(var_term, den_term)
     return max(1, math.ceil(val))
-
-
-def sample_variance(values) -> float:
-    """Population-style variance (1/N) Σ (g_i - mean)^2; biased at small N."""
-    return Histogram(values).variance
 
 
 def estimate_R_obs(batch: SampleBatch) -> float:

@@ -130,8 +130,8 @@ class GspConfig:
     """Problem instance: normalized Hamiltonian, overlap bound, accuracy target.
 
     e_offset / e_prime_offset model the errors of the measured energy
-    estimates E and E' relative to the exact ground energy; delta_pp gives
-    the accuracy scale E' is supposed to respect.  ``c_tau`` scales the
+    estimates E and E' relative to the exact ground energy; tau_prime is
+    also the accuracy scale E' is supposed to respect.  ``c_tau`` scales the
     cosine shift tau; the other Theta constants are the module constants
     C_T, C_SIGMA and C_TAU_PRIME.  The eigendecomposition of H is taken
     once here and every filter of the run is built from it.
@@ -185,11 +185,6 @@ class GspConfig:
     @property
     def tau_prime(self) -> float:
         return C_TAU_PRIME * self.gap / math.sqrt(math.log(self.p0 / self.epsilon))
-
-    @property
-    def delta_pp(self) -> float:
-        """Accuracy the refined estimate E' must reach (same scale as tau')."""
-        return self.tau_prime
 
     @property
     def e_estimate(self) -> float:
@@ -249,15 +244,7 @@ def hybrid_gsp(config: GspConfig, psi) -> GspReport:
     filt2 = _gaussian_filter(spectrum, config.e_prime_estimate, config.tau_prime, config.sigma2)
     final_distance, final_survival = _filter_quality(ground, psi1, filt2)
 
-    inv_eps2 = 1.0 / config.epsilon**2
-    log_p0 = math.log(1.0 / config.p0)
-    term1 = inv_eps2 / config.p0 * log_p0**2 / config.gap**2
-    term2 = (
-        inv_eps2
-        / config.p0
-        / config.gap
-        * math.sqrt(math.log(1.0 / config.epsilon) * math.log(config.p0 / config.epsilon))
-    )
+    cost = complexity_report(config.p0, config.gap, config.epsilon)
     return GspReport(
         dimension=config.dimension,
         gap=config.gap,
@@ -274,8 +261,8 @@ def hybrid_gsp(config: GspConfig, psi) -> GspReport:
         final_distance=final_distance,
         final_survival=final_survival,
         r_factor=r_factor,
-        total_time_term1=term1,
-        total_time_term2=term2,
+        total_time_term1=cost.term1,
+        total_time_term2=cost.term2,
     )
 
 
@@ -310,7 +297,7 @@ def complexity_report(p0: float, delta: float, eps: float, alpha: float | None =
         alpha = math.log(eps) / math.log(p0)
     if alpha < 1.0:
         raise ValueError("alpha = log(eps)/log(p0) below 1 means eps > p0")
-    scale = 1.0 / (p0 * eps**2)
+    scale = 1.0 / eps**2 / p0
     log_p0 = math.log(1.0 / p0)
     log_eps = math.log(1.0 / eps)
     term1 = scale * log_p0**2 / delta**2

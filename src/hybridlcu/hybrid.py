@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -85,7 +84,7 @@ def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecompo
     d = dec.dimension
     if len(members) == 1:
         return dec.unitaries[members[0]]
-    na = 2 ** math.ceil(math.log2(len(members)))
+    na = 1 << (len(members) - 1).bit_length()
     column = np.zeros(na)
     column[: len(members)] = np.sqrt(dec.probs[members] / group.weight)
     prepare = _householder_prepare(column)

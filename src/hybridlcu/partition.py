@@ -102,14 +102,6 @@ class Partition:
         return "|".join(",".join(str(i + 1) for i in g) for g in self.groups)
 
     @classmethod
-    def from_text(cls, text: str, m: int) -> "Partition":
-        groups = []
-        for chunk in text.split("|"):
-            idx = [int(tok) - 1 for tok in chunk.split(",") if tok.strip()]
-            groups.append(idx)
-        return validate(groups, m)
-
-    @classmethod
     def coherent(cls, m: int) -> "Partition":
         return cls([tuple(range(m))], m)
 

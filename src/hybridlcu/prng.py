@@ -45,13 +45,8 @@ def derive_key(seed: int, stream: int = 0) -> tuple[int, int]:
 def _counter_before(start: int, block: int) -> np.ndarray:
     # numpy increments the 256-bit counter before emitting each block, so
     # the generator starts one step below (start, block, 0, 0)
-    if start:
-        words = [start - 1, block, 0, 0]
-    elif block:
-        words = [_WORD_MAX, block - 1, 0, 0]
-    else:
-        words = [_WORD_MAX] * 4
-    return np.array(words, dtype=np.uint64)
+    below = (start + (block << 64) - 1) % 2**256
+    return np.array([(below >> (64 * i)) & _WORD_MAX for i in range(4)], dtype=np.uint64)
 
 
 def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.ndarray:

@@ -5,8 +5,9 @@ works with plain ``numpy`` arrays; this module owns validation, the shared
 tolerance constants, spectral matrix functions and the CSV table format.
 
 Matrix functions are always computed through the spectral decomposition,
-never by series truncation: at the dimensions we care about (at most 2**10
-for vectors, 2**7 for density matrices) exactness wins over scale.
+never by series truncation: at the dimensions we care about (the CLI caps
+state vectors at MAX_PURE_DIM = 2**10, and the largest density matrix is
+the 7-qubit code's, dimension 2**7) exactness wins over scale.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ __all__ = [
     "Tolerances",
     "InvariantViolation",
     "MAX_PURE_DIM",
-    "MAX_MIXED_DIM",
     "as_matrix",
     "is_unitary",
     "require_hermitian",
     "eigh",
     "expm_i_hermitian",
-    "PureState",
-    "MixedState",
     "Observable",
     "as_observable",
     "density",
@@ -37,13 +35,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central record of every numerical tolerance used by the package."""
+    """Named tolerances of the unitarity, Hermiticity, normalization and cross-backend checks.
+
+    Not every tolerance is here: a check local to one function keeps its
+    literal, such as the Sampler's 1e-10 outcome-table gate and the 1e-9
+    normalization and spectrum checks of ``gsp`` and ``qlss``.
+    """
 
     unitarity: float = 1e-10
     hermiticity: float = 1e-10
     prob_norm: float = 1e-12
     cross_backend: float = 1e-9
-    psd: float = 1e-10
 
 
 TOL = Tolerances()
@@ -53,10 +55,8 @@ class InvariantViolation(RuntimeError):
     """A numerical cross-check failed at its pinned tolerance."""
 
 
-# Dimension caps enforced at construction; the largest experiment in the
-# suite is the 7-qubit code (dimension 128).
+# Largest state dimension a CLI subcommand accepts.
 MAX_PURE_DIM = 2**10
-MAX_MIXED_DIM = 2**7
 
 
 def as_matrix(a) -> np.ndarray:
@@ -107,44 +107,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class PureState:
-    """A state vector; normalized unless explicitly flagged otherwise."""
-
-    def __init__(self, amplitudes, normalized: bool = True):
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if vec.size > MAX_PURE_DIM:
-            raise ValueError(f"dimension {vec.size} exceeds pure-state cap {MAX_PURE_DIM}")
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
-            raise ValueError("amplitudes contain non-finite entries")
-        nrm2 = float(np.vdot(vec, vec).real)
-        if normalized and abs(nrm2 - 1.0) > TOL.prob_norm:
-            raise ValueError(f"squared norm {nrm2} deviates from 1 beyond {TOL.prob_norm:.1e}")
-        self.vector = _freeze(vec)
-        self.dimension = vec.size
-        self.normalized = normalized
-
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
-
-
-class MixedState:
-    """A density matrix: Hermitian, unit trace (when normalized), PSD."""
-
-    def __init__(self, matrix, normalized: bool = True):
-        rho = require_hermitian(matrix, what="density matrix")
-        if rho.shape[0] > MAX_MIXED_DIM:
-            raise ValueError(f"dimension {rho.shape[0]} exceeds mixed-state cap {MAX_MIXED_DIM}")
-        tr = float(np.trace(rho).real)
-        if normalized and abs(tr - 1.0) > TOL.hermiticity:
-            raise ValueError(f"trace {tr} deviates from 1 beyond {TOL.hermiticity:.1e}")
-        wmin = float(np.linalg.eigvalsh(rho).min())
-        if wmin < -TOL.psd:
-            raise ValueError(f"density matrix has negative eigenvalue {wmin:.3e}")
-        self.matrix = _freeze(rho)
-        self.dimension = rho.shape[0]
-        self.normalized = normalized
-
-
 class Observable:
     """A Hermitian observable with a cached spectral decomposition."""
 
@@ -160,10 +122,6 @@ class Observable:
         if resid > TOL.cross_backend:
             raise ValueError(f"spectral reconstruction residual {resid:.3e}")
 
-    @classmethod
-    def identity(cls, dim: int) -> "Observable":
-        return cls(np.eye(dim))
-
 
 def as_observable(obs) -> Observable:
     """Coerce an observable (Observable or Hermitian matrix) to an :class:`Observable`."""
@@ -171,11 +129,7 @@ def as_observable(obs) -> Observable:
 
 
 def density(state) -> np.ndarray:
-    """Coerce a state (PureState, MixedState, vector or matrix) to a density matrix."""
-    if isinstance(state, PureState):
-        return state.density_matrix()
-    if isinstance(state, MixedState):
-        return np.asarray(state.matrix)
+    """Coerce a state (vector or matrix) to a density matrix."""
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
         return np.outer(arr, arr.conj())

@@ -150,11 +150,6 @@ class QlssGrid:
         self.z_nodes.setflags(write=False)
         self.z_weights.setflags(write=False)
 
-    @property
-    def y_nodes(self) -> np.ndarray:
-        """Outer nodes j*Dy, materialized on demand (J can be large)."""
-        return np.arange(self.j_count) * self.dy
-
     def y_node(self, j: int) -> float:
         if not 0 <= j < self.j_count:
             raise IndexError("outer index out of range")

@@ -107,7 +107,7 @@ def hybrid_qed_channel(rho, z_round_identity_only: bool = False) -> QedHybridRep
         dec_z = lcu.LcuDecomposition.from_terms(weights, sector_elements("Z"))
     ch_z = hybrid.HybridChannel(dec_z, partition.Partition.singletons(dec_z.m))
     _, r_composed = compose_rounds([ch_x, ch_z], rho)
-    p_composed = expectation_rounds([ch_x, ch_z], rho, qcore.Observable.identity(qed.DIM))
+    p_composed = expectation_rounds([ch_x, ch_z], rho, qcore.Observable(np.eye(qed.DIM)))
     metrics = qed.qed_metrics(rho)
     p_direct = metrics.r_factor if z_round_identity_only else metrics.p
     return QedHybridReport(

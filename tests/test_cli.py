@@ -128,7 +128,7 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (subcommand, text)
     # non-finite floats are refused while the config is read, by key
     non_finite = [
-        ("demo", "demo.epsilon", "inf"),
+        ("demo", "demo.delta", "inf"),
         ("qlss", "qlss.kappas", "4, inf"),
         ("qed", "qed.r_values", "nan"),
     ]
@@ -206,7 +206,7 @@ def test_cli_defaults_match_driver_signatures():
 
 
 def test_help_lists_every_config_key(capsys):
-    for subcommand in cli._HANDLERS:
+    for subcommand in cli._SUBCOMMANDS:
         with pytest.raises(SystemExit) as exc:
             cli.main([subcommand, "--help"])
         assert exc.value.code == 0
@@ -301,6 +301,24 @@ def test_demo_memory_bounded_in_shots(tmp_path, monkeypatch):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+def test_each_subcommand_writes_exactly_its_declared_files(tmp_path):
+    small = {
+        "demo": "",
+        "partitions": "partitions.m = 3\n",
+        "lchs": "lchs.points = 2\n",
+        "qlss": "qlss.kappas = 4\nqlss.dim = 2\n",
+        "gsp": "gsp.dim = 4\n",
+        "qed": "qed.r_values = 0.1\nqed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 2\nqed.codewords = 2\n",
+    }
+    assert small.keys() == cli._SUBCOMMANDS.keys()
+    for name, text in small.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        assert cli.main([name, "--config", str(cfg), "--shots", "200", "--out", str(out)]) == 0, name
+        assert sorted(path.name for path in out.iterdir()) == sorted(cli._SUBCOMMANDS[name].outputs), name
+
+
 def test_demo_outputs_are_chunk_invariant(tmp_path, monkeypatch):
     # 2500 shots in one chunk, in chunks of 1000 and in chunks of 777 (a
     # partial last chunk) write the same three CSVs, byte for byte
@@ -309,7 +327,7 @@ def test_demo_outputs_are_chunk_invariant(tmp_path, monkeypatch):
         monkeypatch.setattr(hybrid, "_CSV_CHUNK_ROWS", rows)
         out = tmp_path / str(rows)
         assert cli.main(["demo", "--seed", "5", "--shots", "2500", "--out", str(out)]) == 0
-        outputs.append({name: (out / name).read_bytes() for name in cli._OUTPUT_FILES["demo"]})
+        outputs.append({name: (out / name).read_bytes() for name in cli._SUBCOMMANDS["demo"].outputs})
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 

@@ -20,7 +20,6 @@ from hybridlcu.estimate import (
     estimate_R_obs,
     estimate_ratio,
     ratio_n,
-    sample_variance,
     write_report_csv,
     z_quantile,
 )
@@ -130,11 +129,11 @@ def test_bernstein_half_width_inverts_planner():
 
 
 def test_sample_variance_cases():
-    assert sample_variance([3.0, 3.0, 3.0]) == 0.0
-    assert sample_variance([0.0, 1.0]) == 0.25
-    assert sample_variance([7.0]) == 0.0
+    assert Histogram([3.0, 3.0, 3.0]).variance == 0.0
+    assert Histogram([0.0, 1.0]).variance == 0.25
+    assert Histogram([7.0]).variance == 0.0
     with pytest.raises(ValueError):
-        sample_variance([])
+        Histogram([]).variance
 
 
 def test_histogram_counts_match_repeated_samples():
@@ -338,8 +337,8 @@ def test_sigma_ratio_matches_population_value():
     batch = sampler.sample_shots(seed=31, count=n)
     x = batch.g
     y = g_identity(batch)
-    var_x = sample_variance(x)
-    var_y = sample_variance(y)
+    var_x = Histogram(x).variance
+    var_y = Histogram(y).variance
     plug_in = var_x / y.mean() ** 2 + x.mean() ** 2 * var_y / y.mean() ** 4
     mu_x = sampler.exact_mean
     p = lcu.success_probability(dec, rho)

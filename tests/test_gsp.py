@@ -217,7 +217,6 @@ def test_config_derived_parameters():
     log_ratio = math.log(0.5 / 1e-3)
     assert cfg.sigma2 == pytest.approx(log_ratio / cfg.gap**2, rel=1e-12)
     assert cfg.tau_prime == pytest.approx(cfg.gap / math.sqrt(log_ratio), rel=1e-12)
-    assert cfg.delta_pp == cfg.tau_prime
     assert cfg.e_estimate == pytest.approx(cfg.lambda0)
 
 
@@ -351,20 +350,20 @@ def test_energy_estimate_robustness():
 
 
 def test_refined_estimate_robustness():
-    # an E' within delta_pp of the ground energy keeps the final distance
+    # an E' within tau_prime of the ground energy keeps the final distance
     # O(epsilon); E' enters only the Gaussian stage, so R does not move
     h, psi = random_gsp_instance(16, 0.2, 0.5, seed=3)
     cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
     base = hybrid_gsp(cfg, psi)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        off = float(rng.uniform(-cfg.delta_pp, cfg.delta_pp))
+        off = float(rng.uniform(-cfg.tau_prime, cfg.tau_prime))
         rep = hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3, e_prime_offset=off), psi)
         assert rep.final_distance <= 2.0 * cfg.epsilon
         assert rep.r_factor == base.r_factor
         assert rep.stage1_distance == base.stage1_distance
-    # the scale binds: four times delta_pp off, the filter misses the ground state
-    far = hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3, e_prime_offset=4.0 * cfg.delta_pp), psi)
+    # the scale binds: four times tau_prime off, the filter misses the ground state
+    far = hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3, e_prime_offset=4.0 * cfg.tau_prime), psi)
     assert far.final_distance > 0.1
 
 
@@ -392,6 +391,17 @@ def test_complexity_delta_one_normalization():
     p0, eps = 0.25, 0.05
     rep = complexity_report(p0, 1.0, eps)
     assert rep.term1 == pytest.approx(math.log(4.0) ** 2 / (p0 * eps**2), rel=1e-12)
+
+
+def test_report_total_time_is_complexity_report():
+    # hybrid_gsp's two total-time columns are complexity_report's terms, bit for bit
+    for p0 in (0.3, 0.7):
+        for eps in (1e-3, 0.05, 0.2):
+            for seed in range(3):
+                h, psi = random_gsp_instance(8, 0.2, p0, seed=seed)
+                rep = hybrid_gsp(GspConfig(h_matrix=h, p0=p0, epsilon=eps), psi)
+                cost = complexity_report(p0, rep.gap, eps)
+                assert (rep.total_time_term1, rep.total_time_term2) == (cost.term1, cost.term2), (p0, eps, seed)
 
 
 def test_complexity_rejects_bad_alpha():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import PAULI_X, PAULI_Z, PLUS, haar_unitary, random_density, random_lcu
 
-from hybridlcu import lcu, qcore
+from hybridlcu import lcu
 
 RHO_PLUS = np.outer(PLUS, PLUS)
 
@@ -163,14 +163,6 @@ def test_success_probability_bounds_random():
         rho = random_density(4, rng)
         p = lcu.success_probability(dec, rho)
         assert -1e-12 <= p <= 1.0 + 1e-12
-
-
-def test_states_accepted_as_objects():
-    dec = lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), PAULI_Z])
-    plus = qcore.PureState(PLUS)
-    mixed = qcore.MixedState(RHO_PLUS)
-    assert abs(lcu.success_probability(dec, plus) - 0.5) <= 1e-12
-    assert abs(lcu.success_probability(dec, mixed) - 0.5) <= 1e-12
 
 
 def test_probability_check_raises_under_optimize():

@@ -6,7 +6,7 @@ from conftest import PAULI_Z, PLUS, bell_number, random_density, random_hermitia
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridlcu import lcu, partition
+from hybridlcu import hybrid, lcu, partition
 from hybridlcu.partition import (
     MAX_ENUM_M,
     EmptyGroupError,
@@ -56,9 +56,7 @@ def test_canonical_ordering():
 
 
 def test_text_roundtrip_one_based():
-    p = Partition.from_text("1,2|3|4,5", 5)
-    assert p.groups == ((0, 1), (2,), (3, 4))
-    assert p.to_text() == "1,2|3|4,5"
+    assert Partition([[4, 3], [2], [1, 0]], 5).to_text() == "1,2|3|4,5"
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,14 +127,19 @@ def test_scan_rows_equal_reduction_factor_bitwise():
 
 def test_a_star_is_one_integer_rule():
     # every nonempty S is the one group of width > 0 in {S} + singletons,
-    # so the scan's a* of that partition is its per-mask width
+    # so the scan's a* of that partition is its per-mask width, and the
+    # block encoding of S carries that many ancilla qubits
     rng = np.random.default_rng(9)
     for m in range(1, MAX_ENUM_M + 1):
-        scanned = {text: a_star for text, a_star, _, _ in scan(random_lcu(m, 2, rng), random_pure(2, rng))}
+        dec = random_lcu(m, 2, rng)
+        scanned = {text: a_star for text, a_star, _, _ in scan(dec, random_pure(2, rng))}
         for s in range(1, 1 << m):
             group = [i for i in range(m) if s >> i & 1]
             part = Partition([group] + [[i] for i in range(m) if i not in group], m)
-            assert scanned[part.to_text()] == part.a_star == math.ceil(math.log2(len(group)))
+            width = math.ceil(math.log2(len(group)))
+            assert scanned[part.to_text()] == part.a_star == width
+            (op,) = [g for g in group_operators(dec, part) if list(g.members) == group]
+            assert hybrid.build_block_encoding(op, dec).shape == (2**width * 2,) * 2
 
 
 ## ------------------------------------------------------------------

@@ -54,33 +54,12 @@ def test_expm_unitary_and_group_property():
     assert np.linalg.norm(lhs - rhs) <= 1e-9
 
 
-def test_pure_state_norm_enforced():
-    qcore.PureState([1.0, 0.0])
-    with pytest.raises(ValueError):
-        qcore.PureState([1.0, 1.0])
-    unnorm = qcore.PureState([1.0, 1.0], normalized=False)
-    assert unnorm.dimension == 2
-
-
-def test_mixed_state_validation():
-    qcore.MixedState(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        qcore.MixedState(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        qcore.MixedState(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-
-
 def test_observable_caches_spectrum():
     obs = qcore.Observable(PAULI_Z)
     assert np.allclose(obs.eigenvalues, [-1.0, 1.0])
     assert obs.spectral_norm == 1.0
     with pytest.raises(ValueError):
         qcore.Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_dimension_caps():
-    with pytest.raises(ValueError, match="cap"):
-        qcore.MixedState(np.eye(2**7 * 2) / (2**7 * 2))
 
 
 def test_save_csv_cell_format(tmp_path):

@@ -174,9 +174,9 @@ def test_y_node_bounds():
     grid = build_grid(identity_config())
     assert grid.y_node(0) == 0.0
     assert grid.y_node(3) == pytest.approx(3 * grid.dy, rel=1e-15)
-    with pytest.raises(IndexError):
-        grid.y_node(grid.j_count)
-    assert grid.y_nodes.shape == (grid.j_count,)
+    for j in (-1, grid.j_count):
+        with pytest.raises(IndexError):
+            grid.y_node(j)
 
 
 # ---------------------------------------------------------------------------
