@@ -7,6 +7,10 @@ unitaries ``U_i`` is stored as an :class:`LcuDecomposition`: one read-only
 over the stack. The normalized sum ``K_lcu = sum_i p_i U_i`` drives the CP
 map ``rho -> K_lcu rho K_lcu^dag`` whose trace is the post-selection
 success probability of the coherent implementation.
+
+The constructor is the only way in and checks every term, so each
+decomposition that exists has unitary terms and positive weights that sum
+to ``|c|_1``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .qcore import TOL
 
 __all__ = [
     "LcuDecomposition",
-    "normalize",
     "assemble_klcu",
     "success_probability",
     "apply_cp_map",
@@ -29,29 +32,51 @@ __all__ = [
 
 
 class LcuDecomposition:
-    """Validated, normalized LCU decomposition.
+    """Validated, normalized LCU decomposition of ``sum_i c_i U_i``.
+
+    The constructor refuses unequal lengths, non-finite coefficients,
+    non-unitary terms and mixed dimensions. The phase of a complex or
+    negative coefficient is folded into its unitary, so every weight is a
+    positive real. Zero-coefficient terms are dropped with a warning and
+    counted in ``dropped``, because empty groups would break partition
+    invariants downstream; term order is otherwise kept.
 
     ``unitaries`` has shape ``(m, d, d)``; ``coefficients`` and ``probs``
-    have shape ``(m,)``. All three are read-only. Use :func:`normalize` (or
-    the convenience constructor :meth:`from_terms`) rather than
-    instantiating directly.
+    have shape ``(m,)``. All three are read-only.
     """
 
-    def __init__(self, coefficients: list[float], unitaries: list[np.ndarray], dropped: int = 0):
-        if not coefficients:
+    def __init__(self, coefficients, unitaries):
+        kept_c = []
+        kept_u = []
+        dropped = 0
+        for i, (c, u) in enumerate(zip(coefficients, unitaries, strict=True)):
+            c = complex(c)
+            if not np.isfinite(c):
+                raise ValueError(f"term {i} has a non-finite coefficient {c}")
+            u = qcore.as_matrix(u)
+            weight = abs(c)
+            if weight == 0.0:
+                dropped += 1
+                continue
+            if c != weight:
+                u = (c / weight) * u  # fold the phase into the unitary
+            if not qcore.is_unitary(u):
+                raise ValueError("term matrix is not unitary within tolerance")
+            kept_c.append(weight)
+            kept_u.append(u)
+        if dropped:
+            warnings.warn(f"dropped {dropped} zero-coefficient term(s)", stacklevel=2)
+        if not kept_c:
             raise ValueError("degenerate decomposition: no terms with positive coefficient")
-        if len({u.shape for u in unitaries}) != 1:
+        if len({u.shape for u in kept_u}) != 1:
             raise ValueError("terms do not share one dimension")
         # summed in term order: a pairwise numpy sum could move the last
         # digit of |c|_1, hence of every p_i and of the sampled shots
-        one_norm = float(sum(coefficients))
-        if one_norm <= 0:
-            raise ValueError("degenerate decomposition: all coefficients zero")
-        self.coefficients = np.array(coefficients)
-        self.unitaries = np.stack(unitaries)
+        self.one_norm = float(sum(kept_c))
+        self.coefficients = np.array(kept_c)
+        self.unitaries = np.stack(kept_u)
         self.m, self.dimension = self.unitaries.shape[:2]
-        self.one_norm = one_norm
-        self.probs = self.coefficients / one_norm
+        self.probs = self.coefficients / self.one_norm
         if not abs(self.probs.sum() - 1.0) <= TOL.prob_norm:
             raise qcore.InvariantViolation(f"term probabilities sum to {self.probs.sum()!r}, not 1")
         for a in (self.coefficients, self.unitaries, self.probs):
@@ -60,42 +85,8 @@ class LcuDecomposition:
 
     @classmethod
     def from_terms(cls, coefficients, unitaries) -> "LcuDecomposition":
-        return normalize(list(zip(coefficients, unitaries)))
-
-
-def normalize(terms) -> LcuDecomposition:
-    """Build a decomposition from ``(coefficient, unitary)`` pairs.
-
-    A complex or negative coefficient has its phase folded into the
-    unitary, so every stored weight is a nonnegative real. Zero-coefficient
-    terms are dropped (with a warning) because empty groups would break
-    partition invariants downstream; term order is otherwise preserved.
-    """
-    coefficients = []
-    unitaries = []
-    dropped = 0
-    for i, (c, u) in enumerate(terms):
-        c = complex(c)
-        if not np.isfinite(c):
-            raise ValueError(f"term {i} has a non-finite coefficient {c}")
-        u = qcore.as_matrix(u)
-        if abs(c.imag) > 0 or c.real < 0:
-            mag = abs(c)
-            if mag > 0:
-                u = (c / mag) * u
-            c = mag
-        else:
-            c = c.real
-        if c > 0 and not qcore.is_unitary(u):
-            raise ValueError("term matrix is not unitary within tolerance")
-        if c == 0.0:
-            dropped += 1
-            continue
-        coefficients.append(float(c))
-        unitaries.append(u)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-coefficient term(s)", stacklevel=2)
-    return LcuDecomposition(coefficients, unitaries, dropped=dropped)
+        """The constructor, under the name the drivers call it by."""
+        return cls(coefficients, unitaries)
 
 
 def assemble_klcu(dec: LcuDecomposition) -> np.ndarray:

@@ -25,7 +25,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lcu, qcore
-from .qcore import TOL
 
 __all__ = [
     "PartitionError",
@@ -33,7 +32,6 @@ __all__ = [
     "GapError",
     "EmptyGroupError",
     "Partition",
-    "validate",
     "group_operators",
     "GroupOperator",
     "gram",
@@ -74,15 +72,33 @@ class EmptyGroupError(PartitionError):
 class Partition:
     """Canonicalized set partition of ``range(m)``.
 
-    Groups are ordered by least member, members ascending, so equal
-    partitions are structurally equal.
+    The constructor checks that ``groups`` cover ``range(m)`` disjointly
+    and raises :class:`EmptyGroupError`, :class:`PartitionError` (index out
+    of range), :class:`OverlapError` or :class:`GapError` otherwise. Groups
+    are ordered by least member, members ascending, so equal partitions are
+    structurally equal.
     """
 
     def __init__(self, groups, m: int):
-        canon = tuple(sorted((tuple(sorted(g)) for g in groups), key=lambda g: g[0]))
-        self.groups = canon
+        seen: set[int] = set()
+        cleaned = []
+        for g in groups:
+            g = [int(i) for i in g]
+            if not g:
+                raise EmptyGroupError("partition contains an empty group")
+            for i in g:
+                if i < 0 or i >= m:
+                    raise PartitionError(f"index {i} outside range(0, {m})")
+                if i in seen:
+                    raise OverlapError(f"index {i} appears in more than one group")
+                seen.add(i)
+            cleaned.append(tuple(sorted(g)))
+        if len(seen) != m:
+            missing = sorted(set(range(m)) - seen)
+            raise GapError(f"indices {missing} not covered by any group")
+        self.groups = tuple(sorted(cleaned, key=lambda g: g[0]))
         self.m = m
-        self.G = len(canon)
+        self.G = len(cleaned)
 
     def __eq__(self, other):
         return isinstance(other, Partition) and self.groups == other.groups and self.m == other.m
@@ -108,27 +124,6 @@ class Partition:
     @classmethod
     def singletons(cls, m: int) -> "Partition":
         return cls([(i,) for i in range(m)], m)
-
-
-def validate(groups, m: int) -> Partition:
-    """Check disjoint cover of ``range(m)`` and return the canonical form."""
-    seen: set[int] = set()
-    cleaned = []
-    for g in groups:
-        g = [int(i) for i in g]
-        if not g:
-            raise EmptyGroupError("partition contains an empty group")
-        for i in g:
-            if i < 0 or i >= m:
-                raise PartitionError(f"index {i} outside range(0, {m})")
-            if i in seen:
-                raise OverlapError(f"index {i} appears in more than one group")
-            seen.add(i)
-        cleaned.append(g)
-    if len(seen) != m:
-        missing = sorted(set(range(m)) - seen)
-        raise GapError(f"indices {missing} not covered by any group")
-    return Partition(cleaned, m)
 
 
 class GroupOperator(NamedTuple):
@@ -224,6 +219,8 @@ def split_delta(dec, part: Partition, group_idx: int, subset_a, state, obs) -> f
     which is manifestly nonnegative (refinement can only raise R^O). It equals
     ``(q_A q_B / q_S) w^T G w`` on ``W = O^2``, ``w = 1/q_A`` on A, ``-1/q_B`` on B.
     """
+    if part.m != dec.m:
+        raise ValueError(f"partition over {part.m} indices, decomposition has {dec.m} terms")
     group = part.groups[group_idx]
     sub_a = tuple(sorted(int(i) for i in subset_a))
     if not sub_a or not set(sub_a) < set(group):

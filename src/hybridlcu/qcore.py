@@ -120,7 +120,8 @@ class Observable:
         self.spectral_norm = float(np.abs(w).max()) if w.size else 0.0
         resid = float(np.linalg.norm((v * w) @ v.conj().T - mat))
         if resid > TOL.cross_backend:
-            raise ValueError(f"spectral reconstruction residual {resid:.3e}")
+            # the input passed require_hermitian, so this is eigh failing, not bad input
+            raise InvariantViolation(f"spectral reconstruction residual {resid:.3e}")
 
 
 def as_observable(obs) -> Observable:

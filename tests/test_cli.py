@@ -271,6 +271,20 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
         assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
 
 
+def test_failed_eigensolve_exits_three(tmp_path, monkeypatch, capsys):
+    # the observable passed the Hermiticity check, so eigenvectors that do not
+    # reconstruct it are a numerical fault, not a config error
+    eigh = np.linalg.eigh
+
+    def skewed(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        return w, v * 1.01
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    assert cli.main(["demo", "--seed", "1", "--shots", "10", "--out", str(tmp_path)]) == 3
+    assert "invariant violation: spectral reconstruction residual" in capsys.readouterr().err
+
+
 def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
     # the shot CSV is written under a temporary name and moved into place only
     # after both Monte-Carlo gates pass; a failed gate leaves the partition table

@@ -24,7 +24,7 @@ from hybridlcu.estimate import (
     z_quantile,
 )
 from hybridlcu.hybrid import HybridChannel, Sampler, write_shot_csv
-from hybridlcu.partition import Partition, reduction_factor_obs, validate
+from hybridlcu.partition import Partition, reduction_factor_obs
 from hybridlcu.qcore import Observable
 
 
@@ -249,7 +249,7 @@ def test_numerator_bernstein_coverage():
     # planner soundness: failure rate over 200 planned runs stays within delta + 0.02
     rng = np.random.default_rng(22)
     dec = random_lcu(3, 3, rng)
-    ch = HybridChannel(dec, validate([[0, 1], [2]], 3))
+    ch = HybridChannel(dec, Partition([[0, 1], [2]], 3))
     rho = random_density(3, rng)
     herm = random_hermitian(3, rng)
     obs = Observable(herm / np.abs(np.linalg.eigvalsh(herm)).max())
@@ -297,7 +297,7 @@ def test_estimate_ratio_identity_batches():
     config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
     rng = np.random.default_rng(23)
     dec = random_lcu(3, 3, rng)
-    ch = HybridChannel(dec, validate([[0, 1], [2]], 3))
+    ch = HybridChannel(dec, Partition([[0, 1], [2]], 3))
     rho = random_density(3, rng)
     batch = Sampler(ch, rho, np.eye(3)).sample_shots(seed=8, count=500)
     g1 = g_identity(batch)
@@ -327,7 +327,7 @@ def test_sigma_ratio_matches_population_value():
     # plug-in delta-method variance within 10% of its population counterpart at N = 1e5
     rng = np.random.default_rng(25)
     dec = random_lcu(3, 3, rng)
-    part = validate([[0, 1], [2]], 3)
+    part = Partition([[0, 1], [2]], 3)
     ch = HybridChannel(dec, part)
     rho = random_density(3, rng)
     herm = random_hermitian(3, rng)
@@ -361,7 +361,7 @@ def test_ratio_error_scales_as_sqrt_R_over_P():
     p = lcu.success_probability(dec, rho)
     shift = lcu.expectation_unnormalized(dec, rho, raw.matrix) / dec.one_norm**2 / p
     obs = Observable(raw.matrix - shift * np.eye(4))
-    parts = [Partition.coherent(4), validate([[0, 1], [2], [3]], 4), Partition.singletons(4)]
+    parts = [Partition.coherent(4), Partition([[0, 1], [2], [3]], 4), Partition.singletons(4)]
     n, reps = 2000, 200
     xs, ys = [], []
     for part in parts:
@@ -390,7 +390,7 @@ def test_statistics_are_split_invariant(tmp_path):
     # arrays' statistics
     rng = np.random.default_rng(28)
     dec = random_lcu(3, 3, rng)
-    ch = HybridChannel(dec, validate([[0, 1], [2]], 3))
+    ch = HybridChannel(dec, Partition([[0, 1], [2]], 3))
     rho = random_density(3, rng)
     herm = random_hermitian(3, rng)
     samplers = [Sampler(ch, rho, herm / np.abs(np.linalg.eigvalsh(herm)).max()), Sampler(ch, rho, np.eye(3))]

@@ -7,7 +7,7 @@ import pytest
 from rounds import compose_rounds
 from scipy.linalg import cosm
 
-from hybridlcu import gsp, hybrid, lcu, partition, qcore
+from hybridlcu import hybrid, lcu, partition, qcore
 from hybridlcu.gsp import (
     GspConfig,
     complexity_report,

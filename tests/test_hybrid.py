@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import PAULI_I, PAULI_X, PAULI_Z, haar_unitary, random_density, random_hermitian, random_lcu
+from conftest import PAULI_Z, haar_unitary, random_density, random_hermitian, random_lcu
 from rounds import DegenerateRoundError, compose_rounds, expectation_rounds
 
 from hybridlcu import hybrid, lcu, partition, prng, qcore
@@ -18,7 +18,7 @@ from hybridlcu.hybrid import (
     outcome_distribution,
     write_shot_csv,
 )
-from hybridlcu.partition import Partition, group_operators, reduction_factor, validate
+from hybridlcu.partition import Partition, group_operators, reduction_factor
 
 
 def random_partition(m: int, rng: np.random.Generator) -> Partition:
@@ -26,7 +26,7 @@ def random_partition(m: int, rng: np.random.Generator) -> Partition:
     groups: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(i)
-    return validate(list(groups.values()), m)
+    return Partition(list(groups.values()), m)
 
 
 ## ------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_block_encoding_matches_select_sandwich():
             dec = random_lcu(size + 2, dim, rng)
             members = sorted(rng.choice(size + 2, size=size, replace=False).tolist())
             rest = [i for i in range(size + 2) if i not in members]
-            groups = group_operators(dec, validate([members, rest], size + 2))
+            groups = group_operators(dec, Partition([members, rest], size + 2))
             g = next(g for g in groups if list(g.members) == members)
             l_mat = build_block_encoding(g, dec)
             ref = reference_block_encoding(g, dec)
@@ -132,7 +132,7 @@ def test_controlled_pair_structure():
 def test_padded_encodings_share_width():
     rng = np.random.default_rng(4)
     dec = random_lcu(5, 3, rng)
-    part = validate([[0, 1, 2], [3], [4]], 5)
+    part = Partition([[0, 1, 2], [3], [4]], 5)
     ch = HybridChannel(dec, part)
     assert ch.a_star == 2
     for l_mat, g in zip(ch.padded_encodings, ch.group_ops):
@@ -239,7 +239,7 @@ def test_outcome_distribution_normalized_and_moment_exact():
 def test_outcome_distribution_diagonal_pair_has_no_b1_plane():
     rng = np.random.default_rng(10)
     dec = random_lcu(4, 2, rng)
-    ch = HybridChannel(dec, validate([[0, 1], [2, 3]], 4))
+    ch = HybridChannel(dec, Partition([[0, 1], [2, 3]], 4))
     rho = random_density(2, rng)
     probs = outcome_distribution(ch, rho, PAULI_Z, 1, 1)
     assert np.all(probs[:, 1, :] == 0.0)
@@ -273,7 +273,7 @@ def _pair_circuit_table(ch, rho, obs, k, kp):
 def test_outcome_distribution_matches_pair_circuit(groups, dim):
     rng = np.random.default_rng(len(groups) * 100 + dim)
     m = sum(len(g) for g in groups)
-    ch = HybridChannel(random_lcu(m, dim, rng), validate(groups, m))
+    ch = HybridChannel(random_lcu(m, dim, rng), Partition(groups, m))
     rho = random_density(dim, rng)
     assert np.linalg.matrix_rank(rho) == dim
     obs = qcore.Observable(random_hermitian(dim, rng))
@@ -291,7 +291,7 @@ def test_outcome_distribution_matches_pair_circuit(groups, dim):
 def _moment_instance(seed=11):
     rng = np.random.default_rng(seed)
     dec = random_lcu(4, 4, rng)
-    ch = HybridChannel(dec, validate([[0, 1], [2], [3]], 4))
+    ch = HybridChannel(dec, Partition([[0, 1], [2], [3]], 4))
     rho = random_density(4, rng)
     obs = qcore.Observable(random_hermitian(4, rng))
     return ch, rho, obs
@@ -495,7 +495,7 @@ def test_identity_observable_samples_R():
     # with O = 1 the estimator mean is P and the second moment is R
     rng = np.random.default_rng(12)
     dec = random_lcu(3, 3, rng)
-    part = validate([[0, 1], [2]], 3)
+    part = Partition([[0, 1], [2]], 3)
     ch = HybridChannel(dec, part)
     rho = random_density(3, rng)
     sampler = Sampler(ch, rho, np.eye(3))
@@ -511,7 +511,7 @@ def test_identity_observable_samples_R():
 def test_compose_rounds_single_round_factor():
     rng = np.random.default_rng(13)
     dec = random_lcu(4, 3, rng)
-    part = validate([[0, 2], [1, 3]], 4)
+    part = Partition([[0, 2], [1, 3]], 4)
     ch = HybridChannel(dec, part)
     rho = random_density(3, rng)
     intermediates, r_total = compose_rounds([ch], rho)
@@ -665,7 +665,7 @@ def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
     n = 200_000
     per_shot = []
     for dim in (2, 8):
-        ch = HybridChannel(random_lcu(4, dim, rng), validate([[0, 1], [2], [3]], 4))
+        ch = HybridChannel(random_lcu(4, dim, rng), Partition([[0, 1], [2], [3]], 4))
         sampler = Sampler(ch, random_density(dim, rng), random_hermitian(dim, rng))
         per_shot.append(_traced_peak(sampler.sample_shots, seed=1, count=n) / n)
     assert abs(per_shot[1] - per_shot[0]) <= 0.1 * per_shot[0], per_shot

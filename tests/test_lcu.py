@@ -11,7 +11,7 @@ RHO_PLUS = np.outer(PLUS, PLUS)
 
 
 def test_normalize_single_term():
-    dec = lcu.normalize([(1.0, np.eye(2))])
+    dec = lcu.LcuDecomposition([1.0], [np.eye(2)])
     assert dec.one_norm == 1.0
     assert np.allclose(dec.probs, [1.0])
 
@@ -31,21 +31,21 @@ def test_normalize_weighted():
 def test_normalize_rejects_all_zero():
     with pytest.raises(ValueError, match="degenerate"):
         with pytest.warns(UserWarning):
-            lcu.normalize([(0.0, np.eye(2))])
+            lcu.LcuDecomposition([0.0], [np.eye(2)])
 
 
 def test_zero_terms_dropped_with_warning():
     with pytest.warns(UserWarning, match="dropped 1"):
-        dec = lcu.normalize([(1.0, np.eye(2)), (0.0, PAULI_Z)])
+        dec = lcu.LcuDecomposition([1.0, 0.0], [np.eye(2), PAULI_Z])
     assert dec.m == 1
     assert dec.dropped == 1
 
 
 def test_complex_coefficient_phase_folded():
-    dec = lcu.normalize([(1j, np.eye(2))])
+    dec = lcu.LcuDecomposition([1j], [np.eye(2)])
     assert dec.coefficients[0] == 1.0
     assert np.allclose(dec.unitaries[0], 1j * np.eye(2))
-    dec = lcu.normalize([(-2.0, PAULI_Z), (1.0, np.eye(2))])
+    dec = lcu.LcuDecomposition([-2.0, 1.0], [PAULI_Z, np.eye(2)])
     assert np.array_equal(dec.coefficients, [2.0, 1.0])
     assert np.array_equal(dec.unitaries[0], -PAULI_Z)
     assert dec.one_norm == 3.0
@@ -53,10 +53,10 @@ def test_complex_coefficient_phase_folded():
 
 def test_mixed_term_dimensions_rejected():
     with pytest.raises(ValueError, match="terms do not share one dimension"):
-        lcu.normalize([(1.0, np.eye(2)), (1.0, np.eye(3))])
+        lcu.LcuDecomposition([1.0, 1.0], [np.eye(2), np.eye(3)])
     # a dropped zero-coefficient term does not count towards the dimension
     with pytest.warns(UserWarning, match="dropped 1"):
-        dec = lcu.normalize([(1.0, np.eye(2)), (0.0, np.eye(3))])
+        dec = lcu.LcuDecomposition([1.0, 0.0], [np.eye(2), np.eye(3)])
     assert dec.unitaries.shape == (1, 2, 2)
 
 
@@ -78,7 +78,18 @@ def test_term_stack_shapes_and_read_only():
 
 def test_non_unitary_rejected():
     with pytest.raises(ValueError, match="unitary"):
-        lcu.normalize([(1.0, np.array([[1.0, 0.0], [0.0, 2.0]]))])
+        lcu.LcuDecomposition([1.0], [np.array([[1.0, 0.0], [0.0, 2.0]])])
+    # a scaled identity would give R(singletons) = 2.5, above the bound R <= 1
+    with pytest.raises(ValueError, match="not unitary"):
+        lcu.LcuDecomposition([0.5, 0.5], [np.eye(2), 2.0 * np.eye(2)])
+
+
+def test_unequal_lengths_rejected():
+    # a length mismatch is an error, not a decomposition of the shorter prefix
+    with pytest.raises(ValueError, match="shorter"):
+        lcu.LcuDecomposition.from_terms([1.0, 1.0, 1.0], [np.eye(2), PAULI_Z])
+    with pytest.raises(ValueError, match="longer"):
+        lcu.LcuDecomposition([1.0], [np.eye(2), PAULI_Z])
 
 
 def test_non_finite_coefficients_rejected_by_index():
@@ -102,7 +113,7 @@ def test_assemble_klcu_cancellation():
 
 
 def test_success_probability_cases():
-    single = lcu.normalize([(2.0, haar_unitary(3, np.random.default_rng(0)))])
+    single = lcu.LcuDecomposition([2.0], [haar_unitary(3, np.random.default_rng(0))])
     rho = random_density(3, np.random.default_rng(1))
     assert abs(lcu.success_probability(single, rho) - 1.0) <= 1e-12
 
@@ -136,7 +147,7 @@ def test_expectation_unnormalized_oracle_values():
     dec = lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), PAULI_Z])
     assert abs(lcu.expectation_unnormalized(dec, RHO_PLUS, PAULI_Z) - 2.0) <= 1e-12
     assert abs(lcu.expectation_unnormalized(dec, RHO_PLUS, PAULI_X) - 0.0) <= 1e-12
-    single = lcu.normalize([(1.0, haar_unitary(2, np.random.default_rng(2)))])
+    single = lcu.LcuDecomposition([1.0], [haar_unitary(2, np.random.default_rng(2))])
     rho = random_density(2, np.random.default_rng(3))
     assert abs(lcu.expectation_unnormalized(single, rho, np.eye(2)) - 1.0) <= 1e-12
 
@@ -151,7 +162,7 @@ def test_expectation_identity_equals_scaled_success():
 
 
 def test_expectation_dimension_mismatch():
-    dec = lcu.normalize([(1.0, np.eye(2))])
+    dec = lcu.LcuDecomposition([1.0], [np.eye(2)])
     with pytest.raises(ValueError, match="dimension"):
         lcu.expectation_unnormalized(dec, np.eye(3) / 3, np.eye(3))
 

@@ -24,7 +24,6 @@ from hybridlcu.partition import (
     scan,
     split_delta,
     tail_bound_R,
-    validate,
 )
 
 RHO_PLUS = np.outer(PLUS, PLUS)
@@ -35,19 +34,26 @@ RHO_PLUS = np.outer(PLUS, PLUS)
 ## ------------------------------------------------------------------
 
 def test_validate_trivial_partitions():
-    assert validate([range(5)], 5).G == 1
-    assert validate([[0], [1], [2]], 3).G == 3
+    assert Partition([range(5)], 5).G == 1
+    assert Partition([[0], [1], [2]], 3).G == 3
 
 
 def test_validate_named_errors():
     with pytest.raises(OverlapError):
-        validate([[0, 1], [1, 2]], 3)
+        Partition([[0, 1], [1, 2]], 3)
     with pytest.raises(GapError):
-        validate([[0, 1]], 3)
+        Partition([[0, 1]], 3)
     with pytest.raises(EmptyGroupError):
-        validate([[0], []], 1)
+        Partition([[0], []], 1)
     with pytest.raises(partition.PartitionError):
-        validate([[0, 7]], 3)
+        Partition([[0, 7]], 3)
+    # an empty group before the last one is refused by name, not by an IndexError
+    with pytest.raises(EmptyGroupError, match="empty group"):
+        Partition([(0,), (), (1, 2)], 3)
+    with pytest.raises(partition.PartitionError, match=r"index 5 outside range\(0, 3\)"):
+        Partition([(0, 5), (1, 2)], 3)
+    with pytest.raises(partition.PartitionError, match=r"index -1 outside range\(0, 2\)"):
+        Partition([(-1,), (0, 1)], 2)
 
 
 def test_canonical_ordering():
@@ -65,7 +71,7 @@ def test_random_group_assignment_always_validates(m, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, m, size=m)
     groups = [[i for i in range(m) if labels[i] == lab] for lab in set(labels.tolist())]
-    p = validate(groups, m)
+    p = Partition(groups, m)
     assert sorted(i for g in p.groups for i in g) == list(range(m))
 
 
@@ -95,7 +101,7 @@ def test_label_rows_validate_in_enumeration_order():
     rng = np.random.default_rng(8)
     for m in range(1, 8):
         labels, _ = label_arrays(m)
-        parts = [validate([np.flatnonzero(row == k) for k in range(row.max() + 1)], m) for row in labels]
+        parts = [Partition([np.flatnonzero(row == k) for k in range(row.max() + 1)], m) for row in labels]
         assert parts == enumerate_partitions(m)
         texts = [row[0] for row in scan(random_lcu(m, 2, rng), random_pure(2, rng))]
         assert texts == [p.to_text() for p in parts]
@@ -162,7 +168,7 @@ def test_group_operators_weighted_example():
     # p = (0.5, 0.25, 0.25) grouped as {0} | {1,2}
     u = [np.eye(2), PAULI_Z, np.array([[0, 1], [1, 0]], dtype=complex)]
     dec = lcu.LcuDecomposition.from_terms([2.0, 1.0, 1.0], u)
-    ops = group_operators(dec, validate([[0], [1, 2]], 3))
+    ops = group_operators(dec, Partition([[0], [1, 2]], 3))
     assert np.allclose([g.weight for g in ops], [0.5, 0.5])
     assert np.allclose(ops[1].operator, (u[1] + u[2]) / 2)
 
@@ -217,7 +223,7 @@ def test_reduction_factor_obs_cases():
     rng = np.random.default_rng(5)
     dec = random_lcu(4, 2, rng)
     rho = random_density(2, rng)
-    for part in (Partition.singletons(4), Partition.coherent(4), validate([[0, 2], [1, 3]], 4)):
+    for part in (Partition.singletons(4), Partition.coherent(4), Partition([[0, 2], [1, 3]], 4)):
         r = reduction_factor(dec, part, rho)
         assert abs(reduction_factor_obs(dec, part, rho, np.eye(2)) - r) <= 1e-12
         # O with O^2 = 1 keeps R^O = R
@@ -303,11 +309,11 @@ def test_gram_is_symmetric():
 
 def test_is_refinement_cases():
     m = 4
-    anything = validate([[0, 1], [2, 3]], m)
+    anything = Partition([[0, 1], [2, 3]], m)
     assert is_refinement(Partition.singletons(m), anything)
     assert is_refinement(anything, Partition.coherent(m))
-    a = validate([[0, 1], [2]], 3)
-    b = validate([[0, 2], [1]], 3)
+    a = Partition([[0, 1], [2]], 3)
+    b = Partition([[0, 2], [1]], 3)
     assert not is_refinement(a, b)
 
 
@@ -355,7 +361,7 @@ def test_split_delta_matches_direct_difference():
         delta = split_delta(dec, part, gidx, subset_a, rho, obs)
         split_groups = [g for i, g in enumerate(part.groups) if i != gidx]
         split_groups += [subset_a, tuple(i for i in group if i not in subset_a)]
-        fine = validate(split_groups, m)
+        fine = Partition(split_groups, m)
         direct = reduction_factor_obs(dec, fine, rho, obs) - reduction_factor_obs(dec, part, rho, obs)
         assert delta >= -1e-12
         assert abs(delta - direct) <= 1e-9
@@ -383,6 +389,8 @@ def test_split_delta_rejects_bad_subset():
         split_delta(dec, Partition.coherent(2), 0, [0, 1], RHO_PLUS, np.eye(2))
     with pytest.raises(ValueError):
         split_delta(dec, Partition.coherent(2), 0, [], RHO_PLUS, np.eye(2))
+    with pytest.raises(ValueError, match="partition over 3 indices, decomposition has 2 terms"):
+        split_delta(dec, Partition.coherent(3), 0, [0], RHO_PLUS, np.eye(2))
 
 
 def test_fragment_bound_formula_and_instances():
@@ -392,9 +400,9 @@ def test_fragment_bound_formula_and_instances():
         dec = random_lcu(5, 3, rng)
         rho = random_density(3, rng)
         obs = np.diag(rng.uniform(-1, 1, size=3)).astype(complex)
-        part = validate([[0, 1], [2, 3, 4]], 5)
+        part = Partition([[0, 1], [2, 3, 4]], 5)
         weights = [g.weight for g in group_operators(dec, part)]
-        fragmented = validate([[0, 1], [2], [3], [4]], 5)
+        fragmented = Partition([[0, 1], [2], [3], [4]], 5)
         diff = reduction_factor_obs(dec, fragmented, rho, obs) - reduction_factor_obs(dec, part, rho, obs)
         assert diff <= partition.fragment_bound(weights, 1, obs) + 1e-12
 
@@ -413,7 +421,7 @@ def test_tail_bound_r():
     rng = np.random.default_rng(77)
     dec = random_lcu(5, 3, rng)
     rho = random_density(3, rng)
-    part = validate([[0, 1, 2], [3], [4]], 5)
+    part = Partition([[0, 1, 2], [3], [4]], 5)
     q_a = float(dec.probs[:3].sum())
     q_b = 1.0 - q_a
     from hybridlcu.lcu import success_probability

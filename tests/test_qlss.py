@@ -307,7 +307,7 @@ def test_reduction_factors_match_generic_partition_machinery():
         y = grid.y_node(j)
         for k in range(-grid.k_count, grid.k_count + 1):
             if k == 0:
-                continue  # zero coefficient, normalize() would drop it anyway
+                continue  # zero coefficient, the constructor would drop it anyway
             z = k * grid.dz
             coeffs.append(grid.dy * grid.dz * abs(z) * math.exp(-0.5 * z * z) / SQRT_TWO_PI)
             unis.append(1j * np.sign(z) * qcore.expm_i_hermitian(cfg.m_matrix, y * z))
@@ -317,7 +317,7 @@ def test_reduction_factors_match_generic_partition_machinery():
     groups = [list(range(j * per_group, (j + 1) * per_group)) for j in range(grid.j_count)]
     rho = np.outer(cfg.b, cfg.b.conj())
     rf = reduction_factors(cfg, grid)
-    r_grouped = partition.reduction_factor(dec, partition.validate(groups, dec.m), rho)
+    r_grouped = partition.reduction_factor(dec, partition.Partition(groups, dec.m), rho)
     assert r_grouped == pytest.approx(rf.r_int, abs=1e-9)
     p_coherent = partition.reduction_factor(dec, partition.Partition.coherent(dec.m), rho)
     assert p_coherent == pytest.approx(rf.r_conv, abs=1e-9)

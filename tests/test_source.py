@@ -52,3 +52,24 @@ def test_all_exports_resolve():
         module = importlib.import_module(name)
         missing += [f"{name}.{export}" for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+
+def test_no_unused_imports():
+    # a module-level import that no code reads is dead weight, and a slow one costs every run
+    tests = pathlib.Path(__file__).resolve().parent
+    offenders = []
+    for path in sorted([*SRC.glob("*.py"), *tests.glob("*.py")]):
+        if path.name == "__init__.py":
+            continue  # re-exports
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in _import_time_nodes(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                offenders += [f"{path.name}:{node.lineno}:{name}" for name in bound if name not in read | exported]
+    assert offenders == []
