@@ -231,7 +231,11 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _random_instance(m: int, dim: int, rng: np.random.Generator):
     """Decomposition, pure state and unit-norm observable from one stream."""
     coeffs = rng.uniform(0.2, 1.0, size=m)
-    dec = lcu.LcuDecomposition.from_terms(coeffs, [_haar_unitary(dim, rng) for _ in range(m)])
+    try:
+        dec = lcu.LcuDecomposition.from_terms(coeffs, [_haar_unitary(dim, rng) for _ in range(m)])
+    except ValueError as exc:
+        # no config value reaches these terms, so a term that fails validation is a numerical fault
+        raise InvariantViolation(str(exc)) from exc
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

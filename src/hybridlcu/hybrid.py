@@ -28,11 +28,13 @@ entry per equal bucket of the uniform's range (Chen & Asau 1974); a shot
 whose bucket holds a threshold falls back to the exact lexicographic
 complex search over ``pair + 1j * cumulative probability``, so the codes
 are those of that search for any number of pairs. The shot CSV formats
-one tail per table row and each chunk with one ``%`` template, and a
-run's statistics need only the count of shots per outcome code. Because
-any split of the shot range reassembles to the same shots, a long run is
-drawn in chunks of ``_CSV_CHUNK_ROWS`` that ``write_shot_csv`` streams to
-disk one at a time, so memory stays bounded in the shot count.
+one tail per table row and joins each chunk from cached pieces: one
+string per thousand shot indices, the last three digits from a fixed
+table, and the tails. A run's statistics need only the count of shots
+per outcome code. Because any split of the shot range reassembles to the
+same shots, a long run is drawn in chunks of ``_CSV_CHUNK_ROWS`` that
+``write_shot_csv`` streams to disk one at a time, so memory stays
+bounded in the shot count.
 """
 
 from __future__ import annotations
@@ -356,6 +358,27 @@ class Sampler:
 # chunk by the demo's shot stream; bounds the memory of both
 _CSV_CHUNK_ROWS = 65536
 
+# the last three digits of every shot index from 1000 on
+_LOW_DIGITS = [f"{i:03d}" for i in range(1000)]
+
+
+def _shot_digits(lo: int, n: int) -> tuple[list[str], list[str]]:
+    """``str(i)`` for shots ``lo .. lo+n`` as two piece lists, high parts and last three digits.
+
+    The high part is one ``str`` per thousand shots, repeated; the low
+    digits are a cyclic slice of ``_LOW_DIGITS``. A shot below 1000 is
+    its own high piece with an empty low piece, so it prints unpadded.
+    """
+    small = max(min(1000 - lo, n), 0)
+    highs = [str(i) for i in range(lo, lo + small)]
+    lows = [""] * small
+    lo, end = lo + small, lo + n
+    for thousand in range(lo // 1000, -(-end // 1000)):
+        highs += [str(thousand)] * (min(1000 * thousand + 1000, end) - max(1000 * thousand, lo))
+    offset = lo % 1000
+    lows += (_LOW_DIGITS * ((offset + end - lo) // 1000 + 1))[offset : offset + end - lo]
+    return highs, lows
+
 
 def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
     """One row per shot, ``g`` printed with ``.17g``; a seed comment ends the file.
@@ -364,8 +387,9 @@ def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
     so a generator that draws them keeps only one batch in memory. Apart
     from ``shot``, a row is a row of the sampler's outcome table, so each
     table row's tail is formatted once. A chunk of ``_CSV_CHUNK_ROWS``
-    shots is one ``"%d%s" * n`` template applied to its indices, as Python
-    ints (exact past 2**63), interleaved with the tails its codes name.
+    shots is one ``"".join`` over three pieces per row: the index's high
+    part and its last three digits (``_shot_digits``, from Python ints, so
+    exact past 2**63), and the tail its code names.
     """
     batches = iter(batches)
     first = next(batches, None)
@@ -382,9 +406,9 @@ def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
                 raise ValueError("batches must be consecutive shots of one sampler")
             for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
                 codes = batch.code[lo : lo + _CSV_CHUNK_ROWS]
-                parts = [0] * (2 * len(codes))
-                parts[::2] = range(start + lo, start + lo + len(codes))
-                parts[1::2] = tails[codes].tolist()
-                fh.write("%d%s" * len(codes) % tuple(parts))
+                parts = [""] * (3 * len(codes))
+                parts[::3], parts[1::3] = _shot_digits(start + lo, len(codes))
+                parts[2::3] = tails[codes].tolist()
+                fh.write("".join(parts))
             start += batch.n
         fh.write(f"# seed={first.seed} version={version}\n")

@@ -12,7 +12,9 @@ Each counter block yields four 64-bit words, i.e. four doubles; a batch
 of shots ``[a, b)`` simply evaluates the same pure function on its
 slice. The blocks come from numpy's C ``Philox`` bit generator (Salmon et
 al., SC'11), which emits consecutive counters, so one generator per block
-index covers a whole contiguous shot range.
+index covers a whole contiguous shot range. ``Generator.random`` turns each
+64-bit word into the double ``(word >> 11) * 2**-53`` in C, bit-identical
+to applying that formula to the raw words.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 __all__ = ["derive_key", "uniforms"]
 
@@ -57,19 +59,17 @@ def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.n
     """
     # a numpy start would wrap start + count silently at 2**64; a float is refused
     start = operator.index(start)
-    out = np.empty((count, n), dtype=np.float64)
     if count == 0:
-        return out
+        return np.empty((0, n))
     if start < 0:
         raise ValueError(f"shot index {start} is negative")
     if start + count > 2**64:
         # the counter would carry into the block word and reuse a substream
         raise ValueError(f"shots {start} .. {start + count - 1} pass the 64-bit counter range")
     key = np.array(derive_key(seed, stream), dtype=np.uint64)
-    for block in range((n + 3) // 4):
-        gen = Philox(key=key, counter=_counter_before(start, block))
-        words = gen.random_raw(4 * count).reshape(count, 4)
-        lo = 4 * block
-        width = min(4, n - lo)
-        np.multiply(words[:, :width] >> np.uint64(11), 2.0**-53, out=out[:, lo : lo + width])
-    return out
+    # Generator.random fills only contiguous arrays, so each block index gets its own slab
+    blocks = np.empty(((n + 3) // 4, count, 4))
+    for block, out in enumerate(blocks):
+        Generator(Philox(key=key, counter=_counter_before(start, block))).random(out=out)
+    # for n <= 4 this is a view of the one slab; more slabs are copied side by side
+    return blocks.transpose(1, 0, 2).reshape(count, 4 * len(blocks))[:, :n]

@@ -140,8 +140,8 @@ def density(state) -> np.ndarray:
 ## --- CSV tables ---------------------------------------------------------
 ## Header line, one line per row, then a "# seed=<seed> version=<version>"
 ## comment. The shot CSV (hybrid.write_shot_csv) writes the same format
-## from outcome codes: one formatted tail per outcome-table row, placed
-## after each shot index by one %-template per chunk.
+## from outcome codes: one formatted tail per outcome-table row, joined
+## after each shot index's cached digit pieces, one str.join per chunk.
 
 
 def save_csv(path, header: str, rows, seed: int, version: str) -> None:

@@ -285,6 +285,15 @@ def test_failed_eigensolve_exits_three(tmp_path, monkeypatch, capsys):
     assert "invariant violation: spectral reconstruction residual" in capsys.readouterr().err
 
 
+def test_non_unitary_driver_term_exits_three(tmp_path, monkeypatch, capsys):
+    # the driver builds the demo's terms itself, so one that fails the
+    # unitarity check is a numerical fault, not a config error
+    haar = cli._haar_unitary
+    monkeypatch.setattr(cli, "_haar_unitary", lambda dim, rng: 1.0001 * haar(dim, rng))
+    assert cli.main(["demo", "--seed", "1", "--shots", "10", "--out", str(tmp_path)]) == 3
+    assert "invariant violation: term matrix is not unitary" in capsys.readouterr().err
+
+
 def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
     # the shot CSV is written under a temporary name and moved into place only
     # after both Monte-Carlo gates pass; a failed gate leaves the partition table

@@ -1,5 +1,6 @@
 """Channel construction, the two evaluation backends and the shot sampler."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -608,6 +609,24 @@ def test_write_shot_csv_matches_per_row_writer(tmp_path):
     empty = hybrid.SampleArrays(0, np.zeros(0, dtype=np.intp), table, seed=3, stream=0)
     write_shot_csv(ours, [empty], version="0.1.0")
     _write_shot_csv_per_row(reference, empty, version="0.1.0")
+    assert ours.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("first", [0, 995, 10**6 - 10, 2**63 - 500, 2**64 - 1 - 3012, 2**64 - 3012])
+def test_write_shot_csv_index_boundaries(tmp_path, first):
+    # consecutive batches of sizes that are not multiples of 1000 cross the
+    # unpadded rows below 1000, thousand and decade boundaries, 2**63 and the
+    # top of the counter range; their rows must equal the per-row writer's
+    rng = np.random.default_rng(first % 2**32)
+    ints = [rng.integers(0, high, 6) for high in (3, 3, 2, 2, 4)]
+    table = np.rec.fromarrays([*ints, rng.normal(size=6)], names="k,kprime,z,b,j,g")
+    sizes = [777, 1234, 1001]
+    code = rng.integers(0, len(table), sum(sizes))
+    ends = [0, *itertools.accumulate(sizes)]
+    batches = [hybrid.SampleArrays(first + lo, code[lo:hi], table, seed=8, stream=0) for lo, hi in zip(ends, ends[1:])]
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    write_shot_csv(ours, batches, version="0.1.0")
+    _write_shot_csv_per_row(reference, hybrid.SampleArrays(first, code, table, seed=8, stream=0), version="0.1.0")
     assert ours.read_bytes() == reference.read_bytes()
 
 
