@@ -8,18 +8,22 @@ per-shot counter-based substreams in fixed chunks: each chunk is appended
 to the shot CSV and its outcome codes are counted per stream, and the
 statistics come from those counts on the sampler's table of g values, so
 memory stays bounded in the shot count.
+
+The command line is ``<subcommand> [flags]``, read by :func:`parse_args`
+from ``_SUBCOMMANDS`` and the ``_FLAGS`` table: ``--flag value`` and
+``--flag=value`` are the same, the last of a repeated flag wins, and a flag
+must be spelled whole. A usage error prints ``usage:`` to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import pathlib
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = [
     "InvariantViolation",
     "RunConfig",
     "parse_config_text",
+    "Args",
+    "parse_args",
     "build_run_config",
     "cmd_demo",
     "cmd_lchs",
@@ -175,7 +181,16 @@ class RunConfig:
     emit_plot_script: bool = False
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
+class Args(NamedTuple):
+    """A parsed command line: the subcommand, --config, the run.* keys set by flags, --emit-plot-script."""
+
+    subcommand: str
+    config: str | None
+    flags: dict[str, str]
+    emit_plot_script: bool
+
+
+def build_run_config(args: Args) -> RunConfig:
     texts: dict[str, str] = {}
     if args.config is not None:
         path = pathlib.Path(args.config)
@@ -191,7 +206,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     missing = [key for key in grid if key not in texts]
     if 0 < len(missing) < len(grid):
         raise ConfigError(f"missing config key {missing[0]!r}")
-    texts.update((key, flag) for key, flag in vars(args).items() if key.startswith("run.") and flag is not None)
+    texts.update(args.flags)
     values = {}
     for key, param in table.items():
         value = _coerce(key, param.kind, texts[key]) if key in texts else param.default
@@ -244,10 +259,21 @@ def _random_instance(m: int, dim: int, rng: np.random.Generator):
     return dec, psi, h
 
 
+# One partitions.csv row: scan's (text, a*, R, R - P), with the text quoted
+# because it holds commas inside groups.
+_PARTITION_ROW = '"%s",%d,%.17g,%.17g\n'
+# Rows per str.join: a join over the whole table would hold all of it in
+# memory, about 22 MB of strings at m = 10.
+_PARTITION_SLICE_ROWS = 1024
+
+
 def _write_partition_csv(path, rows, seed: int) -> None:
-    # the partition text form uses commas inside groups, so quote it
-    quoted = ((f'"{text}"', *rest) for text, *rest in rows)
-    qcore.save_csv(path, "partition,a_star,R,R_minus_P", quoted, seed, __version__)
+    # scan's cell types are fixed, so one template formats every row
+    with open(path, "w") as fh:
+        fh.write("partition,a_star,R,R_minus_P\n")
+        for lo in range(0, len(rows), _PARTITION_SLICE_ROWS):
+            fh.write("".join(map(_PARTITION_ROW.__mod__, rows[lo : lo + _PARTITION_SLICE_ROWS])))
+        fh.write(f"# seed={seed} version={__version__}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +461,93 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hybridlcu",
-        description="Hybrid coherent/randomized LCU drivers with seeded CSV output.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, subcommand in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=subcommand.help, epilog=_keys_epilog(name), formatter_class=argparse.RawDescriptionHelpFormatter)
-        p.add_argument("--config", metavar="PATH", help="key = value config file")
-        # each flag overrides its run.* key and is read and checked as config text
-        p.add_argument("--seed", dest="run.seed", metavar="U64")
-        p.add_argument("--shots", dest="run.shots", metavar="N")
-        p.add_argument("--out", dest="run.out", metavar="DIR")
-        p.add_argument("--workers", dest="run.workers", metavar="N", help="accepted; has no effect")
-        p.add_argument("--emit-plot-script", action="store_true")
-    return parser
+class _Flag(NamedTuple):
+    """A flag that takes a value: the config key it sets, its --help metavar and note."""
+
+    key: str
+    metavar: str
+    note: str = ""
+
+
+# Every flag that takes a value, in --help order. A run.* flag overrides that
+# key and is read and checked as config text; a repeated flag keeps its last value.
+_FLAGS = {
+    "--config": _Flag("config", "PATH", "key = value config file"),
+    "--seed": _Flag("run.seed", "U64"),
+    "--shots": _Flag("run.shots", "N"),
+    "--out": _Flag("run.out", "DIR"),
+    "--workers": _Flag("run.workers", "N", "accepted; has no effect"),
+}
+_PLOT_FLAG = "--emit-plot-script"
+
+
+def _usage(subcommand: str | None) -> str:
+    if subcommand is None:
+        return f"usage: hybridlcu [-h] [--version] {{{','.join(_SUBCOMMANDS)}}} ..."
+    flags = " ".join(f"[{flag} {spec.metavar}]" for flag, spec in _FLAGS.items())
+    return f"usage: hybridlcu {subcommand} [-h] {flags} [{_PLOT_FLAG}]"
+
+
+def _help(subcommand: str | None) -> str:
+    if subcommand is None:
+        head = ["Hybrid coherent/randomized LCU drivers with seeded CSV output.", "", "subcommands:"]
+        head += [f"  {name:<20} {spec.help}" for name, spec in _SUBCOMMANDS.items()]
+        head += ["", "options:"]
+        options = [("--version", "print the version and exit")]
+    else:
+        head = ["options (--flag value or --flag=value):"]
+        options = [(f"{flag} {spec.metavar}", spec.note) for flag, spec in _FLAGS.items()]
+        options.append((_PLOT_FLAG, "write a plot stub for the CSVs"))
+    lines = [_usage(subcommand), "", *head, f"  {'-h, --help':<20} show this help and exit"]
+    lines += [f"  {left:<20} {note}".rstrip() for left, note in options]
+    if subcommand is not None:
+        lines += ["", _keys_epilog(subcommand)]
+    return "\n".join(lines)
+
+
+def _usage_error(subcommand: str | None, message: str) -> NoReturn:
+    prog = "hybridlcu" if subcommand is None else f"hybridlcu {subcommand}"
+    print(f"{_usage(subcommand)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
+def parse_args(argv=None) -> Args:
+    """Read ``<subcommand> [flags]``; --help and --version exit 0, a usage error exits 2.
+
+    Flags are matched whole, so an abbreviated long flag is refused.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    head = argv[0] if argv else None
+    if head in ("-h", "--help", "--version"):
+        print(__version__ if head == "--version" else _help(None))
+        raise SystemExit(EXIT_OK)
+    if head is None:
+        _usage_error(None, "the following arguments are required: subcommand")
+    if head not in _SUBCOMMANDS:
+        _usage_error(None, f"invalid choice: {head!r} (choose from {', '.join(map(repr, _SUBCOMMANDS))})")
+    values, emit_plot_script = {}, False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(head))
+            raise SystemExit(EXIT_OK)
+        if token == _PLOT_FLAG:
+            emit_plot_script = True
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(head, f"unrecognized arguments: {token}")
+        if not eq:
+            value = next(tokens, None)
+            # a following long flag is not a value; a negative number is
+            if value is None or value.startswith("--"):
+                _usage_error(head, f"argument {flag}: expected one argument")
+        values[_FLAGS[flag].key] = value
+    return Args(head, values.pop("config", None), values, emit_plot_script)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         config = build_run_config(args)
         config.out_dir.mkdir(parents=True, exist_ok=True)

@@ -291,7 +291,11 @@ def scan(dec: lcu.LcuDecomposition, state) -> list[tuple[str, int, float, float]
     members = (np.arange(1 << dec.m)[:, None] >> np.arange(dec.m)) & 1 == 1
     table = subset_values(gram(dec, state), dec.probs, members)
     r = _sum_left(table[masks])
-    texts = [",".join(str(i + 1) for i in np.flatnonzero(row)) for row in members]
+    digits = [str(i + 1) for i in range(dec.m)]
+    texts = np.array([",".join([digits[i] for i in range(dec.m) if s >> i & 1]) for s in range(1 << dec.m)], dtype=object)
+    # column 0 always holds the group of index 0; the later groups, and the
+    # 0 masks that pad short rows, add "|" + text and "" by object-array sums
+    pieces = np.array(["|" + text if text else "" for text in texts], dtype=object)
+    parts = texts[masks[:, 0]] + pieces[masks[:, 1:]].sum(axis=1, initial="")
     widths = np.array([max(int(n) - 1, 0).bit_length() for n in members.sum(axis=1)])
-    parts = ["|".join(texts[s] for s in row if s) for row in masks.tolist()]
-    return list(zip(parts, widths[masks].max(axis=1).tolist(), r.tolist(), (r - table[-1]).tolist()))
+    return list(zip(parts.tolist(), widths[masks].max(axis=1).tolist(), r.tolist(), (r - table[-1]).tolist()))

@@ -142,6 +142,9 @@ def density(state) -> np.ndarray:
 ## comment. The shot CSV (hybrid.write_shot_csv) writes the same format
 ## from outcome codes: one formatted tail per outcome-table row, joined
 ## after each shot index's cached digit pieces, one str.join per chunk.
+## The partition table (cli._write_partition_csv) writes it from
+## partition.scan's rows, whose cell types are fixed: one '%' row template
+## and one str.join per slice of 1024 rows.
 
 
 def save_csv(path, header: str, rows, seed: int, version: str) -> None:

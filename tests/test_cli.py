@@ -379,6 +379,55 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_flag_equals_form_matches_spaced_form():
+    assert cli.parse_args(["qed", "--seed=3", "--out=runs"]) == cli.parse_args(["qed", "--seed", "3", "--out", "runs"])
+    assert cli.parse_args(["qed", "--seed=3"]).flags == {"run.seed": "3"}
+
+
+def test_repeated_flag_last_wins(tmp_path):
+    args = cli.parse_args(["qed", "--seed", "1", "--config", "a.cfg", "--seed=7", "--config", "b.cfg"])
+    assert args.flags == {"run.seed": "7"} and args.config == "b.cfg"
+    assert cli.main(["partitions", "--seed", "1", "--seed", "9", "--out", str(tmp_path)]) == 0
+    assert read_lines(tmp_path / "partitions.csv")[-1] == "# seed=9 version=0.1.0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qed", "--no-such-flag", "1"],
+        ["qed", "--se", "3"],  # abbreviations are refused
+        ["qed", "--seed"],
+        ["qed", "--seed", "--out", "runs"],
+        ["qed", "stray"],
+        ["no-such-subcommand"],
+        ["--seed", "3", "qed"],
+    ],
+)
+def test_usage_errors_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hybridlcu") and "error: " in err
+
+
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{cli.__version__}\n"
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, subcommand in cli._SUBCOMMANDS.items():
+            assert [name, *subcommand.help.split()] in [line.split() for line in lines], name
+
+
 # ---------------------------------------------------------------------------
 # demo
 
@@ -464,6 +513,21 @@ def test_partitions_m8_match_indicator_formula(tmp_path):
         expected = indicator_r(g, dec.probs, part)
         assert abs(float(r) - expected) <= 1e-15
         assert abs(float(gap) - (expected - p_value)) <= 1e-15
+
+
+def test_partitions_m8_columns_pinned(tmp_path):
+    # the partition and a_star columns at m = 8, header included, pinned by
+    # sha256; they do not depend on the seed. R is left out: its last bits
+    # depend on the BLAS kernel behind the Gram matrix.
+    cfg = tmp_path / "p8.cfg"
+    cfg.write_text("partitions.m = 8\npartitions.dim = 8\n")
+    assert cli.main(["partitions", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path)]) == 0
+    lines = read_lines(tmp_path / "partitions.csv")
+    columns = "\n".join(line.rsplit(",", 2)[0] for line in lines[:-1])
+    digest = hashlib.sha256(columns.encode()).hexdigest()
+    assert digest == "13f8b191cc89b1336b3496fddd6c2f058a236e7872e91e701a67f2f102b7d8a5"
+    dec, psi, _ = cli._random_instance(8, 8, np.random.default_rng(3))
+    assert lines[1:-1] == ['"%s",%d,%.17g,%.17g' % row for row in partition.scan(dec, psi)]
 
 
 # ---------------------------------------------------------------------------

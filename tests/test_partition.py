@@ -131,6 +131,17 @@ def test_scan_rows_equal_reduction_factor_bitwise():
                 assert gap.hex() == (expected - p_value).hex()
 
 
+def test_scan_text_column_matches_per_row_join():
+    # past the CLI cap of m = 8, up to MAX_ENUM_M: the text column against
+    # one "|".join per row over the label_arrays group bitmasks
+    rng = np.random.default_rng(12)
+    for m in (9, MAX_ENUM_M):
+        masks = label_arrays(m)[1]
+        group_texts = [",".join(str(i + 1) for i in range(m) if s >> i & 1) for s in range(1 << m)]
+        expected = ["|".join(group_texts[s] for s in row if s) for row in masks.tolist()]
+        assert [row[0] for row in scan(random_lcu(m, 2, rng), random_pure(2, rng))] == expected
+
+
 def test_a_star_is_one_integer_rule():
     # every nonempty S is the one group of width > 0 in {S} + singletons,
     # so the scan's a* of that partition is its per-mask width, and the
