@@ -308,6 +308,11 @@ def cmd_demo(config: RunConfig) -> None:
     # the shot CSV, moved into place once every check passes.
     samplers = [hybrid.Sampler(channel, psi, obs), hybrid.Sampler(channel, psi, np.eye(dim))]
     counts = [np.zeros(len(sampler.table), dtype=np.int64) for sampler in samplers]
+    # each stream's exact variance of g, which bounds both the Monte-Carlo gate
+    # and the numerator width at every N, also when all shots agree and the
+    # sample variance is 0. The clamp drops a rounding-negative difference at
+    # zero variance.
+    variances = [max(0.0, sampler.exact_second - sampler.exact_mean**2) for sampler in samplers]
 
     def chunks(stream: int):
         for lo in range(0, config.shots, hybrid._CSV_CHUNK_ROWS):
@@ -323,11 +328,8 @@ def cmd_demo(config: RunConfig) -> None:
         for _ in chunks(1):
             pass
         hists = [estimate.Histogram(sampler.table["g"], tally) for sampler, tally in zip(samplers, counts)]
-        for checked, hist in zip(samplers, hists):
-            # exact variance and |g| <= 1 (unit-norm observables): the bound holds at
-            # every N, also when all shots agree and the sample variance is 0. The
-            # clamp drops a rounding-negative difference at zero variance.
-            variance = max(0.0, checked.exact_second - checked.exact_mean**2)
+        for checked, hist, variance in zip(samplers, hists, variances):
+            # |g| <= 1 (unit-norm observables)
             width = estimate.bernstein_half_width(variance, 1.0, hist.n, 2.0 * math.exp(-MC_SIGMAS**2 / 2.0))
             if abs(hist.mean - checked.exact_mean) > width:
                 raise InvariantViolation(
@@ -336,7 +338,9 @@ def cmd_demo(config: RunConfig) -> None:
         batch = estimate.SampleBatch(*hists, seed=config.seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
 
-        est_cfg = estimate.EstimationConfig(epsilon=DEMO_EPSILON, delta=p["demo.delta"], bound_c=1.0)
+        est_cfg = estimate.EstimationConfig(
+            epsilon=DEMO_EPSILON, delta=p["demo.delta"], bound_c=1.0, sigma2_obs_bound=variances[0]
+        )
         reports = [
             estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
             estimate.estimate_ratio(batch, est_cfg),

@@ -56,6 +56,9 @@ C_K = 2.0
 C_Y = 1.0
 C_Z = 1.0
 
+# largest (dim, 2K+1) eigenvalue-by-node array _assembled_scalars ever builds
+MAX_GRID_ENTRIES = 1 << 22
+
 
 @dataclass(frozen=True)
 class QlssConfig:
@@ -158,8 +161,17 @@ class QlssGrid:
 
 def build_grid(config: QlssConfig) -> QlssGrid:
     ell = config.log_factor
+    # dim * (2K+1) <= MAX_GRID_ENTRIES exactly when K <= k_max; tested before
+    # ceil, which an infinite log factor would overflow
+    k_max = (MAX_GRID_ENTRIES // config.dimension - 1) // 2
+    k_real = C_K * config.kappa * ell
+    if not k_real <= k_max:
+        raise ValueError(
+            f"inner grid of K = {k_real:.4g} is too large to materialize at dimension {config.dimension} "
+            f"(cap K <= {k_max}, {MAX_GRID_ENTRIES} entries)"
+        )
     j_count = max(1, math.ceil(C_J * (config.kappa / config.epsilon) * ell))
-    k_count = max(1, math.ceil(C_K * config.kappa * ell))
+    k_count = max(1, math.ceil(k_real))
     dy = C_Y * config.epsilon / math.sqrt(ell)
     dz = C_Z / (config.kappa * math.sqrt(ell))
     z_nodes = np.arange(-k_count, k_count + 1) * dz

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hybridlcu import cli, gsp, hybrid, lchs, partition, qcore, qed, qlss
+from hybridlcu import cli, estimate, gsp, hybrid, lchs, partition, qcore, qed, qlss
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -119,6 +119,7 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         ("lchs", "lchs.epsilon = 1e-300\n"),  # K1 ~ 1.6e16: M overflows
         ("lchs", "lchs.epsilon = 1\n"),  # K1 = 0
         ("qlss", "qlss.dim = 0\n"),
+        ("qlss", "qlss.kappas = 1e9\n"),  # 2K+1 ~ 1e11 inner nodes
         ("qed", "qed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 0\n"),
         ("qed", "qed.codewords = 0\n"),
     ]
@@ -303,12 +304,11 @@ def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["demo_partitions.csv"]
 
 
-def test_demo_memory_bounded_in_shots(tmp_path, monkeypatch):
-    # shots are drawn, written and tallied one chunk at a time: four times the
-    # chunks moves the traced peak by under 10 %. Chunks of 8192 rows keep the
-    # traced runs short; a run that kept 16 B per shot would add 2 MB to a
-    # peak of about 2 MB.
-    monkeypatch.setattr(hybrid, "_CSV_CHUNK_ROWS", 8192)
+def test_demo_memory_bounded_in_shots(tmp_path):
+    # shots are drawn, written and tallied one chunk at a time, at the chunk
+    # size that ships: four times the chunks moves the traced peak by under
+    # 10 %, and the peak stays within 3 MB (about 2 MB at 4 x 16384 shots; a
+    # run that kept 16 B per shot would read 4 MB more at 16 chunks).
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("demo.m = 6\ndemo.dim = 8\n")
     peaks = []
@@ -322,6 +322,7 @@ def test_demo_memory_bounded_in_shots(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert code == 0
     assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[0] <= 3_000_000, peaks
 
 
 def test_each_subcommand_writes_exactly_its_declared_files(tmp_path):
@@ -446,6 +447,30 @@ def test_demo_outputs_and_pass_line(tmp_path, capsys):
     assert {line.split(",")[0] for line in reports[1:-1]} == {"bernstein", "asymptotic"}
     parts = read_lines(tmp_path / "demo_partitions.csv")
     assert parts[0] == "partition,a_star,R,R_minus_P"
+
+
+def test_demo_numerator_width_bounds_with_exact_variance(tmp_path, monkeypatch):
+    # the numerator row's Bernstein half-width is a finite-sample bound from
+    # stream 0's exact variance of g, not a plug-in of the sample R^O
+    instances, samplers = [], []
+    make_instance, init = cli._random_instance, hybrid.Sampler.__init__
+
+    def spy_instance(*args):
+        instances.append(make_instance(*args))
+        return instances[-1]
+
+    def spy_init(self, *args):
+        init(self, *args)
+        samplers.append(self)
+
+    monkeypatch.setattr(cli, "_random_instance", spy_instance)
+    monkeypatch.setattr(hybrid.Sampler, "__init__", spy_init)
+    assert cli.main(["demo", "--seed", "3", "--shots", "3000", "--out", str(tmp_path)]) == 0
+    header, *rows = (line.split(",") for line in read_lines(tmp_path / "demo_reports.csv")[:-1])
+    row = dict(zip(header, next(row for row in rows if row[:2] == ["bernstein", "numerator"])))
+    variance = max(0.0, samplers[0].exact_second - samplers[0].exact_mean ** 2)
+    width = estimate.bernstein_half_width(variance, 1.0, int(row["N"]), float(row["delta"]))
+    assert float(row["half_width"]) == instances[0][0].one_norm ** 2 * width
 
 
 def test_demo_rerun_and_worker_counts_byte_identical(tmp_path):

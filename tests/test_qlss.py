@@ -112,6 +112,19 @@ def test_grid_weights_termwise():
     assert grid.beta == pytest.approx(beta_loop, rel=1e-13)
 
 
+def test_oversized_inner_grid_is_refused_before_allocation(monkeypatch):
+    # 2K+1 ~ 1e11 nodes at kappa = 1e9: refused by the cap, not by numpy's
+    # allocation; an infinite log factor is refused before ceil overflows on it
+    for kappa in (1e9, math.inf):
+        with pytest.raises(ValueError, match="too large to materialize"):
+            build_grid(identity_config(kappa=kappa, epsilon=1e-2))
+    # the cap is exact: dim * (2K+1) <= 64 at dimension 2 allows K = 15 and no more
+    monkeypatch.setattr(qlss, "MAX_GRID_ENTRIES", 64)
+    assert build_grid(identity_config(kappa=2.3)).k_count == 15
+    with pytest.raises(ValueError, match="too large to materialize"):
+        build_grid(identity_config(kappa=2.4))
+
+
 def test_beta_close_to_two_at_operating_points():
     for kappa in (4.0, 8.0, 16.0, 32.0):
         grid = build_grid(identity_config(epsilon=1e-2, kappa=kappa))
