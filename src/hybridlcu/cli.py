@@ -145,8 +145,6 @@ def _coerce(key: str, kind: str, raw: str):
                 raise ConfigError(f"{key} needs at least one value")
             return tuple(_finite(key, float(p)) for p in parts)
         return raw
-    except ConfigError:
-        raise
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r} as {kind}") from None
 
@@ -259,8 +257,8 @@ def _random_instance(m: int, dim: int, rng: np.random.Generator):
     return dec, psi, h
 
 
-# One partitions.csv row: scan's (text, a*, R, R - P), with the text quoted
-# because it holds commas inside groups.
+# One template formats every partitions.csv row, since scan's cells (text, a*,
+# R, R - P) have fixed types; the text is quoted, as it holds commas in groups.
 _PARTITION_ROW = '"%s",%d,%.17g,%.17g\n'
 # Rows per str.join: a join over the whole table would hold all of it in
 # memory, about 22 MB of strings at m = 10.
@@ -268,12 +266,9 @@ _PARTITION_SLICE_ROWS = 1024
 
 
 def _write_partition_csv(path, rows, seed: int) -> None:
-    # scan's cell types are fixed, so one template formats every row
-    with open(path, "w") as fh:
-        fh.write("partition,a_star,R,R_minus_P\n")
-        for lo in range(0, len(rows), _PARTITION_SLICE_ROWS):
-            fh.write("".join(map(_PARTITION_ROW.__mod__, rows[lo : lo + _PARTITION_SLICE_ROWS])))
-        fh.write(f"# seed={seed} version={__version__}\n")
+    slices = range(0, len(rows), _PARTITION_SLICE_ROWS)
+    body = ("".join(map(_PARTITION_ROW.__mod__, rows[lo : lo + _PARTITION_SLICE_ROWS])) for lo in slices)
+    qcore.frame_table(path, "partition,a_star,R,R_minus_P", body, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def cmd_demo(config: RunConfig) -> None:
     shots_path = config.out_dir / "demo_shots.csv"
     partial = shots_path.with_name(shots_path.name + ".tmp")
     try:
-        hybrid.write_shot_csv(partial, chunks(0), __version__)
+        hybrid.write_shot_csv(partial, chunks(0))
         for _ in chunks(1):
             pass
         hists = [estimate.Histogram(sampler.table["g"], tally) for sampler, tally in zip(samplers, counts)]
@@ -345,7 +340,7 @@ def cmd_demo(config: RunConfig) -> None:
             estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
             estimate.estimate_ratio(batch, est_cfg),
         ]
-        estimate.write_report_csv(config.out_dir / "demo_reports.csv", reports, config.seed, __version__)
+        estimate.write_report_csv(config.out_dir / "demo_reports.csv", reports, config.seed)
         os.replace(partial, shots_path)
     finally:
         partial.unlink(missing_ok=True)
@@ -365,14 +360,17 @@ def cmd_partitions(config: RunConfig) -> None:
 def cmd_lchs(config: RunConfig) -> None:
     # each lchs.* key names a fig_sweep parameter
     rows = lchs.fig_sweep(**{key.removeprefix("lchs."): value for key, value in config.params.items()})
-    lchs.write_sweep_csv(config.out_dir / "lchs_bound.csv", rows, config.seed, __version__)
+    lchs.write_sweep_csv(config.out_dir / "lchs_bound.csv", rows, config.seed)
     print(f"lchs: {len(rows)} rows, M from {rows[0].m} to {rows[-1].m}, in {config.out_dir}")
 
 
 def cmd_qlss(config: RunConfig) -> None:
     p = config.params
-    rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=config.seed)
-    qlss.write_table_csv(config.out_dir / "qlss_table.csv", rows, config.seed, __version__)
+    try:
+        rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=config.seed)
+    except ValueError as exc:
+        raise ConfigError(f"qlss.kappas, qlss.epsilon, qlss.dim: {exc}") from None
+    qlss.write_table_csv(config.out_dir / "qlss_table.csv", rows, config.seed)
     line = f"qlss: {len(rows)} rows"
     if len(rows) >= 2:
         slope_int, slope_conv = qlss.fit_exponents(rows)
@@ -384,7 +382,7 @@ def cmd_gsp(config: RunConfig) -> None:
     p = config.params
     h_matrix, psi = gsp.random_gsp_instance(p["gsp.dim"], p["gsp.delta"], p["gsp.p0"], seed=config.seed)
     report = gsp.hybrid_gsp(gsp.GspConfig(h_matrix=h_matrix, p0=p["gsp.p0"], epsilon=p["gsp.epsilon"]), psi)
-    gsp.write_report_rows_csv(config.out_dir / "gsp_report.csv", [report], config.seed, __version__)
+    gsp.write_report_rows_csv(config.out_dir / "gsp_report.csv", [report], config.seed)
     print(f"gsp: final distance {report.final_distance:.3e}, R {report.r_factor:.6f}, in {config.out_dir}")
 
 
@@ -392,7 +390,7 @@ def cmd_qed(config: RunConfig) -> None:
     p = config.params
     pz_grid = np.geomspace(p["qed.pz_min"], p["qed.pz_max"], p["qed.pz_points"])
     rows = qed.fig_sweep(p["qed.r_values"], pz_grid, p["qed.codewords"], config.seed)
-    qed.write_sweep_csv(config.out_dir / "qed_sweep.csv", rows, config.seed, __version__)
+    qed.write_sweep_csv(config.out_dir / "qed_sweep.csv", rows, config.seed)
     print(f"qed: {len(rows)} rows, in {config.out_dir}")
 
 

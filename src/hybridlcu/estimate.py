@@ -298,7 +298,7 @@ def estimate_ratio(batch: SampleBatch, config: EstimationConfig) -> EstimationRe
     )
 
 
-def write_report_csv(path, reports: list[EstimationReport], seed: int, version: str) -> None:
+def write_report_csv(path, reports: list[EstimationReport], seed: int) -> None:
     header = "method,target,estimate,half_width,delta,epsilon,N,sigma2_O,sigma2_one,R_hat,seed"
     # every field but the trailing notes, in column order
-    qcore.save_csv(path, header, (r[:-1] for r in reports), seed, version)
+    qcore.save_csv(path, header, (r[:-1] for r in reports), seed)

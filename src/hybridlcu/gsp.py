@@ -352,11 +352,11 @@ def random_gsp_instance(
     return h, psi / np.linalg.norm(psi)
 
 
-def write_report_rows_csv(path, reports: list[GspReport], seed: int, version: str) -> None:
+def write_report_rows_csv(path, reports: list[GspReport], seed: int) -> None:
     header = "dim,Delta,p0,eps,Tprime,sigma2,R,stage1_dist,final_dist,total_time_term1,total_time_term2"
     rows = (
         (r.dimension, r.gap, r.p0, r.epsilon, r.t_prime, r.sigma2, r.r_factor,
          r.stage1_distance, r.final_distance, r.total_time_term1, r.total_time_term2)
         for r in reports
     )
-    qcore.save_csv(path, header, rows, seed, version)
+    qcore.save_csv(path, header, rows, seed)

@@ -389,8 +389,8 @@ def _shot_digits(lo: int, n: int) -> tuple[list[str], list[str]]:
     return highs, lows
 
 
-def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
-    """One row per shot, ``g`` printed with ``.17g``; a seed comment ends the file.
+def write_shot_csv(path, batches: Iterable[SampleArrays]) -> None:
+    """One row per shot, ``g`` printed with ``.17g``, framed by ``qcore.frame_table``.
 
     ``batches`` are consecutive shots of one sampler, consumed one at a time,
     so a generator that draws them keeps only one batch in memory. Apart
@@ -406,8 +406,8 @@ def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
         raise ValueError("write_shot_csv needs at least one batch")
     rows = first.table[["k", "kprime", "z", "b", "j", "g"]].tolist()
     tails = np.array([f",{k},{kp},{z},{b},{j},{g:.17g}\n" for k, kp, z, b, j, g in rows], dtype=object)
-    with open(path, "w") as fh:
-        fh.write("shot,k,kprime,z,b,j,g\n")
+
+    def chunks():
         start = first.start
         for batch in itertools.chain([first], batches):
             same_run = batch.table is first.table and (batch.seed, batch.stream) == (first.seed, first.stream)
@@ -418,6 +418,7 @@ def write_shot_csv(path, batches: Iterable[SampleArrays], version: str) -> None:
                 parts = [""] * (3 * len(codes))
                 parts[::3], parts[1::3] = _shot_digits(start + lo, len(codes))
                 parts[2::3] = tails[codes].tolist()
-                fh.write("".join(parts))
+                yield "".join(parts)
             start += batch.n
-        fh.write(f"# seed={first.seed} version={version}\n")
+
+    qcore.frame_table(path, "shot,k,kprime,z,b,j,g", chunks(), first.seed)

@@ -430,6 +430,6 @@ def propagator_error(config: LchsConfig) -> float:
     return float(np.linalg.norm(ours - target, 2))
 
 
-def write_sweep_csv(path, rows: list[SweepRow], seed: int, version: str) -> None:
+def write_sweep_csv(path, rows: list[SweepRow], seed: int) -> None:
     header = "K2,M,alpha,s_norm1,rp_bound,overhead_bound_at_P,P_assumed"
-    qcore.save_csv(path, header, rows, seed, version)
+    qcore.save_csv(path, header, rows, seed)

@@ -12,9 +12,12 @@ the 7-qubit code's, dimension 2**7) exactness wins over scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import __version__
 
 __all__ = [
     "TOL",
@@ -29,6 +32,7 @@ __all__ = [
     "Observable",
     "as_observable",
     "density",
+    "frame_table",
     "save_csv",
 ]
 
@@ -138,28 +142,26 @@ def density(state) -> np.ndarray:
 
 
 ## --- CSV tables ---------------------------------------------------------
-## Header line, one line per row, then a "# seed=<seed> version=<version>"
-## comment. The shot CSV (hybrid.write_shot_csv) writes the same format
-## from outcome codes: one formatted tail per outcome-table row, joined
-## after each shot index's cached digit pieces, one str.join per chunk.
-## The partition table (cli._write_partition_csv) writes it from
-## partition.scan's rows, whose cell types are fixed: one '%' row template
-## and one str.join per slice of 1024 rows.
+## frame_table writes every table: the header line, the body text its writer
+## formats, then "# seed=<seed> version=<version>" with the package version,
+## so no writer takes a version. The writers are save_csv (one '%' template
+## per tuple of cell types), hybrid.write_shot_csv and cli._write_partition_csv.
 
 
-def save_csv(path, header: str, rows, seed: int, version: str) -> None:
-    """Write ``rows`` under ``header``: ``float`` cells as ``.17g``, every other cell by ``str``.
-
-    Each row is formatted by one ``%`` template, built once per tuple of cell types.
-    """
-    templates: dict[tuple[type, ...], str] = {}
+def frame_table(path, header: str, body, seed: int) -> None:
+    """Write ``header``, the strings of ``body`` as it yields them, then the seed and version comment."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\n"
-            fh.write(template % row)
-        fh.write(f"# seed={seed} version={version}\n")
+        fh.writelines(body)
+        fh.write(f"# seed={seed} version={__version__}\n")
+
+
+# cached by a row's tuple of cell types, so it holds one string per row shape
+@functools.cache
+def _row_template(kinds: tuple[type, ...]) -> str:
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\n"
+
+
+def save_csv(path, header: str, rows, seed: int) -> None:
+    """Write ``rows`` under ``header``: ``float`` cells as ``.17g``, every other cell by ``str``."""
+    frame_table(path, header, (_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)), seed)

@@ -258,6 +258,6 @@ def fig_sweep(
     return rows
 
 
-def write_sweep_csv(path, rows: list[SweepRow], seed: int, version: str) -> None:
+def write_sweep_csv(path, rows: list[SweepRow], seed: int) -> None:
     cells = ((r.r, r.p_z, r.p_x, r.p, r.r_factor, r.gap, r.seed) for r in rows)
-    qcore.save_csv(path, "r,pZ,pX,P,R,R_minus_P,seed", cells, seed, version)
+    qcore.save_csv(path, "r,pZ,pX,P,R,R_minus_P,seed", cells, seed)

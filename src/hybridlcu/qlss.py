@@ -167,8 +167,8 @@ def build_grid(config: QlssConfig) -> QlssGrid:
     k_real = C_K * config.kappa * ell
     if not k_real <= k_max:
         raise ValueError(
-            f"inner grid of K = {k_real:.4g} is too large to materialize at dimension {config.dimension} "
-            f"(cap K <= {k_max}, {MAX_GRID_ENTRIES} entries)"
+            f"inner grid of K = {k_real:.4g} at kappa = {config.kappa:g}, epsilon = {config.epsilon:g} and "
+            f"dimension {config.dimension} is too large to materialize (cap K <= {k_max}, {MAX_GRID_ENTRIES} entries)"
         )
     j_count = max(1, math.ceil(C_J * (config.kappa / config.epsilon) * ell))
     k_count = max(1, math.ceil(k_real))
@@ -410,6 +410,6 @@ def fit_exponents(rows: list[TableRow]) -> tuple[float, float]:
     return slope_int, slope_conv
 
 
-def write_table_csv(path, rows: list[TableRow], seed: int, version: str) -> None:
+def write_table_csv(path, rows: list[TableRow], seed: int) -> None:
     header = "kappa,epsilon,J,K,one_norm,P,R_int,R_int_closed_form,R_rand,anc_hybrid,anc_coherent"
-    qcore.save_csv(path, header, rows, seed, version)
+    qcore.save_csv(path, header, rows, seed)

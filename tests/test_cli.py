@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hybridlcu
 from hybridlcu import cli, estimate, gsp, hybrid, lchs, partition, qcore, qed, qlss
 
 
@@ -126,7 +127,11 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
     for subcommand, text in cases:
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)
+        capsys.readouterr()
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (subcommand, text)
+        if text == "qlss.kappas = 1e9\n":
+            # the grid cap names the keys that set the grid
+            assert "qlss.kappas" in capsys.readouterr().err
     # non-finite floats are refused while the config is read, by key
     non_finite = [
         ("demo", "demo.delta", "inf"),
@@ -335,12 +340,15 @@ def test_each_subcommand_writes_exactly_its_declared_files(tmp_path):
         "qed": "qed.r_values = 0.1\nqed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 2\nqed.codewords = 2\n",
     }
     assert small.keys() == cli._SUBCOMMANDS.keys()
+    trailer = f"# seed={cli._PARAMS['run.seed'].default} version={hybridlcu.__version__}"
     for name, text in small.items():
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         out = tmp_path / name
         assert cli.main([name, "--config", str(cfg), "--shots", "200", "--out", str(out)]) == 0, name
         assert sorted(path.name for path in out.iterdir()) == sorted(cli._SUBCOMMANDS[name].outputs), name
+        for csv_name in cli._SUBCOMMANDS[name].outputs:
+            assert read_lines(out / csv_name)[-1] == trailer, (name, csv_name)
 
 
 def test_demo_outputs_are_chunk_invariant(tmp_path, monkeypatch):

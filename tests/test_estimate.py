@@ -404,8 +404,8 @@ def test_statistics_are_split_invariant(tmp_path):
     whole = [sampler.sample_shots(12, n, stream=stream) for stream, sampler in enumerate(samplers)]
 
     single, split = tmp_path / "single.csv", tmp_path / "split.csv"
-    write_shot_csv(single, [whole[0]], version="0.1.0")
-    write_shot_csv(split, iter(chunks[0]), version="0.1.0")
+    write_shot_csv(single, [whole[0]])
+    write_shot_csv(split, iter(chunks[0]))
     assert split.read_bytes() == single.read_bytes()
 
     hists = []
@@ -433,7 +433,7 @@ def test_write_report_csv(tmp_path):
         estimate_ratio(SampleBatch(np.full(10, 0.5), np.ones(10), seed=3), config),
     ]
     path = tmp_path / "report.csv"
-    write_report_csv(path, reports, seed=3, version="0.1.0")
+    write_report_csv(path, reports, seed=3)
     lines = path.read_text().splitlines()
     assert lines[0] == "method,target,estimate,half_width,delta,epsilon,N,sigma2_O,sigma2_one,R_hat,seed"
     assert len(lines) == 4

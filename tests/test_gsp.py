@@ -421,7 +421,7 @@ def test_write_report_rows_csv(tmp_path):
         h, psi = random_gsp_instance(8, 0.2, 0.5, seed=seed)
         reports.append(hybrid_gsp(GspConfig(h_matrix=h, p0=0.5, epsilon=1e-2), psi))
     path = tmp_path / "gsp.csv"
-    write_report_rows_csv(path, reports, seed=5, version="0.1.0")
+    write_report_rows_csv(path, reports, seed=5)
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "dim,Delta,p0,eps,Tprime,sigma2,R,stage1_dist,final_dist,"

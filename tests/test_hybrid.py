@@ -9,7 +9,7 @@ import pytest
 from conftest import PAULI_Z, haar_unitary, random_density, random_hermitian, random_lcu
 from rounds import DegenerateRoundError, compose_rounds, expectation_rounds
 
-from hybridlcu import hybrid, lcu, partition, prng, qcore
+from hybridlcu import __version__, hybrid, lcu, partition, prng, qcore
 from hybridlcu.hybrid import (
     HybridChannel,
     Sampler,
@@ -565,7 +565,7 @@ def test_write_shot_csv_format(tmp_path):
     ch, rho, obs = _moment_instance()
     batch = Sampler(ch, rho, obs).sample_shots(seed=9, count=5)
     path = tmp_path / "shots.csv"
-    write_shot_csv(path, [batch], version="0.1.0")
+    write_shot_csv(path, [batch])
     lines = path.read_text().splitlines()
     assert lines[0] == "shot,k,kprime,z,b,j,g"
     assert len(lines) == 7
@@ -575,7 +575,7 @@ def test_write_shot_csv_format(tmp_path):
     assert float(first[6]) == batch.g[0]
 
 
-def _write_shot_csv_per_row(path, batch, version):
+def _write_shot_csv_per_row(path, batch):
     # row-at-a-time reference for the table-tail writer; the derived columns
     # are read once, not once per row
     shot, k, kprime, z, b, j = batch.shot, batch.k, batch.kprime, batch.z, batch.b, batch.j
@@ -586,7 +586,7 @@ def _write_shot_csv_per_row(path, batch, version):
                 f"{int(shot[i])},{int(k[i])},{int(kprime[i])},"
                 f"{int(z[i])},{int(b[i])},{int(j[i])},{batch.g[i]:.17g}\n"
             )
-        fh.write(f"# seed={batch.seed} version={version}\n")
+        fh.write(f"# seed={batch.seed} version={__version__}\n")
 
 
 def test_write_shot_csv_matches_per_row_writer(tmp_path):
@@ -603,12 +603,12 @@ def test_write_shot_csv_matches_per_row_writer(tmp_path):
     batch = hybrid.SampleArrays(10**6, rng.integers(0, rows, n), table, seed=2**64 - 1, stream=0)
     assert np.any(np.signbit(batch.g) & (batch.g == 0)) and np.any(~np.signbit(batch.g) & (batch.g == 0))
     ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    write_shot_csv(ours, [batch], version="0.1.0")
-    _write_shot_csv_per_row(reference, batch, version="0.1.0")
+    write_shot_csv(ours, [batch])
+    _write_shot_csv_per_row(reference, batch)
     assert ours.read_bytes() == reference.read_bytes()
     empty = hybrid.SampleArrays(0, np.zeros(0, dtype=np.intp), table, seed=3, stream=0)
-    write_shot_csv(ours, [empty], version="0.1.0")
-    _write_shot_csv_per_row(reference, empty, version="0.1.0")
+    write_shot_csv(ours, [empty])
+    _write_shot_csv_per_row(reference, empty)
     assert ours.read_bytes() == reference.read_bytes()
 
 
@@ -625,8 +625,8 @@ def test_write_shot_csv_index_boundaries(tmp_path, first):
     ends = [0, *itertools.accumulate(sizes)]
     batches = [hybrid.SampleArrays(first + lo, code[lo:hi], table, seed=8, stream=0) for lo, hi in zip(ends, ends[1:])]
     ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    write_shot_csv(ours, batches, version="0.1.0")
-    _write_shot_csv_per_row(reference, hybrid.SampleArrays(first, code, table, seed=8, stream=0), version="0.1.0")
+    write_shot_csv(ours, batches)
+    _write_shot_csv_per_row(reference, hybrid.SampleArrays(first, code, table, seed=8, stream=0))
     assert ours.read_bytes() == reference.read_bytes()
 
 
@@ -635,7 +635,7 @@ def test_write_shot_csv_indices_past_int64(tmp_path):
     ch, rho, obs = _moment_instance()
     batch = Sampler(ch, rho, obs).sample_shots(seed=3, count=3, start=2**63 - 1)
     path = tmp_path / "shots.csv"
-    write_shot_csv(path, [batch], version="0.1.0")
+    write_shot_csv(path, [batch])
     rows = path.read_text().splitlines()[1:-1]
     assert [row.split(",")[0] for row in rows] == [str(2**63 - 1), str(2**63), str(2**63 + 1)]
     assert [int(i) for i in batch.shot] == [2**63 - 1, 2**63, 2**63 + 1]
@@ -649,7 +649,7 @@ def test_write_shot_csv_takes_consecutive_batches_of_one_sampler(tmp_path):
     sampler = Sampler(ch, rho, obs)
     path = tmp_path / "shots.csv"
     with pytest.raises(ValueError, match="at least one batch"):
-        write_shot_csv(path, [], version="0.1.0")
+        write_shot_csv(path, [])
     first = sampler.sample_shots(seed=3, count=4)
     for stray in (
         sampler.sample_shots(seed=3, count=4, start=5),
@@ -658,7 +658,7 @@ def test_write_shot_csv_takes_consecutive_batches_of_one_sampler(tmp_path):
         Sampler(ch, rho, obs).sample_shots(seed=3, count=4, start=4),
     ):
         with pytest.raises(ValueError, match="consecutive shots of one sampler"):
-            write_shot_csv(path, [first, stray], version="0.1.0")
+            write_shot_csv(path, [first, stray])
 
 
 def _traced_peak(func, *args, **kwargs):
@@ -678,7 +678,7 @@ def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
     peaks = []
     for n in (100_000, 400_000):
         batch = sampler.sample_shots(seed=1, count=n)
-        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", [batch], version="0.1.0"))
+        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", [batch]))
     assert peaks[1] <= 1.25 * peaks[0], peaks
     rng = np.random.default_rng(12)
     n = 200_000

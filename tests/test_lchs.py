@@ -301,7 +301,7 @@ def test_fig_sweep_overhead_column():
 def test_write_sweep_csv(tmp_path):
     rows = fig_sweep(points=5)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, rows, seed=1, version="0.1.0")
+    write_sweep_csv(path, rows, seed=1)
     lines = path.read_text().splitlines()
     assert lines[0] == "K2,M,alpha,s_norm1,rp_bound,overhead_bound_at_P,P_assumed"
     assert len(lines) == 7

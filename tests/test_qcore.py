@@ -66,7 +66,7 @@ def test_save_csv_cell_format(tmp_path):
     # floats (numpy float64 too) print at 17 digits, keeping -0.0; other cells print by str
     path = tmp_path / "t.csv"
     rows = [(0.1, np.float64(1 / 3), -0.0, 7, np.int64(-2), '"a,b"'), (1e-300, 2.0, 0.0, True, 0, "x")]
-    qcore.save_csv(path, "a,b,c,d,e,f", rows, seed=2**64 - 1, version="0.1.0")
+    qcore.save_csv(path, "a,b,c,d,e,f", rows, seed=2**64 - 1)
     assert path.read_text().splitlines() == [
         "a,b,c,d,e,f",
         '0.10000000000000001,0.33333333333333331,-0,7,-2,"a,b"',
@@ -85,7 +85,7 @@ def test_save_csv_bytes_match_per_cell_formatting(tmp_path):
         (-0.0, float("inf"), float("-inf"), np.float64(2.5), np.int64(-3), '"4"'),
     ]
     path = tmp_path / "t.csv"
-    qcore.save_csv(path, "a,b,c,d,e,f", iter(rows), seed=0, version="0.1.0")
+    qcore.save_csv(path, "a,b,c,d,e,f", iter(rows), seed=0)
     cells = [",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) for row in rows]
     assert path.read_bytes() == "\n".join(["a,b,c,d,e,f", *cells, "# seed=0 version=0.1.0\n"]).encode()
     assert path.read_bytes().splitlines()[1:3] == [

@@ -400,7 +400,7 @@ def test_trace_table_matches_dense_channel_on_mixed_states():
 def test_write_sweep_csv(tmp_path):
     rows = fig_sweep(r_values=(0.1,), pz_grid=np.array([0.01, 0.05]), codewords=2, seed=1)
     path = tmp_path / "qed.csv"
-    write_sweep_csv(path, rows, seed=1, version="0.1.0")
+    write_sweep_csv(path, rows, seed=1)
     lines = path.read_text().splitlines()
     assert lines[0] == "r,pZ,pX,P,R,R_minus_P,seed"
     assert len(lines) == 4

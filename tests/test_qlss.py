@@ -465,7 +465,7 @@ def test_ancilla_counts_power_of_two_edge():
 def test_write_table_csv(tmp_path):
     rows = sweep([4, 8], epsilon=1e-2, dim=4, seed=1)
     path = tmp_path / "qlss.csv"
-    write_table_csv(path, rows, seed=1, version="0.1.0")
+    write_table_csv(path, rows, seed=1)
     lines = path.read_text().splitlines()
     assert lines[0] == (
         "kappa,epsilon,J,K,one_norm,P,R_int,R_int_closed_form,R_rand,"

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hybridlcu"
 
@@ -43,6 +45,13 @@ def test_no_module_level_scipy_import():
             if any(name.split(".")[0] in ("scipy", "argparse") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_bare_import_loads_no_submodule():
+    # `import hybridlcu` is for __version__; each entry point imports the modules it uses
+    code = "import sys, hybridlcu; print(sorted(name for name in sys.modules if name.startswith('hybridlcu.')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_all_exports_resolve():
