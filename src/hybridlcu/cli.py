@@ -194,7 +194,11 @@ def build_run_config(args: Args) -> RunConfig:
         path = pathlib.Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        texts = parse_config_text(path.read_text())
+        try:
+            texts = parse_config_text(path.read_text())
+        except UnicodeDecodeError as exc:
+            # a ValueError, which main would blame on the subcommand's keys
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     table = _table(args.subcommand)
     unknown = sorted(set(texts) - set(table))
     if unknown:
@@ -275,14 +279,24 @@ def _write_partition_csv(path, rows, seed: int) -> None:
 # subcommands
 
 
+def _output_paths(config: RunConfig) -> list[pathlib.Path]:
+    """The run's CSV paths in --out, in the order its ``_SUBCOMMANDS`` entry declares them."""
+    return [config.out_dir / name for name in _SUBCOMMANDS[config.subcommand].outputs]
+
+
 def cmd_demo(config: RunConfig) -> None:
-    """Random instance, partition scan, three-way cross-check, estimation."""
+    """Random instance, partition scan, three-way cross-check, estimation.
+
+    No CSV is written until the cross-check and both Monte-Carlo gates pass.
+    """
     p = config.params
+    # refuses a bad demo.delta before any shot is drawn
+    est_cfg = estimate.EstimationConfig(epsilon=DEMO_EPSILON, delta=p["demo.delta"], bound_c=1.0)
+    partitions_path, reports_path, shots_path = _output_paths(config)
     m, dim = p["demo.m"], p["demo.dim"]
     rng = np.random.default_rng(config.seed)
     dec, psi, obs = _random_instance(m, dim, rng)
-
-    _write_partition_csv(config.out_dir / "demo_partitions.csv", partition_mod.scan(dec, psi), config.seed)
+    partition_rows = partition_mod.scan(dec, psi)
 
     # three-way cross-check on a two-group split (richer pair circuits
     # than the coherent or fully randomized extremes)
@@ -300,7 +314,8 @@ def cmd_demo(config: RunConfig) -> None:
     # stream 0 carries the observable, stream 1 the identity whose mean P
     # normalises the ratio estimate. Each stream is drawn in chunks whose
     # outcome codes are counted per table row; stream 0's chunks also go to
-    # the shot CSV, moved into place once every check passes.
+    # the shot CSV, moved into place once every check passes and the other
+    # two tables are written.
     samplers = [hybrid.Sampler(channel, psi, obs), hybrid.Sampler(channel, psi, np.eye(dim))]
     counts = [np.zeros(len(sampler.table), dtype=np.int64) for sampler in samplers]
     # each stream's exact variance of g, which bounds both the Monte-Carlo gate
@@ -316,7 +331,6 @@ def cmd_demo(config: RunConfig) -> None:
             counts[stream] += np.bincount(chunk.code, minlength=len(chunk.table))
             yield chunk
 
-    shots_path = config.out_dir / "demo_shots.csv"
     partial = shots_path.with_name(shots_path.name + ".tmp")
     try:
         hybrid.write_shot_csv(partial, chunks(0))
@@ -332,15 +346,12 @@ def cmd_demo(config: RunConfig) -> None:
                 )
         batch = estimate.SampleBatch(*hists, seed=config.seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
-
-        est_cfg = estimate.EstimationConfig(
-            epsilon=DEMO_EPSILON, delta=p["demo.delta"], bound_c=1.0, sigma2_obs_bound=variances[0]
-        )
         reports = [
-            estimate.estimate_numerator(batch, dec.one_norm, est_cfg),
+            estimate.estimate_numerator(batch, dec.one_norm, variances[0], est_cfg),
             estimate.estimate_ratio(batch, est_cfg),
         ]
-        estimate.write_report_csv(config.out_dir / "demo_reports.csv", reports, config.seed)
+        estimate.write_report_csv(reports_path, reports, config.seed)
+        _write_partition_csv(partitions_path, partition_rows, config.seed)
         os.replace(partial, shots_path)
     finally:
         partial.unlink(missing_ok=True)
@@ -353,24 +364,24 @@ def cmd_partitions(config: RunConfig) -> None:
     rng = np.random.default_rng(config.seed)
     dec, psi, _ = _random_instance(m, config.params["partitions.dim"], rng)
     rows = partition_mod.scan(dec, psi)
-    _write_partition_csv(config.out_dir / "partitions.csv", rows, config.seed)
+    (path,) = _output_paths(config)
+    _write_partition_csv(path, rows, config.seed)
     print(f"partitions: {len(rows)} rows for m={m} in {config.out_dir}")
 
 
 def cmd_lchs(config: RunConfig) -> None:
     # each lchs.* key names a fig_sweep parameter
     rows = lchs.fig_sweep(**{key.removeprefix("lchs."): value for key, value in config.params.items()})
-    lchs.write_sweep_csv(config.out_dir / "lchs_bound.csv", rows, config.seed)
+    (path,) = _output_paths(config)
+    lchs.write_sweep_csv(path, rows, config.seed)
     print(f"lchs: {len(rows)} rows, M from {rows[0].m} to {rows[-1].m}, in {config.out_dir}")
 
 
 def cmd_qlss(config: RunConfig) -> None:
     p = config.params
-    try:
-        rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=config.seed)
-    except ValueError as exc:
-        raise ConfigError(f"qlss.kappas, qlss.epsilon, qlss.dim: {exc}") from None
-    qlss.write_table_csv(config.out_dir / "qlss_table.csv", rows, config.seed)
+    rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=config.seed)
+    (path,) = _output_paths(config)
+    qlss.write_table_csv(path, rows, config.seed)
     line = f"qlss: {len(rows)} rows"
     if len(rows) >= 2:
         slope_int, slope_conv = qlss.fit_exponents(rows)
@@ -382,7 +393,8 @@ def cmd_gsp(config: RunConfig) -> None:
     p = config.params
     h_matrix, psi = gsp.random_gsp_instance(p["gsp.dim"], p["gsp.delta"], p["gsp.p0"], seed=config.seed)
     report = gsp.hybrid_gsp(gsp.GspConfig(h_matrix=h_matrix, p0=p["gsp.p0"], epsilon=p["gsp.epsilon"]), psi)
-    gsp.write_report_rows_csv(config.out_dir / "gsp_report.csv", [report], config.seed)
+    (path,) = _output_paths(config)
+    gsp.write_report_rows_csv(path, [report], config.seed)
     print(f"gsp: final distance {report.final_distance:.3e}, R {report.r_factor:.6f}, in {config.out_dir}")
 
 
@@ -390,7 +402,8 @@ def cmd_qed(config: RunConfig) -> None:
     p = config.params
     pz_grid = np.geomspace(p["qed.pz_min"], p["qed.pz_max"], p["qed.pz_points"])
     rows = qed.fig_sweep(p["qed.r_values"], pz_grid, p["qed.codewords"], config.seed)
-    qed.write_sweep_csv(config.out_dir / "qed_sweep.csv", rows, config.seed)
+    (path,) = _output_paths(config)
+    qed.write_sweep_csv(path, rows, config.seed)
     print(f"qed: {len(rows)} rows, in {config.out_dir}")
 
 
@@ -448,7 +461,8 @@ class _Subcommand(NamedTuple):
     outputs: list[str]
 
 
-# The one declaration of every subcommand, in --help order.
+# The one declaration of every subcommand, in --help order, and the one place
+# a CSV file name is written: each handler unpacks its paths from _output_paths.
 _SUBCOMMANDS = {
     "demo": _Subcommand(
         cmd_demo,
@@ -556,16 +570,17 @@ def main(argv=None) -> int:
         _SUBCOMMANDS[config.subcommand].handler(config)
         if config.emit_plot_script:
             _emit_plot_script(config)
-    except ConfigError as exc:
+    except (ConfigError, estimate.UndefinedRatioError) as exc:
+        # too few shots for a ratio estimate is a config problem too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InvariantViolation, np.linalg.LinAlgError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, estimate.UndefinedRatioError) as exc:
-        # module-level validation (bad kappa, eps >= p0, ...) and too few shots
-        # for a ratio estimate are config problems
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # a driver refused a value (bad kappa, eps >= p0, ...): name the subcommand's keys it reads
+        keys = ", ".join(key for key in _table(args.subcommand) if not key.startswith("run."))
+        print(f"config error: {keys}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

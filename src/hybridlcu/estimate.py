@@ -2,9 +2,12 @@
 
 Two regimes: finite-sample Bernstein bounds for the unnormalized
 expectation (numerator) estimator, and the asymptotic delta-method
-interval for the ratio estimator ``mean(g_O)/mean(g_1)``. Variances use
-the population convention (divide by N) to match the planner formulas;
-the small-N bias is documented, not corrected.
+interval for the ratio estimator ``mean(g_O)/mean(g_1)``. Every bound a
+width or plan rests on is an input: the numerator's variance bound is an
+argument and the ratio planner's c' a config field, and neither is ever
+replaced by an estimate from the samples. Reported variances use the
+population convention (divide by N) to match the planner formulas; the
+small-N bias is documented, not corrected.
 
 Samples are held as histograms, (value, count) pairs. A shot's g is the
 g of its row in the sampler's outcome table, so the table's g column with
@@ -52,16 +55,15 @@ class EstimationConfig:
     """Targets and a.s. bounds driving both planners.
 
     ``bound_c`` bounds |g| (the observable norm scale). ``ratio_bound_cprime``
-    bounds the ratio of means; when left None it defaults to ``bound_c``
-    and the default is flagged in reports, since the theory needs the
-    bound as an input but gives no recipe for it.
+    bounds the ratio of means. Only :func:`ratio_n` reads it, and it refuses
+    a config that leaves it None: the theory needs the bound as an input
+    but gives no recipe for it.
     """
 
     epsilon: float
     delta: float
     bound_c: float
     ratio_bound_cprime: float | None = None
-    sigma2_obs_bound: float | None = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -73,16 +75,6 @@ class EstimationConfig:
         # a bound below the truth would report an interval narrower than the data allow
         if self.ratio_bound_cprime is not None and not 0 < self.ratio_bound_cprime < math.inf:
             raise ValueError("ratio_bound_cprime must be positive and finite")
-        if self.sigma2_obs_bound is not None and not 0 <= self.sigma2_obs_bound < math.inf:
-            raise ValueError("sigma2_obs_bound must be nonnegative and finite")
-
-    @property
-    def cprime(self) -> float:
-        return self.bound_c if self.ratio_bound_cprime is None else self.ratio_bound_cprime
-
-    @property
-    def cprime_defaulted(self) -> bool:
-        return self.ratio_bound_cprime is None
 
 
 def _exact_dot(counts: np.ndarray, values: np.ndarray) -> float:
@@ -160,7 +152,6 @@ class EstimationReport(NamedTuple):
     sigma2_one: float
     r_hat: float
     seed: int
-    notes: tuple[str, ...] = ()
 
 
 def z_quantile(delta: float) -> float:
@@ -199,8 +190,9 @@ def bernstein_half_width(sigma2_bound: float, c: float, n: int, delta: float) ->
     """Invert the Bernstein tail: epsilon with 2 exp(-N eps^2/(2 sigma2 + 4 c eps/3)) = delta."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma2_bound < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    # a NaN or infinite bound would give a NaN or infinite width, a negative one a width too narrow
+    if not 0 <= sigma2_bound < math.inf:
+        raise ValueError("sigma2 bound must be nonnegative and finite")
     ell = math.log(2.0 / delta)
     b = (4.0 * c / 3.0) * ell
     return (b + math.sqrt(b * b + 8.0 * sigma2_bound * n * ell)) / (2.0 * n)
@@ -211,12 +203,15 @@ def ratio_n(config: EstimationConfig, sigma2_x: float, sigma2_y: float, mu_y_abs
 
     N = ceil(32 ln(4/delta) max{sx^2/(muY^2 eps^2) + c/(6|muY| eps),
                                  (sy^2/(muY^2 eps^2)) c'^2 + (c/(6|muY| eps)) c'}).
-    Valid only for eps <= 2 c'.
+    Valid only for eps <= 2 c'; c' is ``config.ratio_bound_cprime``, which
+    must be given.
     """
     if mu_y_abs <= 0:
         raise ValueError("mu_y_abs must be positive")
+    if config.ratio_bound_cprime is None:
+        raise ValueError("the ratio planner needs ratio_bound_cprime")
     eps, delta = config.epsilon, config.delta
-    c, cprime = config.bound_c, config.cprime
+    c, cprime = config.bound_c, config.ratio_bound_cprime
     if eps > 2.0 * cprime:
         raise ValueError(f"epsilon {eps} outside ratio-planner range (must be <= 2 c' = {2 * cprime})")
     var_term = sigma2_x / (mu_y_abs**2 * eps**2) + c / (6.0 * mu_y_abs * eps)
@@ -230,30 +225,15 @@ def estimate_R_obs(batch: SampleBatch) -> float:
     return batch.obs.variance + batch.obs.mean**2
 
 
-def estimate_numerator(batch: SampleBatch, one_norm: float, config: EstimationConfig) -> EstimationReport:
-    """Bernstein report for ``|c|_1^2 mean(g_O)`` estimating tr[O K rho K^dag].
-
-    The variance bound is the supplied ``sigma2_obs_bound`` when present,
-    otherwise the empirical second moment (the R^O estimate); the path
-    taken is recorded in the notes. Widths are computed on the g scale and
-    rescaled by |c|_1^2 (variance by |c|_1^4).
-    """
-    if batch.n == 0:
-        raise ValueError("empty batch")
-    notes = []
-    if config.sigma2_obs_bound is not None:
-        sigma2 = config.sigma2_obs_bound
-        notes.append("sigma2 path: supplied bound")
-    else:
-        sigma2 = estimate_R_obs(batch)
-        notes.append("sigma2 path: empirical R^O estimate")
-    width_g = bernstein_half_width(sigma2, config.bound_c, batch.n, config.delta)
-    mean_g = batch.obs.mean
+def _report(
+    method: str, target: str, batch: SampleBatch, config: EstimationConfig, estimate: float, half_width: float
+) -> EstimationReport:
+    """A report of ``estimate`` +- ``half_width`` with the fields every report reads from its batch and config."""
     return EstimationReport(
-        method="bernstein",
-        target="numerator",
-        estimate=one_norm**2 * mean_g,
-        half_width=one_norm**2 * width_g,
+        method=method,
+        target=target,
+        estimate=estimate,
+        half_width=half_width,
         delta=config.delta,
         epsilon=config.epsilon,
         n=batch.n,
@@ -261,16 +241,27 @@ def estimate_numerator(batch: SampleBatch, one_norm: float, config: EstimationCo
         sigma2_one=batch.one.variance if batch.one is not None else float("nan"),
         r_hat=estimate_R_obs(batch),
         seed=batch.seed,
-        notes=tuple(notes),
     )
+
+
+def estimate_numerator(
+    batch: SampleBatch, one_norm: float, sigma2_bound: float, config: EstimationConfig
+) -> EstimationReport:
+    """Bernstein report for ``|c|_1^2 mean(g_O)`` estimating tr[O K rho K^dag].
+
+    ``sigma2_bound`` bounds the variance of g, for example the sampler's
+    exact ``exact_second - exact_mean**2``, so the half-width is a
+    finite-sample bound at every N. The width is computed on the g scale
+    and rescaled by |c|_1^2.
+    """
+    width_g = bernstein_half_width(sigma2_bound, config.bound_c, batch.n, config.delta)
+    return _report("bernstein", "numerator", batch, config, one_norm**2 * batch.obs.mean, one_norm**2 * width_g)
 
 
 def estimate_ratio(batch: SampleBatch, config: EstimationConfig) -> EstimationReport:
     """Delta-method report for mean(g_O)/mean(g_1) estimating the normalized expectation."""
     if batch.one is None:
         raise ValueError("ratio estimation needs the identity batch")
-    if batch.n == 0:
-        raise ValueError("empty batch")
     mean_x = batch.obs.mean
     mean_y = batch.one.mean
     if mean_y == 0.0:
@@ -279,26 +270,9 @@ def estimate_ratio(batch: SampleBatch, config: EstimationConfig) -> EstimationRe
     var_y = batch.one.variance
     sigma_ratio2 = var_x / mean_y**2 + mean_x**2 * var_y / mean_y**4
     z = z_quantile(config.delta)
-    notes = []
-    if config.cprime_defaulted:
-        notes.append("cprime defaulted to bound_c (= |O| scale)")
-    return EstimationReport(
-        method="asymptotic",
-        target="ratio",
-        estimate=mean_x / mean_y,
-        half_width=z * math.sqrt(sigma_ratio2 / batch.n),
-        delta=config.delta,
-        epsilon=config.epsilon,
-        n=batch.n,
-        sigma2_obs=var_x,
-        sigma2_one=var_y,
-        r_hat=estimate_R_obs(batch),
-        seed=batch.seed,
-        notes=tuple(notes),
-    )
+    return _report("asymptotic", "ratio", batch, config, mean_x / mean_y, z * math.sqrt(sigma_ratio2 / batch.n))
 
 
 def write_report_csv(path, reports: list[EstimationReport], seed: int) -> None:
     header = "method,target,estimate,half_width,delta,epsilon,N,sigma2_O,sigma2_one,R_hat,seed"
-    # every field but the trailing notes, in column order
-    qcore.save_csv(path, header, (r[:-1] for r in reports), seed)
+    qcore.save_csv(path, header, reports, seed)

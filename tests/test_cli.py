@@ -120,7 +120,6 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         ("lchs", "lchs.epsilon = 1e-300\n"),  # K1 ~ 1.6e16: M overflows
         ("lchs", "lchs.epsilon = 1\n"),  # K1 = 0
         ("qlss", "qlss.dim = 0\n"),
-        ("qlss", "qlss.kappas = 1e9\n"),  # 2K+1 ~ 1e11 inner nodes
         ("qed", "qed.pz_min = 1e-3\nqed.pz_max = 1e-2\nqed.pz_points = 0\n"),
         ("qed", "qed.codewords = 0\n"),
     ]
@@ -129,9 +128,19 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         cfg.write_text(text)
         capsys.readouterr()
         assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (subcommand, text)
-        if text == "qlss.kappas = 1e9\n":
-            # the grid cap names the keys that set the grid
-            assert "qlss.kappas" in capsys.readouterr().err
+    # a value that passes the key table but that the driver refuses is named by key too
+    driver_refused = [
+        ("qlss", "qlss.kappas = 1e9\n", "qlss.kappas"),  # 2K+1 ~ 1e11 inner nodes
+        ("gsp", "gsp.p0 = 1.5\n", "gsp.p0"),
+        ("qed", "qed.pz_min = 1e-3\nqed.pz_max = 2\nqed.pz_points = 4\n", "qed.pz_max"),
+        ("lchs", "lchs.t = -1\n", "lchs.t"),
+    ]
+    for subcommand, text, key in driver_refused:
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2, (subcommand, text)
+        assert key in capsys.readouterr().err, (subcommand, text)
     # non-finite floats are refused while the config is read, by key
     non_finite = [
         ("demo", "demo.delta", "inf"),
@@ -222,8 +231,26 @@ def test_help_lists_every_config_key(capsys):
             assert param.kind in line and "default" in line and param.range_text() in line, line
 
 
-def test_absent_config_file_is_config_error(tmp_path):
+def test_absent_config_file_is_config_error(tmp_path, capsys):
     assert cli.main(["demo", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
+    # a file that is not text is named as the fault, not the subcommand's keys
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff\xfe = 1\n")
+    capsys.readouterr()
+    assert cli.main(["gsp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "binary.cfg" in err and "gsp.p0" not in err, err
+
+
+def test_bad_demo_delta_refused_before_any_shot(tmp_path, capsys):
+    # the estimation config is built first, so a bad demo.delta draws no shot and writes no CSV
+    cfg = tmp_path / "delta.cfg"
+    cfg.write_text("demo.delta = 1.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["demo", "--config", str(cfg), "--shots", "1000000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "demo.delta" in captured.err and "cross-check ok" not in captured.out
+    assert list(out.glob("*.csv")) == []
 
 
 def test_module_validation_maps_to_config_error(tmp_path):
@@ -254,6 +281,8 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
     code = cli.main(["demo", "--seed", "1", "--shots", "10", "--out", str(tmp_path)])
     assert code == 3
     assert "invariant violation: pair weights sum to" in capsys.readouterr().err
+    # a failed run writes none of its CSVs
+    assert list(tmp_path.glob("*.csv")) == []
 
     # LinAlgError subclasses ValueError but a failed factorisation is not a config error
     def failed_factorisation(*args, **kwargs):
@@ -275,6 +304,7 @@ def test_numerical_fault_exits_three(tmp_path, monkeypatch, capsys):
     for seed in ("1", "2", "3"):
         assert cli.main(["demo", "--seed", seed, "--out", str(tmp_path)]) == 3
         assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_failed_eigensolve_exits_three(tmp_path, monkeypatch, capsys):
@@ -302,11 +332,12 @@ def test_non_unitary_driver_term_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
     # the shot CSV is written under a temporary name and moved into place only
-    # after both Monte-Carlo gates pass; a failed gate leaves the partition table
+    # after both Monte-Carlo gates pass, and the other two tables after them;
+    # a failed gate leaves no file
     patch_table_g(monkeypatch, lambda g, obs: 0.9 * g + 0.02)
     assert cli.main(["demo", "--seed", "2", "--out", str(tmp_path)]) == 3
     assert "invariant violation: monte-carlo mean" in capsys.readouterr().err
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["demo_partitions.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == []
 
 
 def test_demo_memory_bounded_in_shots(tmp_path):

@@ -63,9 +63,16 @@ def test_ratio_n_domain():
     config = EstimationConfig(epsilon=3.0, delta=0.05, bound_c=1.0, ratio_bound_cprime=1.0)
     with pytest.raises(ValueError):
         ratio_n(config, 1.0, 1.0, 0.5)
-    ok = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
+    ok = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0, ratio_bound_cprime=1.0)
     with pytest.raises(ValueError):
         ratio_n(ok, 1.0, 1.0, 0.0)
+
+
+def test_ratio_n_refuses_missing_cprime():
+    # the theory gives no recipe for c', so the planner does not guess one
+    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
+    with pytest.raises(ValueError, match="ratio_bound_cprime"):
+        ratio_n(config, 1.0, 1.0, 0.5)
 
 
 def test_config_domain_and_cprime_default():
@@ -78,19 +85,12 @@ def test_config_domain_and_cprime_default():
         EstimationConfig(epsilon=0.1, delta=1.0, bound_c=1.0)
     with pytest.raises(ValueError):
         EstimationConfig(epsilon=0.1, delta=0.05, bound_c=0.0)
-    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=2.0)
-    assert config.cprime == 2.0 and config.cprime_defaulted
-    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=2.0, ratio_bound_cprime=0.7)
-    assert config.cprime == 0.7 and not config.cprime_defaulted
+    # c' left out stays None: nothing fills it in from bound_c
+    assert EstimationConfig(epsilon=0.1, delta=0.05, bound_c=2.0).ratio_bound_cprime is None
 
 
 def test_config_rejects_dishonest_bounds():
-    # a negative variance bound narrowed the Bernstein interval below the one
-    # for a bound of 0, and a NaN bound gave a NaN width with no error
     for bounds in (
-        {"sigma2_obs_bound": -0.01},
-        {"sigma2_obs_bound": math.nan},
-        {"sigma2_obs_bound": math.inf},
         {"ratio_bound_cprime": 0.0},
         {"ratio_bound_cprime": -1.0},
         {"ratio_bound_cprime": math.nan},
@@ -100,9 +100,15 @@ def test_config_rejects_dishonest_bounds():
     ):
         with pytest.raises(ValueError):
             EstimationConfig(**{"epsilon": 0.1, "delta": 0.05, "bound_c": 1.0, **bounds})
-    EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0, sigma2_obs_bound=0.0)
-    with pytest.raises(ValueError):
-        bernstein_half_width(-0.01, 1.0, 10, 0.05)
+
+
+def test_bernstein_half_width_refuses_dishonest_bounds():
+    # a negative variance bound narrows the interval below the one for a bound
+    # of 0, and a NaN or infinite bound gives a NaN or infinite width
+    for sigma2 in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma2"):
+            bernstein_half_width(sigma2, 1.0, 10, 0.05)
+    assert 0.0 < bernstein_half_width(0.0, 1.0, 10, 0.05) < math.inf
 
 
 def test_z_quantile_value_and_bound():
@@ -223,26 +229,33 @@ def test_estimate_R_obs_converges_to_reduction_factor():
 
 def test_estimate_numerator_constant_batch():
     config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
-    report = estimate_numerator(SampleBatch(np.ones(50)), one_norm=1.0, config=config)
+    report = estimate_numerator(SampleBatch(np.ones(50)), one_norm=1.0, sigma2_bound=0.0, config=config)
     assert report.estimate == 1.0
     assert report.sigma2_obs == 0.0
-    assert report.half_width >= 0.0
+    assert report.half_width == bernstein_half_width(0.0, 1.0, 50, 0.05) > 0.0
     assert report.method == "bernstein"
-    assert any("empirical" in note for note in report.notes)
 
 
 def test_estimate_numerator_supplied_bound_path():
-    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0, sigma2_obs_bound=0.5)
+    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
     n = 400
-    report = estimate_numerator(SampleBatch(np.zeros(n)), one_norm=2.0, config=config)
-    assert any("supplied" in note for note in report.notes)
+    report = estimate_numerator(SampleBatch(np.zeros(n)), one_norm=2.0, sigma2_bound=0.5, config=config)
     assert report.half_width == 4.0 * bernstein_half_width(0.5, 1.0, n, 0.05)
+
+
+def test_estimate_numerator_requires_bound():
+    # no width from a bound the caller did not state: the plug-in fallback is gone
+    config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
+    with pytest.raises(TypeError):
+        estimate_numerator(SampleBatch(np.ones(5)), one_norm=1.0, config=config)
+    with pytest.raises(ValueError):
+        estimate_numerator(SampleBatch(np.ones(5)), 1.0, math.nan, config)
 
 
 def test_estimate_numerator_empty_batch():
     config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
     with pytest.raises(ValueError):
-        estimate_numerator(SampleBatch([]), one_norm=1.0, config=config)
+        estimate_numerator(SampleBatch([]), one_norm=1.0, sigma2_bound=0.0, config=config)
 
 
 def test_numerator_bernstein_coverage():
@@ -255,13 +268,13 @@ def test_numerator_bernstein_coverage():
     obs = Observable(herm / np.abs(np.linalg.eigvalsh(herm)).max())
     sampler = Sampler(ch, rho, obs)
     delta, eps = 0.05, 0.3
-    config = EstimationConfig(epsilon=eps, delta=delta, bound_c=1.0, sigma2_obs_bound=sampler.exact_second)
+    config = EstimationConfig(epsilon=eps, delta=delta, bound_c=1.0)
     n = bernstein_n(sampler.exact_second, 1.0, eps, delta)
     truth = dec.one_norm**2 * sampler.exact_mean
     failures = 0
     for rep in range(200):
         batch = sampler.sample_shots(seed=1000, count=n, stream=rep)
-        report = estimate_numerator(SampleBatch(batch.g), one_norm=dec.one_norm, config=config)
+        report = estimate_numerator(SampleBatch(batch.g), dec.one_norm, sampler.exact_second, config)
         assert abs(report.half_width - dec.one_norm**2 * eps) <= dec.one_norm**2 * 1e-9 or report.half_width <= dec.one_norm**2 * eps
         if abs(report.estimate - truth) > dec.one_norm**2 * eps:
             failures += 1
@@ -280,7 +293,6 @@ def test_estimate_ratio_trivial_cases():
     assert report.estimate == 1.0
     assert report.half_width == 0.0
     assert report.method == "asymptotic"
-    assert any("cprime defaulted" in note for note in report.notes)
 
 
 def test_estimate_ratio_errors():
@@ -417,7 +429,8 @@ def test_statistics_are_split_invariant(tmp_path):
     for ours, theirs in ((merged.obs, flat.obs), (merged.one, flat.one)):
         assert (ours.n, ours.mean, ours.variance) == (theirs.n, theirs.mean, theirs.variance)
     config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
-    assert estimate_numerator(merged, dec.one_norm, config) == estimate_numerator(flat, dec.one_norm, config)
+    # |g| <= 1 bounds the variance of g by 1
+    assert estimate_numerator(merged, dec.one_norm, 1.0, config) == estimate_numerator(flat, dec.one_norm, 1.0, config)
     assert estimate_ratio(merged, config) == estimate_ratio(flat, config)
 
 
@@ -429,7 +442,7 @@ def test_statistics_are_split_invariant(tmp_path):
 def test_write_report_csv(tmp_path):
     config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)
     reports = [
-        estimate_numerator(SampleBatch(np.ones(10), seed=3), one_norm=1.5, config=config),
+        estimate_numerator(SampleBatch(np.ones(10), seed=3), one_norm=1.5, sigma2_bound=0.0, config=config),
         estimate_ratio(SampleBatch(np.full(10, 0.5), np.ones(10), seed=3), config),
     ]
     path = tmp_path / "report.csv"

@@ -3,10 +3,12 @@
 import ast
 import importlib
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hybridlcu"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hybridlcu"
 
 
 def test_no_bare_assert_in_package():
@@ -63,6 +65,33 @@ def test_all_exports_resolve():
         missing += [f"{name}.{export}" for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
 
+
+def test_csv_names_declared_once():
+    # every CSV file name in cli.py sits in the _SUBCOMMANDS table, which the
+    # handlers, --emit-plot-script and the tests all read
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (table,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_SUBCOMMANDS" for t in node.targets)
+    ]
+    inside = {id(node) for node in ast.walk(table)}
+    outside = [
+        f"cli.py:{node.lineno}:{node.value}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ".csv" in node.value
+        if id(node) not in inside
+    ]
+    assert outside == []
+
+
+def test_version_declared_once():
+    # pyproject.toml reads the version from hybridlcu.__version__, which every
+    # CSV trailer and --version print; read as text, since Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r"^\s*version\s*=\s*[\"']", text, re.MULTILINE) is None
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "hybridlcu.__version__"}' in text
 
 
 def test_no_unused_imports():
