@@ -22,7 +22,6 @@ import os
 import pathlib
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -35,7 +34,6 @@ from .qcore import InvariantViolation
 __all__ = [
     "ConfigError",
     "InvariantViolation",
-    "RunConfig",
     "parse_config_text",
     "Args",
     "parse_args",
@@ -87,9 +85,9 @@ class _Param(NamedTuple):
 
 # The one declaration of every config key; a subcommand reads the run.* keys
 # and its own. Flags override the run.* keys. Keys without a range here are
-# validated by the driver that reads them.
+# validated by the driver that reads them, and run.out by creating it.
 _PARAMS = {
-    "run.seed": _Param("u64", 0),
+    "run.seed": _Param("int", 0, 0, 2**64 - 1),
     "run.shots": _Param("int", 20000, 1),
     "run.out": _Param("str", "."),
     "run.workers": _Param("int", 1, 1),
@@ -132,11 +130,6 @@ def _coerce(key: str, kind: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "u64":
-            value = int(raw)
-            if not 0 <= value < 2**64:
-                raise ConfigError(f"{key} = {raw} outside the 64-bit range")
-            return value
         if kind == "float":
             return _finite(key, float(raw))
         if kind == "floats":
@@ -167,18 +160,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-@dataclass
-class RunConfig:
-    """A resolved run: every key of the subcommand's table in ``params``, coerced and range-checked."""
-
-    subcommand: str
-    seed: int
-    shots: int
-    out_dir: pathlib.Path
-    params: dict = field(default_factory=dict)
-    emit_plot_script: bool = False
-
-
 class Args(NamedTuple):
     """A parsed command line: the subcommand, --config, the run.* keys set by flags, --emit-plot-script."""
 
@@ -188,7 +169,8 @@ class Args(NamedTuple):
     emit_plot_script: bool
 
 
-def build_run_config(args: Args) -> RunConfig:
+def build_run_config(args: Args) -> dict:
+    """Every key of the subcommand's table, coerced and range-checked; ``run.out`` is the created directory."""
     texts: dict[str, str] = {}
     if args.config is not None:
         path = pathlib.Path(args.config)
@@ -215,14 +197,14 @@ def build_run_config(args: Args) -> RunConfig:
         if (param.lo is not None and value < param.lo) or (param.hi is not None and value > param.hi):
             raise ConfigError(f"{key} = {value} out of range ({param.range_text()})")
         values[key] = value
-    return RunConfig(
-        subcommand=args.subcommand,
-        seed=values["run.seed"],
-        shots=values["run.shots"],
-        out_dir=pathlib.Path(values["run.out"]),
-        params={key: value for key, value in values.items() if not key.startswith("run.")},
-        emit_plot_script=args.emit_plot_script,
-    )
+    out = pathlib.Path(values["run.out"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        # an existing file, no permission or a NUL byte
+        raise ConfigError(f"run.out = {values['run.out']!r}: {exc}") from None
+    values["run.out"] = out
+    return values
 
 
 def _keys_epilog(subcommand: str) -> str:
@@ -279,22 +261,16 @@ def _write_partition_csv(path, rows, seed: int) -> None:
 # subcommands
 
 
-def _output_paths(config: RunConfig) -> list[pathlib.Path]:
-    """The run's CSV paths in --out, in the order its ``_SUBCOMMANDS`` entry declares them."""
-    return [config.out_dir / name for name in _SUBCOMMANDS[config.subcommand].outputs]
-
-
-def cmd_demo(config: RunConfig) -> None:
+def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
     """Random instance, partition scan, three-way cross-check, estimation.
 
     No CSV is written until the cross-check and both Monte-Carlo gates pass.
     """
-    p = config.params
     # refuses a bad demo.delta before any shot is drawn
     est_cfg = estimate.EstimationConfig(epsilon=DEMO_EPSILON, delta=p["demo.delta"], bound_c=1.0)
-    partitions_path, reports_path, shots_path = _output_paths(config)
-    m, dim = p["demo.m"], p["demo.dim"]
-    rng = np.random.default_rng(config.seed)
+    partitions_path, reports_path, shots_path = paths
+    m, dim, seed, shots = p["demo.m"], p["demo.dim"], p["run.seed"], p["run.shots"]
+    rng = np.random.default_rng(seed)
     dec, psi, obs = _random_instance(m, dim, rng)
     partition_rows = partition_mod.scan(dec, psi)
 
@@ -325,9 +301,9 @@ def cmd_demo(config: RunConfig) -> None:
     variances = [max(0.0, sampler.exact_second - sampler.exact_mean**2) for sampler in samplers]
 
     def chunks(stream: int):
-        for lo in range(0, config.shots, hybrid._CSV_CHUNK_ROWS):
-            count = min(hybrid._CSV_CHUNK_ROWS, config.shots - lo)
-            chunk = samplers[stream].sample_shots(config.seed, count, start=lo, stream=stream)
+        for lo in range(0, shots, hybrid._CSV_CHUNK_ROWS):
+            count = min(hybrid._CSV_CHUNK_ROWS, shots - lo)
+            chunk = samplers[stream].sample_shots(seed, count, start=lo, stream=stream)
             counts[stream] += np.bincount(chunk.code, minlength=len(chunk.table))
             yield chunk
 
@@ -344,67 +320,58 @@ def cmd_demo(config: RunConfig) -> None:
                 raise InvariantViolation(
                     f"monte-carlo mean {hist.mean} is farther than {width:.3g} from {checked.exact_mean}"
                 )
-        batch = estimate.SampleBatch(*hists, seed=config.seed)
+        batch = estimate.SampleBatch(*hists, seed=seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
         reports = [
             estimate.estimate_numerator(batch, dec.one_norm, variances[0], est_cfg),
             estimate.estimate_ratio(batch, est_cfg),
         ]
-        estimate.write_report_csv(reports_path, reports, config.seed)
-        _write_partition_csv(partitions_path, partition_rows, config.seed)
+        estimate.write_report_csv(reports_path, reports, seed)
+        _write_partition_csv(partitions_path, partition_rows, seed)
         os.replace(partial, shots_path)
     finally:
         partial.unlink(missing_ok=True)
-    print(f"demo: wrote {' '.join(_SUBCOMMANDS['demo'].outputs)} in {config.out_dir}")
+    print(f"demo: wrote {' '.join(path.name for path in paths)} in {p['run.out']}")
 
 
-def cmd_partitions(config: RunConfig) -> None:
+def cmd_partitions(p: dict, paths: list[pathlib.Path]) -> None:
     """Exhaustive table of partition, ancilla width a*, R, R - P."""
-    m = config.params["partitions.m"]
-    rng = np.random.default_rng(config.seed)
-    dec, psi, _ = _random_instance(m, config.params["partitions.dim"], rng)
+    m = p["partitions.m"]
+    dec, psi, _ = _random_instance(m, p["partitions.dim"], np.random.default_rng(p["run.seed"]))
     rows = partition_mod.scan(dec, psi)
-    (path,) = _output_paths(config)
-    _write_partition_csv(path, rows, config.seed)
-    print(f"partitions: {len(rows)} rows for m={m} in {config.out_dir}")
+    _write_partition_csv(*paths, rows, p["run.seed"])
+    print(f"partitions: {len(rows)} rows for m={m} in {p['run.out']}")
 
 
-def cmd_lchs(config: RunConfig) -> None:
+def cmd_lchs(p: dict, paths: list[pathlib.Path]) -> None:
     # each lchs.* key names a fig_sweep parameter
-    rows = lchs.fig_sweep(**{key.removeprefix("lchs."): value for key, value in config.params.items()})
-    (path,) = _output_paths(config)
-    lchs.write_sweep_csv(path, rows, config.seed)
-    print(f"lchs: {len(rows)} rows, M from {rows[0].m} to {rows[-1].m}, in {config.out_dir}")
+    rows = lchs.fig_sweep(**{key.removeprefix("lchs."): value for key, value in p.items() if key.startswith("lchs.")})
+    lchs.write_sweep_csv(*paths, rows, p["run.seed"])
+    print(f"lchs: {len(rows)} rows, M from {rows[0].m} to {rows[-1].m}, in {p['run.out']}")
 
 
-def cmd_qlss(config: RunConfig) -> None:
-    p = config.params
-    rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=config.seed)
-    (path,) = _output_paths(config)
-    qlss.write_table_csv(path, rows, config.seed)
+def cmd_qlss(p: dict, paths: list[pathlib.Path]) -> None:
+    rows = qlss.sweep(p["qlss.kappas"], epsilon=p["qlss.epsilon"], dim=p["qlss.dim"], seed=p["run.seed"])
+    qlss.write_table_csv(*paths, rows, p["run.seed"])
     line = f"qlss: {len(rows)} rows"
     if len(rows) >= 2:
         slope_int, slope_conv = qlss.fit_exponents(rows)
         line += f", log-log slopes R_int {slope_int:.3f} P {slope_conv:.3f}"
-    print(line + f", in {config.out_dir}")
+    print(line + f", in {p['run.out']}")
 
 
-def cmd_gsp(config: RunConfig) -> None:
-    p = config.params
-    h_matrix, psi = gsp.random_gsp_instance(p["gsp.dim"], p["gsp.delta"], p["gsp.p0"], seed=config.seed)
+def cmd_gsp(p: dict, paths: list[pathlib.Path]) -> None:
+    h_matrix, psi = gsp.random_gsp_instance(p["gsp.dim"], p["gsp.delta"], p["gsp.p0"], seed=p["run.seed"])
     report = gsp.hybrid_gsp(gsp.GspConfig(h_matrix=h_matrix, p0=p["gsp.p0"], epsilon=p["gsp.epsilon"]), psi)
-    (path,) = _output_paths(config)
-    gsp.write_report_rows_csv(path, [report], config.seed)
-    print(f"gsp: final distance {report.final_distance:.3e}, R {report.r_factor:.6f}, in {config.out_dir}")
+    gsp.write_report_rows_csv(*paths, [report], p["run.seed"])
+    print(f"gsp: final distance {report.final_distance:.3e}, R {report.r_factor:.6f}, in {p['run.out']}")
 
 
-def cmd_qed(config: RunConfig) -> None:
-    p = config.params
+def cmd_qed(p: dict, paths: list[pathlib.Path]) -> None:
     pz_grid = np.geomspace(p["qed.pz_min"], p["qed.pz_max"], p["qed.pz_points"])
-    rows = qed.fig_sweep(p["qed.r_values"], pz_grid, p["qed.codewords"], config.seed)
-    (path,) = _output_paths(config)
-    qed.write_sweep_csv(path, rows, config.seed)
-    print(f"qed: {len(rows)} rows, in {config.out_dir}")
+    rows = qed.fig_sweep(p["qed.r_values"], pz_grid, p["qed.codewords"], p["run.seed"])
+    qed.write_sweep_csv(*paths, rows, p["run.seed"])
+    print(f"qed: {len(rows)} rows, in {p['run.out']}")
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +410,9 @@ for name in FILES:
 '''
 
 
-def _emit_plot_script(config: RunConfig) -> None:
-    path = config.out_dir / f"plot_{config.subcommand}.py"
-    path.write_text(_PLOT_STUB.format(files=_SUBCOMMANDS[config.subcommand].outputs))
+def _emit_plot_script(subcommand: str, out: pathlib.Path) -> None:
+    path = out / f"plot_{subcommand}.py"
+    path.write_text(_PLOT_STUB.format(files=_SUBCOMMANDS[subcommand].outputs))
     print(f"plot stub: {path}")
 
 
@@ -456,13 +423,13 @@ def _emit_plot_script(config: RunConfig) -> None:
 class _Subcommand(NamedTuple):
     """What a subcommand runs, its --help line and the CSVs it writes into --out."""
 
-    handler: Callable[[RunConfig], None]
+    handler: Callable[[dict, list[pathlib.Path]], None]
     help: str
     outputs: list[str]
 
 
 # The one declaration of every subcommand, in --help order, and the one place
-# a CSV file name is written: each handler unpacks its paths from _output_paths.
+# a CSV file name is written: main passes each handler its paths in run.out.
 _SUBCOMMANDS = {
     "demo": _Subcommand(
         cmd_demo,
@@ -564,12 +531,12 @@ def parse_args(argv=None) -> Args:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    spec = _SUBCOMMANDS[args.subcommand]
     try:
-        config = build_run_config(args)
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        _SUBCOMMANDS[config.subcommand].handler(config)
-        if config.emit_plot_script:
-            _emit_plot_script(config)
+        p = build_run_config(args)
+        spec.handler(p, [p["run.out"] / name for name in spec.outputs])
+        if args.emit_plot_script:
+            _emit_plot_script(args.subcommand, p["run.out"])
     except (ConfigError, estimate.UndefinedRatioError) as exc:
         # too few shots for a ratio estimate is a config problem too
         print(f"config error: {exc}", file=sys.stderr)

@@ -173,15 +173,25 @@ def z_quantile(delta: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _check_bernstein(sigma2_bound: float, c: float, delta: float) -> None:
+    """The inputs of the Bernstein tail; each comparison also refuses NaN."""
+    # a NaN or infinite bound would give a NaN or infinite width, a negative one a width too narrow
+    if not 0 <= sigma2_bound < math.inf:
+        raise ValueError("sigma2 bound must be nonnegative and finite")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+
+
 def bernstein_n(sigma2_bound: float, c: float, epsilon: float, delta: float) -> int:
     """Samples guaranteeing the Bernstein tail at most delta.
 
     N = ceil(2 ln(2/delta) (sigma2/eps^2 + 2c/(3 eps))).
     """
-    if sigma2_bound < 0 or c <= 0 or epsilon <= 0:
-        raise ValueError("arguments must be positive (sigma2 nonnegative)")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_bernstein(sigma2_bound, c, delta)
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     val = 2.0 * math.log(2.0 / delta) * (sigma2_bound / epsilon**2 + 2.0 * c / (3.0 * epsilon))
     return max(1, math.ceil(val))
 
@@ -190,9 +200,7 @@ def bernstein_half_width(sigma2_bound: float, c: float, n: int, delta: float) ->
     """Invert the Bernstein tail: epsilon with 2 exp(-N eps^2/(2 sigma2 + 4 c eps/3)) = delta."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    # a NaN or infinite bound would give a NaN or infinite width, a negative one a width too narrow
-    if not 0 <= sigma2_bound < math.inf:
-        raise ValueError("sigma2 bound must be nonnegative and finite")
+    _check_bernstein(sigma2_bound, c, delta)
     ell = math.log(2.0 / delta)
     b = (4.0 * c / 3.0) * ell
     return (b + math.sqrt(b * b + 8.0 * sigma2_bound * n * ell)) / (2.0 * n)

@@ -145,7 +145,7 @@ class GspConfig:
     c_tau: float = 1.0
 
     def __post_init__(self):
-        h = qcore.require_hermitian(qcore.as_matrix(self.h_matrix), what="h_matrix")
+        h = qcore.require_hermitian(self.h_matrix, what="h_matrix")
         spectrum = qcore.eigh(h)
         if spectrum[0].min() < -1e-9 or spectrum[0].max() > 1.0 + 1e-9:
             raise ValueError("spectrum must be normalized into [0, 1]")

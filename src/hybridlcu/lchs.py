@@ -87,7 +87,8 @@ class LchsConfig:
     """Propagator task: matrix (optional for analytic sweeps), time, accuracy, split point.
 
     When ``a_matrix`` is None only the norm of the PSD part is needed
-    (bound sweeps never touch matrix elements). ``k2 = None`` means the
+    (bound sweeps never touch matrix elements); given a matrix, that norm is
+    computed from it and ``l_norm`` is refused. ``k2 = None`` means the
     fully coherent choice K2 = K1.
     """
 
@@ -104,14 +105,15 @@ class LchsConfig:
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.a_matrix is not None:
+            # the norm is the matrix's own; a second value would set the node counts
+            if self.l_norm is not None:
+                raise ValueError("give a_matrix or l_norm, not both")
             l_psd, h, shift = split_hermitian(self.a_matrix)
             object.__setattr__(self, "a_matrix", qcore.as_matrix(self.a_matrix))
             object.__setattr__(self, "_l", l_psd)
             object.__setattr__(self, "_h", h)
             object.__setattr__(self, "_shift", shift)
-            norm = float(np.abs(np.linalg.eigvalsh(l_psd)).max())
-            if self.l_norm is None:
-                object.__setattr__(self, "l_norm", norm)
+            object.__setattr__(self, "l_norm", float(np.abs(np.linalg.eigvalsh(l_psd)).max()))
         elif self.l_norm is None:
             raise ValueError("need a_matrix or l_norm")
         if not (math.isfinite(self.l_norm) and self.l_norm >= 0.0):

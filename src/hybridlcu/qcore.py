@@ -73,19 +73,19 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_unitary(m: np.ndarray, tol: float = TOL.unitarity) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m)
     if m.shape[0] != m.shape[1]:
         return False
     eye = np.eye(m.shape[0])
-    return bool(np.linalg.norm(m.conj().T @ m - eye) <= tol)
+    return bool(np.linalg.norm(m.conj().T @ m - eye) <= TOL.unitarity)
 
 
-def require_hermitian(m: np.ndarray, tol: float = TOL.hermiticity, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = as_matrix(m)
     viol = float(np.linalg.norm(m - m.conj().T))
-    if viol > tol:
-        raise ValueError(f"{what} is not Hermitian: symmetry violation {viol:.3e} > {tol:.1e}")
+    if viol > TOL.hermiticity:
+        raise ValueError(f"{what} is not Hermitian: symmetry violation {viol:.3e} > {TOL.hermiticity:.1e}")
     return m
 
 

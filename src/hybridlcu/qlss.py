@@ -70,7 +70,7 @@ class QlssConfig:
     epsilon: float
 
     def __post_init__(self):
-        m = qcore.require_hermitian(qcore.as_matrix(self.m_matrix), what="m_matrix")
+        m = qcore.require_hermitian(self.m_matrix, what="m_matrix")
         b = np.asarray(self.b, dtype=complex).reshape(-1)
         if b.shape[0] != m.shape[0]:
             raise ValueError("b length does not match matrix dimension")

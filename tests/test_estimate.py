@@ -111,6 +111,34 @@ def test_bernstein_half_width_refuses_dishonest_bounds():
     assert 0.0 < bernstein_half_width(0.0, 1.0, 10, 0.05) < math.inf
 
 
+def test_bernstein_helpers_share_one_argument_check():
+    # each case once gave a width of 0 or a too-narrow one, or raised an
+    # OverflowError or a NaN-to-int error instead of naming the argument
+    bad = [
+        ("c", dict(c=0.0)),
+        ("c", dict(c=-1.0)),
+        ("c", dict(c=math.inf)),
+        ("c", dict(c=math.nan)),
+        ("delta", dict(delta=0.0)),
+        ("delta", dict(delta=1.0)),
+        ("delta", dict(delta=1.5)),
+        ("delta", dict(delta=2.5)),
+        ("delta", dict(delta=math.nan)),
+        ("sigma2", dict(sigma2_bound=-1.0)),
+        ("sigma2", dict(sigma2_bound=math.inf)),
+        ("sigma2", dict(sigma2_bound=math.nan)),
+    ]
+    for name, override in bad:
+        args = {"sigma2_bound": 0.5, "c": 1.0, "delta": 0.05, **override}
+        with pytest.raises(ValueError, match=name):
+            bernstein_half_width(n=10, **args)
+        with pytest.raises(ValueError, match=name):
+            bernstein_n(epsilon=0.1, **args)
+    for epsilon in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            bernstein_n(0.5, 1.0, epsilon, 0.05)
+
+
 def test_z_quantile_value_and_bound():
     assert abs(z_quantile(0.05) - 1.9599639845400545) <= 1e-8
     for delta in (0.3, 0.1, 0.05, 0.01, 1e-4):

@@ -149,6 +149,8 @@ def test_filter_quality_rejects_unnormalized_input():
 def test_gaussian_filter_sigma_zero_is_identity():
     h, _ = random_gsp_instance(5, 0.2, 0.4, seed=2)
     assert np.abs(gaussian_filter(h, 0.3, 0.1, 0.0) - np.eye(5)).max() <= 1e-12
+    with pytest.raises(ValueError, match="sigma2"):
+        gaussian_filter(h, 0.3, 0.1, -1e-3)
 
 
 def test_gaussian_filter_fixes_shifted_ground_state():
@@ -205,6 +207,12 @@ def test_config_rejects_epsilon_not_below_p0():
         GspConfig(h_matrix=h, p0=0.5, epsilon=0.5)
     with pytest.raises(ValueError):
         GspConfig(h_matrix=h, p0=0.5, epsilon=0.0)
+    for p0 in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="p0"):
+            GspConfig(h_matrix=h, p0=p0, epsilon=0.1)
+    for c_tau in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="c_tau"):
+            GspConfig(h_matrix=h, p0=0.5, epsilon=0.1, c_tau=c_tau)
 
 
 def test_config_derived_parameters():
@@ -289,6 +297,9 @@ def test_hybrid_flags_low_overlap():
     rep = hybrid_gsp(cfg, psi)
     assert not rep.precondition_ok
     assert rep.overlap == pytest.approx(0.2, abs=1e-12)
+    # a low overlap is flagged, an unnormalized state refused
+    with pytest.raises(ValueError, match="normalized"):
+        hybrid_gsp(cfg, 2.0 * psi)
 
 
 def test_hybrid_weak_filter_limit():
@@ -409,6 +420,12 @@ def test_complexity_rejects_bad_alpha():
         complexity_report(0.5, 1.0, 0.25, alpha=0.9)
     with pytest.raises(ValueError):
         complexity_report(0.5, 1.0, 0.6)  # eps > p0
+    for delta in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="gap"):
+            complexity_report(0.5, delta, 0.25)
+    for p0 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="p0"):
+            complexity_report(p0, 1.0, 0.25)
 
 
 # ---------------------------------------------------------------------------

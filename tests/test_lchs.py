@@ -109,6 +109,8 @@ def test_discretize_no_tail_at_k2_equal_k1():
     assert disc.k2 == disc.k1
     assert disc.alpha == 0.0
     assert disc.q_tail == 0.0
+    with pytest.raises(ValueError, match="no tail"):
+        lchs.tail_operator(config, disc)
 
 
 def test_discretize_node_and_weight_shapes():
@@ -201,11 +203,25 @@ def test_config_validation():
     for bad in ({"t": math.inf}, {"t": math.nan}, {"l_norm": math.inf}):
         with pytest.raises(ValueError, match="finite"):
             LchsConfig(None, **{"t": 1.0, "epsilon": 0.1, "l_norm": 1.0, **bad})
+    for epsilon in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            LchsConfig(None, t=1.0, epsilon=epsilon, l_norm=1.0)
     # finite inputs whose node count overflows a float
     with pytest.raises(ValueError, match="node count"):
         node_count(LchsConfig(None, t=1e300, epsilon=5e-5, l_norm=2.0))
     with pytest.raises(ValueError, match="K1 = 0"):
         fig_sweep(epsilon=1.0)
+
+
+def test_matrix_config_takes_its_own_norm():
+    # a second norm beside the matrix once set the node counts: 18 nodes
+    # at l_norm = 0.01 against 127 at the matrix's |L| = 2
+    a_matrix = np.diag([1.0, 2.0])
+    config = LchsConfig(a_matrix, t=10.0, epsilon=0.05, k2=2.0)
+    assert config.l_norm == 2.0
+    assert node_count(config) == 127
+    with pytest.raises(ValueError, match="not both"):
+        LchsConfig(a_matrix, t=10.0, epsilon=0.05, k2=2.0, l_norm=0.01)
 
 
 ## ------------------------------------------------------------------
@@ -368,6 +384,8 @@ def test_propagator_error_full_window():
     for seed in range(3):
         config = LchsConfig(random_a(seed), t=3.0, epsilon=1e-2)
         assert propagator_error(config) <= 5e-2
+    with pytest.raises(ValueError, match="needs the matrix"):
+        propagator_error(LchsConfig(None, t=3.0, epsilon=1e-2, l_norm=2.0))
 
 
 def test_propagator_error_with_tail():

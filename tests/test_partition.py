@@ -182,6 +182,8 @@ def test_group_operators_weighted_example():
     ops = group_operators(dec, Partition([[0], [1, 2]], 3))
     assert np.allclose([g.weight for g in ops], [0.5, 0.5])
     assert np.allclose(ops[1].operator, (u[1] + u[2]) / 2)
+    with pytest.raises(ValueError, match="partition over 2 indices"):
+        group_operators(dec, Partition.coherent(2))
 
 
 def test_group_reconstruction_invariant():
@@ -312,6 +314,8 @@ def test_gram_is_symmetric():
         g = gram(dec, rho, weight)
         assert g.shape == (5, 5)
         assert np.array_equal(g, g.T)
+    with pytest.raises(ValueError, match="Gram matrix has 5 terms"):
+        partition.r_from_gram(g, dec.probs, Partition.coherent(4))
 
 
 ## ------------------------------------------------------------------
@@ -326,6 +330,8 @@ def test_is_refinement_cases():
     a = Partition([[0, 1], [2]], 3)
     b = Partition([[0, 2], [1]], 3)
     assert not is_refinement(a, b)
+    with pytest.raises(ValueError, match="different index sets"):
+        is_refinement(a, anything)
 
 
 @settings(max_examples=100, deadline=None)
@@ -422,6 +428,9 @@ def test_harmonic_mean_values():
     assert harmonic_mean(1.0, 1.0) == 1.0
     assert harmonic_mean(0.7, 0.0) == 0.0
     assert abs(harmonic_mean(0.3, 0.6) - 0.4) <= 1e-15
+    for a, b in ((-0.1, 0.5), (0.5, -0.1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            harmonic_mean(a, b)
 
 
 def test_tail_bound_r():

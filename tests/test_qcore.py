@@ -31,6 +31,11 @@ def test_eigh_reconstruction_residual():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(ValueError, match="symmetry violation"):
         qcore.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="2-d array"):
+        qcore.eigh(np.ones(3))
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.eigh(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_expm_zero_time_is_identity():

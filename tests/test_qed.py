@@ -220,6 +220,11 @@ def test_pauli_channel_matches_matrix_conjugation():
         expected = 0.7 * rho + 0.3 * (pauli @ rho @ pauli)
         got = apply_pauli_channel(rho, qubit, 0.3, kind)
         assert np.abs(got - expected).max() <= 1e-13
+    with pytest.raises(ValueError, match="X and Z"):
+        apply_pauli_channel(rho, 0, 0.3, "Y")
+    for qubit in (-1, 7):
+        with pytest.raises(IndexError):
+            apply_pauli_channel(rho, qubit, 0.3, "Z")
 
 
 def test_biased_noise_preserves_trace_and_psd():

@@ -1,5 +1,6 @@
 """Linear-system driver checks: grids, reduction factors, inverse error."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,8 @@ def test_config_rejects_kappa_below_one():
 def test_config_rejects_non_unit_b():
     with pytest.raises(ValueError):
         QlssConfig(m_matrix=np.eye(2), b=np.array([1.0, 1.0]), kappa=2.0, epsilon=0.1)
+    with pytest.raises(ValueError, match="b length"):
+        QlssConfig(m_matrix=np.eye(2), b=np.array([1.0, 0.0, 0.0]), kappa=2.0, epsilon=0.1)
 
 
 def test_config_rejects_singular_values_outside_band():
@@ -159,28 +162,17 @@ def test_one_norm_scales_linearly_in_kappa():
 
 def test_degenerate_grid_rejected():
     grid = build_grid(identity_config())
-    with pytest.raises(ValueError):
-        QlssGrid(
-            j_count=0,
-            k_count=grid.k_count,
-            dy=grid.dy,
-            dz=grid.dz,
-            z_nodes=grid.z_nodes,
-            z_weights=grid.z_weights,
-            beta=grid.beta,
-            one_norm=grid.one_norm,
-        )
-    with pytest.raises(ValueError):
-        QlssGrid(
-            j_count=grid.j_count,
-            k_count=grid.k_count,
-            dy=grid.dy,
-            dz=grid.dz,
-            z_nodes=grid.z_nodes,
-            z_weights=np.zeros_like(grid.z_weights),
-            beta=0.0,
-            one_norm=0.0,
-        )
+    cases = [
+        ("one node per axis", dict(j_count=0)),
+        ("steps", dict(dy=0.0)),
+        ("steps", dict(dz=-grid.dz)),
+        (r"2K\+1", dict(z_nodes=grid.z_nodes[:-1])),
+        ("matching shapes", dict(z_weights=grid.z_weights[:-1])),
+        ("zero weight", dict(z_weights=np.zeros_like(grid.z_weights), beta=0.0, one_norm=0.0)),
+    ]
+    for match, bad in cases:
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(grid, **bad)
 
 
 def test_y_node_bounds():
@@ -428,6 +420,8 @@ def test_table_exponents():
     slope_int, slope_conv = fit_exponents(rows)
     assert abs(slope_int - (-0.5)) <= 0.15
     assert abs(slope_conv - (-1.0)) <= 0.15
+    with pytest.raises(ValueError, match="two rows"):
+        fit_exponents(rows[:1])
 
 
 def test_table_rows_consistent():
