@@ -203,6 +203,9 @@ def build_run_config(args: Args) -> dict:
     except (OSError, ValueError) as exc:
         # an existing file, no permission or a NUL byte
         raise ConfigError(f"run.out = {values['run.out']!r}: {exc}") from None
+    for name in _SUBCOMMANDS[args.subcommand].outputs:
+        if (out / name).is_dir():
+            raise ConfigError(f"run.out = {values['run.out']!r}: {name} is a directory, not a file")
     values["run.out"] = out
     return values
 

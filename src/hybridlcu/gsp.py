@@ -18,7 +18,6 @@ robustness claims can be probed directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -120,12 +119,12 @@ def _filter_quality(ground: np.ndarray, psi, filter_matrix) -> tuple[float, floa
     survival = float(np.linalg.norm(filtered))
     if survival <= 1e-300:
         return math.sqrt(2.0), 0.0
-    overlap = abs(np.vdot(ground, filtered)) / survival
-    distance = math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, overlap)))
-    return distance, survival
+    # 2 - 2|<g|u>| = 2 ||u - <g|u> g||^2 / (1 + |<g|u>|), without the cancellation near |<g|u>| = 1
+    u = filtered / survival
+    c = np.vdot(ground, u)
+    return math.sqrt(2.0) * float(np.linalg.norm(u - c * ground)) / math.sqrt(1.0 + abs(c)), survival
 
 
-@dataclass(frozen=True)
 class GspConfig:
     """Problem instance: normalized Hamiltonian, overlap bound, accuracy target.
 
@@ -134,65 +133,38 @@ class GspConfig:
     also the accuracy scale E' is supposed to respect.  ``c_tau`` scales the
     cosine shift tau; the other Theta constants are the module constants
     C_T, C_SIGMA and C_TAU_PRIME.  The eigendecomposition of H is taken
-    once here and every filter of the run is built from it.
+    once here, as the read-only ``spectrum``, and every filter of the run is
+    built from it.  ``stage1_params`` is (T', tau) for the cosine stage,
+    which targets distance O(p0).
     """
 
-    h_matrix: np.ndarray
-    p0: float
-    epsilon: float
-    e_offset: float = 0.0
-    e_prime_offset: float = 0.0
-    c_tau: float = 1.0
-
-    def __post_init__(self):
-        h = qcore.require_hermitian(self.h_matrix, what="h_matrix")
-        spectrum = qcore.eigh(h)
-        if spectrum[0].min() < -1e-9 or spectrum[0].max() > 1.0 + 1e-9:
+    def __init__(
+        self, h_matrix, p0: float, epsilon: float, e_offset: float = 0.0, e_prime_offset: float = 0.0, c_tau: float = 1.0
+    ):
+        self.h_matrix = qcore.require_hermitian(h_matrix, what="h_matrix")
+        self.spectrum = qcore.eigh(self.h_matrix)
+        if self.spectrum[0].min() < -1e-9 or self.spectrum[0].max() > 1.0 + 1e-9:
             raise ValueError("spectrum must be normalized into [0, 1]")
-        lam0, gap, _ = _ground_state(spectrum)
-        if not 0.0 < self.p0 < 1.0:
+        for a in self.spectrum:
+            a.setflags(write=False)
+        self.lambda0, self.gap, self.ground = _ground_state(self.spectrum)
+        if not 0.0 < p0 < 1.0:
             raise ValueError("p0 must lie in (0, 1)")
-        if not 0.0 < self.epsilon < self.p0:
+        if not 0.0 < epsilon < p0:
             raise ValueError("two-stage filtering assumes 0 < epsilon < p0")
-        if not self.c_tau > 0.0:
+        if not c_tau > 0.0:
             raise ValueError("c_tau must be positive")
-        object.__setattr__(self, "h_matrix", h)
-        object.__setattr__(self, "_spectrum", spectrum)
-        object.__setattr__(self, "_lambda0", lam0)
-        object.__setattr__(self, "_gap", gap)
-
-    @property
-    def lambda0(self) -> float:
-        return self._lambda0
-
-    @property
-    def gap(self) -> float:
-        return self._gap
-
-    @property
-    def dimension(self) -> int:
-        return self.h_matrix.shape[0]
-
-    @property
-    def stage1_params(self) -> tuple[int, float]:
-        """(T', tau) for the cosine stage, targeting distance O(p0)."""
-        return cosine_params(self.gap, self.p0, self.p0, c_tau=self.c_tau)
-
-    @property
-    def sigma2(self) -> float:
-        return C_SIGMA * math.log(self.p0 / self.epsilon) / self.gap**2
-
-    @property
-    def tau_prime(self) -> float:
-        return C_TAU_PRIME * self.gap / math.sqrt(math.log(self.p0 / self.epsilon))
-
-    @property
-    def e_estimate(self) -> float:
-        return self.lambda0 + self.e_offset
-
-    @property
-    def e_prime_estimate(self) -> float:
-        return self.lambda0 + self.e_prime_offset
+        self.p0 = p0
+        self.epsilon = epsilon
+        self.e_offset = e_offset
+        self.e_prime_offset = e_prime_offset
+        self.c_tau = c_tau
+        self.dimension = self.h_matrix.shape[0]
+        self.stage1_params = cosine_params(self.gap, p0, p0, c_tau=c_tau)
+        self.sigma2 = C_SIGMA * math.log(p0 / epsilon) / self.gap**2
+        self.tau_prime = C_TAU_PRIME * self.gap / math.sqrt(math.log(p0 / epsilon))
+        self.e_estimate = self.lambda0 + e_offset
+        self.e_prime_estimate = self.lambda0 + e_prime_offset
 
 
 class GspReport(NamedTuple):
@@ -230,19 +202,17 @@ def hybrid_gsp(config: GspConfig, psi) -> GspReport:
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("psi must be normalized")
     vec = vec / nrm
-    spectrum = config._spectrum
-    _, _, ground = _ground_state(spectrum)
-    overlap = float(abs(np.vdot(ground, vec)) ** 2)
+    overlap = float(abs(np.vdot(config.ground, vec)) ** 2)
 
     t_prime, tau = config.stage1_params
-    filt1 = _cosine_filter(spectrum, config.e_estimate, tau, t_prime)
-    stage1_distance, stage1_survival = _filter_quality(ground, vec, filt1)
+    filt1 = _cosine_filter(config.spectrum, config.e_estimate, tau, t_prime)
+    stage1_distance, stage1_survival = _filter_quality(config.ground, vec, filt1)
     r_factor = stage1_survival**2
 
     psi1 = filt1 @ vec
     psi1 = psi1 / np.linalg.norm(psi1)
-    filt2 = _gaussian_filter(spectrum, config.e_prime_estimate, config.tau_prime, config.sigma2)
-    final_distance, final_survival = _filter_quality(ground, psi1, filt2)
+    filt2 = _gaussian_filter(config.spectrum, config.e_prime_estimate, config.tau_prime, config.sigma2)
+    final_distance, final_survival = _filter_quality(config.ground, psi1, filt2)
 
     cost = complexity_report(config.p0, config.gap, config.epsilon)
     return GspReport(

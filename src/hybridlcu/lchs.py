@@ -18,7 +18,6 @@ bound, summed explicitly only where that bound is not negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +81,6 @@ def truncation_k1(epsilon: float) -> float:
     return math.tan(math.pi * (1.0 - epsilon) / 2.0)
 
 
-@dataclass(frozen=True)
 class LchsConfig:
     """Propagator task: matrix (optional for analytic sweeps), time, accuracy, split point.
 
@@ -92,41 +90,34 @@ class LchsConfig:
     fully coherent choice K2 = K1.
     """
 
-    a_matrix: np.ndarray | None
-    t: float
-    epsilon: float
-    k2: float | None = None
-    l_norm: float | None = None
-    m_multiplier = M_MULTIPLIER  # a class constant, not a field
+    m_multiplier = M_MULTIPLIER
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t >= 0):
+    def __init__(self, a_matrix, t: float, epsilon: float, k2: float | None = None, l_norm: float | None = None):
+        if not (math.isfinite(t) and t >= 0):
             raise ValueError("t must be finite and nonnegative")
-        if not 0.0 < self.epsilon <= 1.0:
+        if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.a_matrix is not None:
+        if a_matrix is not None:
             # the norm is the matrix's own; a second value would set the node counts
-            if self.l_norm is not None:
+            if l_norm is not None:
                 raise ValueError("give a_matrix or l_norm, not both")
-            l_psd, h, shift = split_hermitian(self.a_matrix)
-            object.__setattr__(self, "a_matrix", qcore.as_matrix(self.a_matrix))
-            object.__setattr__(self, "_l", l_psd)
-            object.__setattr__(self, "_h", h)
-            object.__setattr__(self, "_shift", shift)
-            object.__setattr__(self, "l_norm", float(np.abs(np.linalg.eigvalsh(l_psd)).max()))
-        elif self.l_norm is None:
+            a_matrix = qcore.as_matrix(a_matrix)
+            self._l, self._h, self._shift = split_hermitian(a_matrix)
+            l_norm = float(np.abs(np.linalg.eigvalsh(self._l)).max())
+        elif l_norm is None:
             raise ValueError("need a_matrix or l_norm")
-        if not (math.isfinite(self.l_norm) and self.l_norm >= 0.0):
+        if not (math.isfinite(l_norm) and l_norm >= 0.0):
             raise ValueError("l_norm must be finite and nonnegative")
-        k1 = truncation_k1(self.epsilon)
-        if self.k2 is None:
-            object.__setattr__(self, "k2", k1)
-        if not 0.0 <= self.k2 <= k1 * (1 + 1e-12):
-            raise ValueError(f"k2 must lie in [0, K1 = {k1:.6g}]")
-
-    @property
-    def k1(self) -> float:
-        return truncation_k1(self.epsilon)
+        self.k1 = truncation_k1(epsilon)
+        if k2 is None:
+            k2 = self.k1
+        if not 0.0 <= k2 <= self.k1 * (1 + 1e-12):
+            raise ValueError(f"k2 must lie in [0, K1 = {self.k1:.6g}]")
+        self.a_matrix = a_matrix
+        self.t = t
+        self.epsilon = epsilon
+        self.k2 = k2
+        self.l_norm = l_norm
 
     def _require_matrix(self):
         if self.a_matrix is None:

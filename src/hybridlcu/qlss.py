@@ -60,64 +60,44 @@ C_Z = 1.0
 MAX_GRID_ENTRIES = 1 << 22
 
 
-@dataclass(frozen=True)
 class QlssConfig:
-    """Problem instance: Hermitian matrix, unit right-hand side, kappa, epsilon (grid constants C_J..C_Z)."""
+    """Problem instance: Hermitian matrix, unit right-hand side, kappa, epsilon (grid constants C_J..C_Z).
 
-    m_matrix: np.ndarray
-    b: np.ndarray
-    kappa: float
-    epsilon: float
+    The eigendecomposition of M is taken once here. ``b_eigen`` is the
+    right-hand side rotated into the eigenbasis of M, and ``log_factor`` is
+    log(kappa/epsilon), the resolution parameter every grid size tracks.
+    The eigenvalues, eigenvectors, b and b_eigen are read-only.
+    """
 
-    def __post_init__(self):
-        m = qcore.require_hermitian(self.m_matrix, what="m_matrix")
-        b = np.asarray(self.b, dtype=complex).reshape(-1)
-        if b.shape[0] != m.shape[0]:
+    def __init__(self, m_matrix, b, kappa: float, epsilon: float):
+        self.m_matrix = qcore.require_hermitian(m_matrix, what="m_matrix")
+        self.dimension = self.m_matrix.shape[0]
+        b = np.asarray(b, dtype=complex).reshape(-1)
+        if b.shape[0] != self.dimension:
             raise ValueError("b length does not match matrix dimension")
         norm = float(np.linalg.norm(b))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"b must be a unit vector, got norm {norm}")
-        if not self.kappa >= 1.0:
+        if not kappa >= 1.0:
             raise ValueError("kappa must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
+        if not 0.0 < epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        evals, evecs = qcore.eigh(m)
-        lo = 1.0 / self.kappa - 1e-9
+        self.eigenvalues, self.eigenvectors = qcore.eigh(self.m_matrix)
+        lo = 1.0 / kappa - 1e-9
         hi = 1.0 + 1e-9
-        mags = np.abs(evals)
+        mags = np.abs(self.eigenvalues)
         if mags.min() < lo or mags.max() > hi:
             raise ValueError(
                 f"singular values must lie in [1/kappa, 1]; got range "
-                f"[{mags.min():.6g}, {mags.max():.6g}] for kappa={self.kappa}"
+                f"[{mags.min():.6g}, {mags.max():.6g}] for kappa={kappa}"
             )
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        object.__setattr__(self, "m_matrix", m)
-        object.__setattr__(self, "b", b / norm)
-        object.__setattr__(self, "_evals", evals)
-        object.__setattr__(self, "_evecs", evecs)
-
-    @property
-    def dimension(self) -> int:
-        return self.m_matrix.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._evals
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._evecs
-
-    @property
-    def b_eigen(self) -> np.ndarray:
-        """Right-hand side rotated into the eigenbasis of M."""
-        return self._evecs.conj().T @ self.b
-
-    @property
-    def log_factor(self) -> float:
-        """log(kappa/epsilon), the resolution parameter every grid size tracks."""
-        return math.log(self.kappa / self.epsilon)
+        self.b = b / norm
+        self.kappa = kappa
+        self.epsilon = epsilon
+        self.b_eigen = self.eigenvectors.conj().T @ self.b
+        self.log_factor = math.log(kappa / epsilon)
+        for a in (self.b, self.eigenvalues, self.eigenvectors, self.b_eigen):
+            a.setflags(write=False)
 
 
 @dataclass(frozen=True)

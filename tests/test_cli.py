@@ -249,6 +249,18 @@ def test_unusable_out_is_named(tmp_path, capsys):
         assert err.startswith("config error: run.out") and "gsp.p0" not in err and "Traceback" not in err, err
 
 
+def test_output_path_that_is_a_directory_is_named(tmp_path, capsys):
+    # a declared CSV path that is a directory is refused before the run starts
+    for subcommand, spec in cli._SUBCOMMANDS.items():
+        out = tmp_path / subcommand
+        (out / spec.outputs[-1]).mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main([subcommand, "--out", str(out)]) == 2, subcommand
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.out") and spec.outputs[-1] in err and "Traceback" not in err, err
+        assert sorted(path.name for path in out.iterdir()) == [spec.outputs[-1]]
+
+
 def test_absent_config_file_is_config_error(tmp_path, capsys):
     assert cli.main(["demo", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
     # a file that is not text is named as the fault, not the subcommand's keys

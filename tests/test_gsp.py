@@ -289,6 +289,34 @@ def test_hybrid_diagonalises_once(monkeypatch):
     assert (rep.final_distance, rep.final_survival) == filter_quality(h, psi1, filt2)
 
 
+def test_distances_match_eigenbasis_reference():
+    # in the eigenbasis the filtered state's part off the ground state is read
+    # directly, so 2 - 2|overlap| is never formed; at the CLI's default instance
+    # (seed 1) the final overlap is 1 - 2e-9, where that difference keeps about
+    # seven digits
+    for seed in (1, 2, 3):
+        h, psi = random_gsp_instance(16, 0.2, 0.5, seed=seed)
+        cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
+        rep = hybrid_gsp(cfg, psi)
+        w, v = np.linalg.eigh(h)
+        t_prime, tau = cfg.stage1_params
+        a1 = np.cos(w - (cfg.e_estimate - tau)) ** t_prime * (v.conj().T @ psi)
+        shifted = w - (cfg.e_prime_estimate - cfg.tau_prime)
+        a2 = np.exp(-0.5 * cfg.sigma2 * shifted**2) * a1 / np.linalg.norm(a1)
+        for a, got in ((a1, rep.stage1_distance), (a2, rep.final_distance)):
+            u = a / np.linalg.norm(a)
+            want = math.sqrt(2.0) * np.linalg.norm(u[1:]) / math.sqrt(1.0 + abs(u[0]))
+            assert got == pytest.approx(want, rel=1e-11), (seed, got, want)
+
+
+def test_config_arrays_are_read_only():
+    h, _ = random_gsp_instance(6, 0.2, 0.5, seed=1)
+    cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
+    for a in (*cfg.spectrum, cfg.ground):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_hybrid_flags_low_overlap():
     h, _ = random_gsp_instance(8, 0.2, 0.5, seed=2)
     w, v = np.linalg.eigh(h)

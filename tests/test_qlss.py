@@ -75,6 +75,13 @@ def test_config_accepts_negative_eigenvalues():
     assert cfg.dimension == 2
 
 
+def test_config_arrays_are_read_only():
+    cfg = random_instance(4.0, 0.05, dim=4, seed=0, haar_b=True)
+    for a in (cfg.eigenvalues, cfg.eigenvectors, cfg.b, cfg.b_eigen):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 

@@ -24,6 +24,19 @@ def test_no_bare_assert_in_package():
     assert offenders == []
 
 
+def test_no_object_setattr_in_package():
+    # a class that stores derived state sets plain attributes in __init__; a frozen
+    # dataclass patched through object.__setattr__ is a second idiom for the same thing
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        if isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert offenders == []
+
+
 def _import_time_nodes(node):
     # everything that runs when the module is imported: function bodies are skipped
     for child in ast.iter_child_nodes(node):
