@@ -9,10 +9,11 @@ to the shot CSV and its outcome codes are counted per stream, and the
 statistics come from those counts on the sampler's table of g values, so
 memory stays bounded in the shot count.
 
-The command line is ``<subcommand> [flags]``, read by :func:`parse_args`
-from ``_SUBCOMMANDS`` and the ``_FLAGS`` table: ``--flag value`` and
-``--flag=value`` are the same, the last of a repeated flag wins, and a flag
-must be spelled whole. A usage error prints ``usage:`` to stderr and exits 2.
+The command line is ``<subcommand> [flags]``. Besides ``--config`` and
+``--emit-plot-script``, each flag ``--NAME`` sets the ``_PARAMS`` key
+``run.NAME``. ``--flag value`` and ``--flag=value`` are the same, the last
+of a repeated flag wins, and a flag must be spelled whole. A usage error
+prints ``usage:`` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import os
 import pathlib
 import sys
+import tempfile
 from collections.abc import Callable
 from typing import NamedTuple, NoReturn
 
@@ -210,16 +212,6 @@ def build_run_config(args: Args) -> dict:
     return values
 
 
-def _keys_epilog(subcommand: str) -> str:
-    """The --help listing of a subcommand's config keys, read from the parameter table."""
-    lines = ["config keys (key = value lines in --config; flags override run.*):"]
-    for key, param in _table(subcommand).items():
-        default = ", ".join(map(str, param.default)) if param.kind == "floats" else param.default
-        span = param.range_text()
-        lines.append(f"  {key:<16} {param.kind:<7} default {default}" + (f", range {span}" if span else ""))
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # random demo instances (artifact plumbing, not part of the numerics)
 
@@ -310,8 +302,15 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
             counts[stream] += np.bincount(chunk.code, minlength=len(chunk.table))
             yield chunk
 
-    partial = shots_path.with_name(shots_path.name + ".tmp")
+    # a fresh name, so no entry already in run.out is written through; the file then
+    # gets the mode open() gives the other CSVs, not mkstemp's owner-only one
+    fd, name = tempfile.mkstemp(dir=shots_path.parent, prefix=shots_path.name + ".", suffix=".tmp")
+    os.close(fd)
+    partial = pathlib.Path(name)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        partial.chmod(0o666 & ~umask)
         hybrid.write_shot_csv(partial, chunks(0))
         for _ in chunks(1):
             pass
@@ -447,47 +446,37 @@ _SUBCOMMANDS = {
 }
 
 
-class _Flag(NamedTuple):
-    """A flag that takes a value: the config key it sets, its --help metavar and note."""
-
-    key: str
-    metavar: str
-    note: str = ""
-
-
-# Every flag that takes a value, in --help order. A run.* flag overrides that
-# key and is read and checked as config text; a repeated flag keeps its last value.
-_FLAGS = {
-    "--config": _Flag("config", "PATH", "key = value config file"),
-    "--seed": _Flag("run.seed", "U64"),
-    "--shots": _Flag("run.shots", "N"),
-    "--out": _Flag("run.out", "DIR"),
-    "--workers": _Flag("run.workers", "N", "accepted; has no effect"),
-}
 _PLOT_FLAG = "--emit-plot-script"
 
 
 def _usage(subcommand: str | None) -> str:
     if subcommand is None:
         return f"usage: hybridlcu [-h] [--version] {{{','.join(_SUBCOMMANDS)}}} ..."
-    flags = " ".join(f"[{flag} {spec.metavar}]" for flag, spec in _FLAGS.items())
-    return f"usage: hybridlcu {subcommand} [-h] {flags} [{_PLOT_FLAG}]"
+    return f"usage: hybridlcu {subcommand} [-h] [--config PATH] [--KEY VALUE ...] [{_PLOT_FLAG}]"
 
 
 def _help(subcommand: str | None) -> str:
+    """The --help text; a subcommand's lists its config keys from the parameter table."""
+    lines = [_usage(subcommand), ""]
     if subcommand is None:
-        head = ["Hybrid coherent/randomized LCU drivers with seeded CSV output.", "", "subcommands:"]
-        head += [f"  {name:<20} {spec.help}" for name, spec in _SUBCOMMANDS.items()]
-        head += ["", "options:"]
+        lines += ["Hybrid coherent/randomized LCU drivers with seeded CSV output.", "", "subcommands:"]
+        lines += [f"  {name:<20} {spec.help}" for name, spec in _SUBCOMMANDS.items()]
+        lines += ["", "options:"]
         options = [("--version", "print the version and exit")]
     else:
-        head = ["options (--flag value or --flag=value):"]
-        options = [(f"{flag} {spec.metavar}", spec.note) for flag, spec in _FLAGS.items()]
-        options.append((_PLOT_FLAG, "write a plot stub for the CSVs"))
-    lines = [_usage(subcommand), "", *head, f"  {'-h, --help':<20} show this help and exit"]
-    lines += [f"  {left:<20} {note}".rstrip() for left, note in options]
+        lines += ["options (--flag value or --flag=value):"]
+        options = [
+            ("--config PATH", "key = value config file"),
+            ("--KEY VALUE", "set run.KEY, a run.* key below"),
+            (_PLOT_FLAG, "write a plot stub for the CSVs"),
+        ]
+    lines += [f"  {left:<20} {note}" for left, note in [("-h, --help", "show this help and exit"), *options]]
     if subcommand is not None:
-        lines += ["", _keys_epilog(subcommand)]
+        lines += ["", "config keys (key = value lines in --config; flags override run.*):"]
+        for key, param in _table(subcommand).items():
+            default = ", ".join(map(str, param.default)) if param.kind == "floats" else param.default
+            span = param.range_text()
+            lines.append(f"  {key:<16} {param.kind:<7} default {default}" + (f", range {span}" if span else ""))
     return "\n".join(lines)
 
 
@@ -521,14 +510,15 @@ def parse_args(argv=None) -> Args:
             emit_plot_script = True
             continue
         flag, eq, value = token.partition("=")
-        if flag not in _FLAGS:
+        key = "config" if flag == "--config" else "run." + flag[2:]
+        if not flag.startswith("--") or (key != "config" and key not in _PARAMS):
             _usage_error(head, f"unrecognized arguments: {token}")
         if not eq:
             value = next(tokens, None)
             # a following long flag is not a value; a negative number is
             if value is None or value.startswith("--"):
                 _usage_error(head, f"argument {flag}: expected one argument")
-        values[_FLAGS[flag].key] = value
+        values[key] = value
     return Args(head, values.pop("config", None), values, emit_plot_script)
 
 

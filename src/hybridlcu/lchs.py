@@ -394,6 +394,10 @@ def fig_sweep(
         s1 = window_weight_sum(float(k2), m)
         alpha = math.atan(k1) - math.atan(float(k2))
         bound = rp_bound(k1, float(k2), s1)
+        # P**2 underflows to 0 below P ~ 1e-162, and the quotient overflows a little above that
+        overhead = (p_assumed + bound) / p_assumed**2 if p_assumed**2 else math.inf
+        if not math.isfinite(overhead):
+            raise ValueError(f"p_assumed = {p_assumed} puts the overhead bound (P + bound)/P^2 past the float range")
         rows.append(
             SweepRow(
                 k2=float(k2),
@@ -401,7 +405,7 @@ def fig_sweep(
                 alpha=alpha,
                 s_norm1=s1,
                 rp_bound=bound,
-                overhead_bound_at_p=(p_assumed + bound) / p_assumed**2,
+                overhead_bound_at_p=overhead,
                 p_assumed=p_assumed,
             )
         )

@@ -66,8 +66,8 @@ MAX_PURE_DIM = 2**10
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a square complex matrix and validate finiteness."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m

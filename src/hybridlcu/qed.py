@@ -31,6 +31,10 @@ are Haar-random codewords in that basis, not stabilizer states, so rho
 itself is dense.  The dense Schroedinger-picture channel stays as the
 oracle the table is checked against; the dense stabilizer projectors are
 test oracles only.
+
+Every Z^f X^e is a stabilizer and fixes every code state, so T is all ones
+to rounding for any codewords, and P and R do not depend on them: R =
+(1 + 7 x^4)/8 and P = R (1 + 7 y^4)/8 with x = 1 - 2 p_Z, y = 1 - 2 p_X.
 """
 
 from __future__ import annotations

@@ -370,6 +370,24 @@ def test_failed_gate_leaves_no_shot_csv(tmp_path, monkeypatch, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["directory", "file"])
+def test_demo_temporary_name_leaves_existing_entry(tmp_path, kind):
+    # the shot CSV is written under a fresh temporary name, so an entry that
+    # holds the name demo_shots.csv.tmp is neither written through nor in the way
+    entry = tmp_path / "demo_shots.csv.tmp"
+    if kind == "directory":
+        entry.mkdir()
+        (entry / "kept").write_text("user data\n")
+    else:
+        entry.write_text("user data\n")
+    assert cli.main(["demo", "--shots", "2000", "--out", str(tmp_path)]) == 0
+    outputs = cli._SUBCOMMANDS["demo"].outputs
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*outputs, entry.name])
+    assert (entry / "kept" if kind == "directory" else entry).read_text() == "user data\n"
+    # the shot CSV gets the mode of the CSVs written in place
+    assert {(tmp_path / name).stat().st_mode for name in outputs} == {(tmp_path / outputs[0]).stat().st_mode}
+
+
 def test_demo_memory_bounded_in_shots(tmp_path):
     # shots are drawn, written and tallied one chunk at a time, at the chunk
     # size that ships: four times the chunks moves the traced peak by under
@@ -459,6 +477,40 @@ def test_repeated_flag_last_wins(tmp_path):
     assert args.flags == {"run.seed": "7"} and args.config == "b.cfg"
     assert cli.main(["partitions", "--seed", "1", "--seed", "9", "--out", str(tmp_path)]) == 0
     assert read_lines(tmp_path / "partitions.csv")[-1] == "# seed=9 version=0.1.0"
+
+
+def test_every_run_key_is_a_flag(tmp_path, capsys):
+    # the flags are read from the parameter table: --NAME sets run.NAME, whole
+    # and in both forms, and --help names each run key once, in the key table
+    values = {"run.seed": "5", "run.shots": "7", "run.out": str(tmp_path / "flagged"), "run.workers": "2"}
+    run_keys = [key for key in cli._PARAMS if key.startswith("run.")]
+    assert sorted(run_keys) == sorted(values)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qed", "--help"])
+    assert exc.value.code == 0
+    words = capsys.readouterr().out.split()
+    for key in run_keys:
+        flag = "--" + key.removeprefix("run.")
+        for given in ([flag, values[key]], [f"{flag}={values[key]}"]):
+            args = cli.parse_args(["qed", "--out", str(tmp_path), *given])
+            assert args.flags[key] == values[key]
+            assert str(cli.build_run_config(args)[key]) == values[key]
+        for wrong in (flag[:-1], "--" + key):
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_args(["qed", wrong, values[key]])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {wrong}" in capsys.readouterr().err
+        assert sum(word in (key, flag) for word in words) == 1, key
+
+
+def test_lchs_overflowing_overhead_is_config_error(tmp_path, capsys):
+    # P^2 underflows to 0, so the overhead bound has no float value
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("lchs.p_assumed = 1e-200\n")
+    assert cli.main(["lchs", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "lchs.p_assumed" in err and "Traceback" not in err, err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize(

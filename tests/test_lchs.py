@@ -314,6 +314,13 @@ def test_fig_sweep_overhead_column():
     assert rows[-1].overhead_bound_at_p == pytest.approx(100.0)
 
 
+def test_fig_sweep_refuses_overflowing_overhead():
+    # at 1e-155 the quotient overflows to inf; at 1e-200 P^2 underflows to 0
+    for p_assumed in (1e-155, 1e-200):
+        with pytest.raises(ValueError, match="overhead bound"):
+            fig_sweep(points=5, p_assumed=p_assumed)
+
+
 def test_write_sweep_csv(tmp_path):
     rows = fig_sweep(points=5)
     path = tmp_path / "sweep.csv"

@@ -97,3 +97,9 @@ def test_save_csv_bytes_match_per_cell_formatting(tmp_path):
         b'-0,inf,-inf,-9.9998886718268301e-321,9223372036854775807,"1,2|3"',
         b"0.1,True,False,255,1180591620717411303424,4.9406564584124654e-324",
     ]
+
+
+def test_non_square_matrix_is_refused():
+    for call in (qcore.as_matrix, qcore.density, qcore.Observable):
+        with pytest.raises(ValueError, match=r"square 2-d array, got shape \(2, 3\)"):
+            call(np.ones((2, 3)))

@@ -324,6 +324,29 @@ def test_fig_sweep_matches_codeword_closed_forms():
         assert abs(row.r_factor - wx / 8) <= 1e-14
 
 
+def test_codeword_trace_table_is_all_ones():
+    # every Z^f X^e in the table is a Steane stabilizer, which fixes each code
+    # state, so the codeword average has T = 1 whatever the seed or set size
+    for seed in range(200):
+        for codewords in (1, 2, 3, 5, 32, 100):
+            rng = np.random.default_rng(seed)
+            states = np.array([random_codeword(rng) for _ in range(codewords)])
+            traces = qed.stabilizer_traces(states.T @ states.conj() / codewords)
+            assert np.abs(traces - 1.0).max() <= 1e-15, (seed, codewords)
+
+
+def test_fig_sweep_is_the_weight_enumerator():
+    # the X sector is the identity and seven weight-4 strings, so with T = 1
+    # R = (1 + 7x^4)/8 at x = 1 - 2 p_Z and P = R (1 + 7y^4)/8 at y = 1 - 2 p_X
+    rows = fig_sweep(seed=1)
+    for row, one in zip(rows, fig_sweep(seed=1, codewords=1)):
+        r_factor = (1.0 + 7.0 * (1.0 - 2.0 * row.p_z) ** 4) / 8.0
+        p = r_factor * (1.0 + 7.0 * (1.0 - 2.0 * row.p_x) ** 4) / 8.0
+        assert abs(row.r_factor - r_factor) <= 1e-15 * r_factor and abs(row.p - p) <= 1e-15 * p
+        # the codeword count changes nothing beyond rounding
+        assert abs(one.r_factor - r_factor) <= 1e-15 * r_factor and abs(one.p - p) <= 1e-15 * p
+
+
 def test_qed_run_calls_no_eigensolver(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called")
