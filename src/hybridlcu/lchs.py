@@ -10,7 +10,8 @@ singleton group needing no ancilla.
 
 All per-K2 figures of merit (node count M, alpha, |s|_1, the R - P
 bound and the sampling-overhead bound) are analytic; only the
-propagator-accuracy checks assemble actual matrices. |s|_1 is the
+propagator-accuracy checks assemble actual matrices, each node's
+exp(-iT(H + kL)) from one batched eigh (``_propagators``). |s|_1 is the
 Euler-Maclaurin series of the trapezoid rule with a proven remainder
 bound, summed explicitly only where that bound is not negligible.
 """
@@ -85,7 +86,8 @@ class LchsConfig:
     """Propagator task: matrix (optional for analytic sweeps), time, accuracy, split point.
 
     When ``a_matrix`` is None only the norm of the PSD part is needed
-    (bound sweeps never touch matrix elements); given a matrix, that norm is
+    (bound sweeps never touch matrix elements) and the split parts are None;
+    given a matrix, they hold ``split_hermitian(a_matrix)``, the norm is
     computed from it and ``l_norm`` is refused. ``k2 = None`` means the
     fully coherent choice K2 = K1.
     """
@@ -97,13 +99,14 @@ class LchsConfig:
             raise ValueError("t must be finite and nonnegative")
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+        self.hermitian_part = self.antihermitian_part = self.shift = None
         if a_matrix is not None:
             # the norm is the matrix's own; a second value would set the node counts
             if l_norm is not None:
                 raise ValueError("give a_matrix or l_norm, not both")
             a_matrix = qcore.as_matrix(a_matrix)
-            self._l, self._h, self._shift = split_hermitian(a_matrix)
-            l_norm = float(np.abs(np.linalg.eigvalsh(self._l)).max())
+            self.hermitian_part, self.antihermitian_part, self.shift = split_hermitian(a_matrix)
+            l_norm = float(np.abs(np.linalg.eigvalsh(self.hermitian_part)).max())
         elif l_norm is None:
             raise ValueError("need a_matrix or l_norm")
         if not (math.isfinite(l_norm) and l_norm >= 0.0):
@@ -119,25 +122,6 @@ class LchsConfig:
         self.k2 = k2
         self.l_norm = l_norm
 
-    def _require_matrix(self):
-        if self.a_matrix is None:
-            raise ValueError("this operation needs the matrix, not just l_norm")
-
-    @property
-    def hermitian_part(self) -> np.ndarray:
-        self._require_matrix()
-        return self._l
-
-    @property
-    def antihermitian_part(self) -> np.ndarray:
-        self._require_matrix()
-        return self._h
-
-    @property
-    def shift(self) -> float:
-        self._require_matrix()
-        return self._shift
-
 
 class LchsDiscretization(NamedTuple):
     """Trapezoid window nodes/weights plus the analytic tail summary."""
@@ -149,15 +133,8 @@ class LchsDiscretization(NamedTuple):
     k2: float
     s_norm1: float
     alpha: float
-
-    @property
-    def q_window(self) -> float:
-        """Normalized weight of the coherent group."""
-        return self.s_norm1 / (self.s_norm1 + (2.0 / math.pi) * self.alpha)
-
-    @property
-    def q_tail(self) -> float:
-        return 1.0 - self.q_window
+    q_window: float  # coherent-group weight |s|_1 / (|s|_1 + (2/pi) alpha); 0 for an empty window
+    q_tail: float  # 1 - q_window
 
 
 def node_count(config: LchsConfig) -> int:
@@ -216,9 +193,12 @@ def discretization_at(config: LchsConfig, m: int) -> LchsDiscretization:
     k2 = float(config.k2)
     alpha = math.atan(k1) - math.atan(k2)
     if m == 0 or k2 == 0.0:
-        return LchsDiscretization(np.empty(0), np.empty(0), 0, k1, k2, 0.0, alpha)
-    nodes, weights = _trapezoid(k2, m)
-    return LchsDiscretization(nodes, weights, m, k1, k2, float(weights.sum()), alpha)
+        nodes, weights, m = np.empty(0), np.empty(0), 0
+    else:
+        nodes, weights = _trapezoid(k2, m)
+    s1 = float(weights.sum())
+    q_window = s1 / (s1 + (2.0 / math.pi) * alpha) if s1 else 0.0
+    return LchsDiscretization(nodes, weights, m, k1, k2, s1, alpha, q_window, 1.0 - q_window)
 
 
 def discretize(config: LchsConfig) -> LchsDiscretization:
@@ -231,15 +211,22 @@ def discretize(config: LchsConfig) -> LchsDiscretization:
     return discretization_at(config, node_count(config))
 
 
+def _propagators(config: LchsConfig, ks: np.ndarray) -> np.ndarray:
+    """exp(-iT(H + kL)) for every k of the 1-d array ``ks``, from one batched eigh.
+
+    H and L come from split_hermitian of a checked matrix, so H + kL is
+    exactly Hermitian for real k and no node is checked again.
+    """
+    if config.a_matrix is None:
+        raise ValueError("this operation needs the matrix, not just l_norm")
+    w, v = np.linalg.eigh(config.antihermitian_part + ks[:, None, None] * config.hermitian_part)
+    return (v * np.exp(-1j * config.t * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
 def _window_unitaries(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
     if disc.m == 0:
         raise ValueError("empty window has no group operator")
-    h = config.antihermitian_part
-    l_psd = config.hermitian_part
-    out = np.empty((disc.nodes.size,) + h.shape, dtype=complex)
-    for idx, k in enumerate(disc.nodes):
-        out[idx] = qcore.expm_i_hermitian(h + k * l_psd, config.t)
-    return out
+    return _propagators(config, disc.nodes)
 
 
 def window_operator(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
@@ -258,7 +245,7 @@ def window_decomposition(config: LchsConfig, disc: LchsDiscretization):
 
 def tail_unitary(config: LchsConfig, k: float) -> np.ndarray:
     """The propagator factor exp(-iT(H + kL)) at a sampled tail node."""
-    return qcore.expm_i_hermitian(config.antihermitian_part + k * config.hermitian_part, config.t)
+    return _propagators(config, np.array([k], dtype=float))[0]
 
 
 def _tail_integral(config: LchsConfig, k2: float, k1: float) -> np.ndarray:
@@ -272,7 +259,7 @@ def _tail_integral(config: LchsConfig, k2: float, k1: float) -> np.ndarray:
 
     def integrand(theta: float) -> np.ndarray:
         k = math.tan(theta)
-        return (tail_unitary(config, k) + tail_unitary(config, -k)) / math.pi
+        return _propagators(config, np.array([k, -k])).sum(axis=0) / math.pi
 
     val, _ = quad_vec(integrand, math.atan(k2), math.atan(k1), epsabs=1e-12, epsrel=1e-10)
     return val
@@ -287,11 +274,8 @@ def tail_operator(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
 
 
 def assemble(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
-    """Window sum plus integrated tail; approximates exp(-(L + iH)T)."""
-    d = config.hermitian_part.shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    if disc.m > 0:
-        total += np.tensordot(disc.weights, _window_unitaries(config, disc), axes=1)
+    """Window sum plus integrated tail (d x d zeros if both are empty); approximates exp(-(L + iH)T)."""
+    total = np.tensordot(disc.weights, _propagators(config, disc.nodes), axes=1)
     if disc.alpha > 0.0:
         total += _tail_integral(config, disc.k2, disc.k1)
     return total
@@ -419,10 +403,8 @@ def propagator_error(config: LchsConfig) -> float:
     """
     from scipy.linalg import expm
 
-    if config.a_matrix is None:
-        raise ValueError("propagator check needs the matrix")
     disc = discretize(config)
-    ours = math.exp(config.shift * config.t) * assemble(config, disc)
+    ours = assemble(config, disc) * math.exp(config.shift * config.t)
     target = expm(-config.a_matrix * config.t)
     return float(np.linalg.norm(ours - target, 2))
 

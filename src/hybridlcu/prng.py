@@ -38,9 +38,13 @@ def _splitmix64(x: int) -> int:
 
 
 def derive_key(seed: int, stream: int = 0) -> tuple[int, int]:
-    """Philox key for a logical stream of a master seed."""
-    k0 = _splitmix64(seed & 0xFFFFFFFFFFFFFFFF)
-    k1 = _splitmix64(k0 ^ (stream & 0xFFFFFFFFFFFFFFFF))
+    """Philox key for a logical stream of a master seed; both lie in [0, 2**64)."""
+    seed, stream = operator.index(seed), operator.index(stream)
+    # masking a value outside the word would give it another value's key
+    if not (0 <= seed <= _WORD_MAX and 0 <= stream <= _WORD_MAX):
+        raise ValueError(f"seed {seed} and stream {stream} must both lie in [0, 2**64)")
+    k0 = _splitmix64(seed)
+    k1 = _splitmix64(k0 ^ stream)
     return k0, k1
 
 
@@ -59,14 +63,16 @@ def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.n
     """
     # a numpy start would wrap start + count silently at 2**64; a float is refused
     start = operator.index(start)
-    if count == 0:
-        return np.empty((0, n))
     if start < 0:
         raise ValueError(f"shot index {start} is negative")
-    if start + count > 2**64:
-        # the counter would carry into the block word and reuse a substream
-        raise ValueError(f"shots {start} .. {start + count - 1} pass the 64-bit counter range")
+    # the counter would carry into the block word and reuse a substream; an
+    # empty range is held to the start that one shot would need
+    end = start + max(count, 1)
+    if end > 2**64:
+        raise ValueError(f"shots {start} .. {end - 1} pass the 64-bit counter range")
     key = np.array(derive_key(seed, stream), dtype=np.uint64)
+    if count == 0:
+        return np.empty((0, n))
     # Generator.random fills only contiguous arrays, so each block index gets its own slab
     blocks = np.empty(((n + 3) // 4, count, 4))
     for block, out in enumerate(blocks):

@@ -271,7 +271,8 @@ def _r_int_direct(config: QlssConfig, grid: QlssGrid) -> float:
     |inner(lambda y_j)|^2 expands over weight pairs (k, k'); summing over j
     first turns each pair into a geometric-series kernel evaluated at the
     lag k - k', and the pair sum collapses onto the autocorrelation of the
-    weight vector.  Cost O(K) per eigenvalue.
+    weight vector. Cost O(K) per eigenvalue after the direct np.correlate,
+    which is O(K^2) once per kappa and dominates near the grid cap (ROADMAP item 3: FFT).
     """
     w = grid.z_weights
     acorr = np.correlate(w, w, mode="full")  # lags -2K .. 2K

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from hybridlcu import lchs, lcu, partition
+from hybridlcu import lchs, lcu, partition, qcore
 from hybridlcu.lchs import (
     LchsConfig,
     discretization_at,
@@ -41,6 +41,12 @@ def random_a(seed: int, dim: int = 4, l_max: float = 2.0) -> np.ndarray:
     l_part = z @ z.conj().T
     l_part *= l_max / np.abs(np.linalg.eigvalsh(l_part)).max()
     return l_part + 1j * random_hermitian(dim, rng)
+
+
+def loop_propagators(config: LchsConfig, ks) -> np.ndarray:
+    """Oracle for the batched propagators: one exp(-iT(H + kL)) per node."""
+    h, l_psd = config.antihermitian_part, config.hermitian_part
+    return np.array([qcore.expm_i_hermitian(h + k * l_psd, config.t) for k in ks])
 
 
 ## ------------------------------------------------------------------
@@ -197,9 +203,6 @@ def test_config_validation():
         LchsConfig(None, t=1.0, epsilon=0.1, k2=100.0, l_norm=1.0)
     with pytest.raises(ValueError):
         LchsConfig(None, t=1.0, epsilon=0.1)
-    config = LchsConfig(None, t=1.0, epsilon=0.1, l_norm=1.0)
-    with pytest.raises(ValueError):
-        _ = config.hermitian_part
     for bad in ({"t": math.inf}, {"t": math.nan}, {"l_norm": math.inf}):
         with pytest.raises(ValueError, match="finite"):
             LchsConfig(None, **{"t": 1.0, "epsilon": 0.1, "l_norm": 1.0, **bad})
@@ -211,6 +214,23 @@ def test_config_validation():
         node_count(LchsConfig(None, t=1e300, epsilon=5e-5, l_norm=2.0))
     with pytest.raises(ValueError, match="K1 = 0"):
         fig_sweep(epsilon=1.0)
+
+
+def test_norm_only_config_refuses_matrix_operations():
+    # the parts are plain None, and every operation that builds a propagator
+    # refuses the config by name
+    config = LchsConfig(None, t=1.0, epsilon=0.1, k2=1.0, l_norm=1.0)
+    assert config.hermitian_part is None and config.antihermitian_part is None and config.shift is None
+    disc = discretization_at(config, 8)
+    for call in (
+        lambda: window_decomposition(config, disc),
+        lambda: window_operator(config, disc),
+        lambda: lchs.tail_unitary(config, 3.0),
+        lambda: lchs.assemble(config, disc),
+        lambda: measured_r(config, disc, np.eye(2) / 2.0),
+    ):
+        with pytest.raises(ValueError, match="needs the matrix"):
+            call()
 
 
 def test_matrix_config_takes_its_own_norm():
@@ -451,6 +471,41 @@ def test_operators_match_decomposition_oracles():
     config = LchsConfig(random_a(12), t=1.0, epsilon=1.0)
     with pytest.raises(ValueError, match="empty representation"):
         measured_p(config, discretization_at(config, 0), np.eye(4) / 4.0)
+
+
+def test_batched_window_matches_per_node_loop():
+    for seed in range(3):
+        config = LchsConfig(random_a(seed), t=3.0, epsilon=1e-3, k2=2.0)
+        disc = discretization_at(config, 64)
+        got = lchs._window_unitaries(config, disc)
+        assert got.shape == (65, 4, 4)
+        assert np.abs(got - loop_propagators(config, disc.nodes)).max() <= 1e-14
+
+
+def test_tail_pair_matches_per_node_loop():
+    config = LchsConfig(random_a(4), t=3.0, epsilon=1e-3, k2=2.0)
+    for k in sample_tail(config.k1, config.k2, np.random.default_rng(8).random(5)):
+        want = loop_propagators(config, [k, -k])
+        assert np.abs(lchs._propagators(config, np.array([k, -k])) - want).max() <= 1e-14
+        assert np.abs(lchs.tail_unitary(config, k) - want[0]).max() <= 1e-14
+
+
+def test_shifted_stack_is_exactly_hermitian():
+    # no node is checked for Hermiticity, so H + kL must be Hermitian bit for bit
+    for seed in range(3):
+        config = LchsConfig(random_a(seed, dim=5), t=1.0, epsilon=1e-3)
+        for k in (-config.k1, -2.5, 0.0, 1.0 / 3.0, 7.25, config.k1):
+            stack = config.antihermitian_part + k * config.hermitian_part
+            assert np.array_equal(stack, stack.conj().T)
+
+
+def test_assemble_empty_representation_is_zero():
+    config = LchsConfig(random_a(12), t=1.0, epsilon=1.0)
+    disc = discretization_at(config, 0)
+    assert disc.m == 0 and disc.alpha == 0.0
+    total = lchs.assemble(config, disc)
+    assert total.shape == (4, 4) and total.dtype == complex
+    assert not total.any()
 
 
 def test_window_operator_requires_nodes():

@@ -63,10 +63,35 @@ def test_uniforms_golden_vectors(seed, start, n, stream, rows):
 
 
 def test_uniforms_rejects_negative_shots():
-    with pytest.raises(ValueError, match="negative"):
-        prng.uniforms(1, -3, 7, 2)
+    # an empty range is checked as strictly as a one-shot range from the same start
+    for count in (7, 0):
+        with pytest.raises(ValueError, match="negative"):
+            prng.uniforms(1, -3, count, 2)
+    for count in (1, 0):
+        with pytest.raises(ValueError, match="64-bit"):
+            prng.uniforms(1, 2**70, count, 2)
+        with pytest.raises(ValueError, match="64-bit"):
+            prng.uniforms(1, 2**64, count, 2)
+    assert prng.uniforms(1, 2**64 - 1, 0, 2).shape == (0, 2)
     with pytest.raises(TypeError):
         prng.uniforms(1, 1.0, 7, 2)
+
+
+def test_seeds_and_streams_outside_the_word_are_refused():
+    # masking to 64 bits once gave 2**64 + 1 the shots of seed 1, and -1 those of 2**64 - 1
+    for bad in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match=f"seed {bad} and stream 0 "):
+            prng.uniforms(bad, 0, 5, 2)
+        with pytest.raises(ValueError, match=f"seed 1 and stream {bad} "):
+            prng.uniforms(1, 0, 5, 2, stream=bad)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            prng.uniforms(bad, 0, 0, 2)
+    for seed, stream in ((0, 0), (2**64 - 1, 2**64 - 1)):
+        assert prng.uniforms(seed, 0, 2, 2, stream=stream).shape == (2, 2)
+    # numpy integers key as the Python integers of the same value
+    assert prng.derive_key(np.uint64(2**64 - 1), np.uint64(7)) == prng.derive_key(2**64 - 1, 7)
+    with pytest.raises(TypeError):
+        prng.derive_key(1.0)
 
 
 def test_uniforms_rejects_counter_overflow():
