@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
 from collections.abc import Callable
@@ -90,7 +91,7 @@ class _Param(NamedTuple):
 # validated by the driver that reads them, and run.out by creating it.
 _PARAMS = {
     "run.seed": _Param("int", 0, 0, 2**64 - 1),
-    "run.shots": _Param("int", 20000, 1),
+    "run.shots": _Param("int", 20000, 1, 2**64),
     "run.out": _Param("str", "."),
     "run.workers": _Param("int", 1, 1),
     "demo.m": _Param("int", 4, 1, 6),
@@ -277,17 +278,17 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
     else:
         part = partition_mod.Partition.coherent(m)
     channel = hybrid.HybridChannel(dec, part)
-    analytic = hybrid.exact_expectation(channel, psi, obs, backend="analytic")
-    circuit = hybrid.exact_expectation(channel, psi, obs, backend="circuit")
-    if abs(analytic - circuit) > qcore.TOL.cross_backend:
-        raise InvariantViolation(f"analytic {analytic!r} vs circuit {circuit!r} disagree")
-
     # stream 0 carries the observable, stream 1 the identity whose mean P
     # normalises the ratio estimate. Each stream is drawn in chunks whose
     # outcome codes are counted per table row; stream 0's chunks also go to
     # the shot CSV, moved into place once every check passes and the other
     # two tables are written.
     samplers = [hybrid.Sampler(channel, psi, obs), hybrid.Sampler(channel, psi, np.eye(dim))]
+    # the analytic backend's value, which the observable's sampler already holds
+    analytic = samplers[0].exact_mean
+    circuit = hybrid.exact_expectation(channel, psi, obs, backend="circuit")
+    if abs(analytic - circuit) > qcore.TOL.cross_backend:
+        raise InvariantViolation(f"analytic {analytic!r} vs circuit {circuit!r} disagree")
     counts = [np.zeros(len(sampler.table), dtype=np.int64) for sampler in samplers]
     # each stream's exact variance of g, which bounds both the Monte-Carlo gate
     # and the numerator width at every N, also when all shots agree and the
@@ -302,15 +303,11 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
             counts[stream] += np.bincount(chunk.code, minlength=len(chunk.table))
             yield chunk
 
-    # a fresh name, so no entry already in run.out is written through; the file then
-    # gets the mode open() gives the other CSVs, not mkstemp's owner-only one
+    # a fresh name, so no entry already in run.out is written through
     fd, name = tempfile.mkstemp(dir=shots_path.parent, prefix=shots_path.name + ".", suffix=".tmp")
     os.close(fd)
     partial = pathlib.Path(name)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        partial.chmod(0o666 & ~umask)
         hybrid.write_shot_csv(partial, chunks(0))
         for _ in chunks(1):
             pass
@@ -324,12 +321,15 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
                 )
         batch = estimate.SampleBatch(*hists, seed=seed)
         print(f"cross-check ok: analytic={analytic:.12g} circuit={circuit:.12g} mc={batch.obs.mean:.12g} (N={batch.n})")
-        reports = [
-            estimate.estimate_numerator(batch, dec.one_norm, variances[0], est_cfg),
-            estimate.estimate_ratio(batch, est_cfg),
-        ]
-        estimate.write_report_csv(reports_path, reports, seed)
+        numerator = estimate.estimate_numerator(batch, dec.one_norm, variances[0], est_cfg)
+        try:
+            ratio = estimate.estimate_ratio(batch, est_cfg)
+        except estimate.UndefinedRatioError as exc:
+            raise ConfigError(f"run.shots = {shots} is too few: {exc}") from None
+        estimate.write_report_csv(reports_path, [numerator, ratio], seed)
         _write_partition_csv(partitions_path, partition_rows, seed)
+        # the mode open() gave the report CSV, not mkstemp's owner-only one
+        shutil.copymode(reports_path, partial)
         os.replace(partial, shots_path)
     finally:
         partial.unlink(missing_ok=True)
@@ -530,8 +530,7 @@ def main(argv=None) -> int:
         spec.handler(p, [p["run.out"] / name for name in spec.outputs])
         if args.emit_plot_script:
             _emit_plot_script(args.subcommand, p["run.out"])
-    except (ConfigError, estimate.UndefinedRatioError) as exc:
-        # too few shots for a ratio estimate is a config problem too
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InvariantViolation, np.linalg.LinAlgError) as exc:

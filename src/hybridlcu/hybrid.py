@@ -79,13 +79,12 @@ def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecompo
     shape. PREPARE may be completed from its first column ``sqrt(p_i/q_k)``
     by any unitary; a real Householder reflection ``P`` is used here, so
     block ``(a, b)`` of ``L_k`` is ``sum_s P[s,a] P[s,b] U_s``, with
-    ``U_s = 1`` on the padding slots. A singleton group needs no ancilla at
-    all: ``L_k = U_i``.
+    ``U_s = 1`` on the padding slots. A singleton group takes the same
+    route with one slot and ``P = [[1]]``, so ``L_k = U_i`` and its
+    zero-ancilla block is checked against ``K_k`` like any other group's.
     """
     members = list(group.members)
     d = dec.dimension
-    if len(members) == 1:
-        return dec.unitaries[members[0]]
     na = 1 << (len(members) - 1).bit_length()
     column = np.zeros(na)
     column[: len(members)] = np.sqrt(dec.probs[members] / group.weight)

@@ -6,15 +6,15 @@ purely by ``(master seed, stream id, shot index)``:
 
 * the Philox key is derived from the master seed and the stream id via
   splitmix64,
-* the 256-bit Philox counter holds ``(shot index, block index, 0, 0)``.
+* the 256-bit Philox counter holds ``(shot index, 0, 0, 0)``.
 
-Each counter block yields four 64-bit words, i.e. four doubles; a batch
-of shots ``[a, b)`` simply evaluates the same pure function on its
-slice. The blocks come from numpy's C ``Philox`` bit generator (Salmon et
-al., SC'11), which emits consecutive counters, so one generator per block
-index covers a whole contiguous shot range. ``Generator.random`` turns each
-64-bit word into the double ``(word >> 11) * 2**-53`` in C, bit-identical
-to applying that formula to the raw words.
+A shot owns one counter block: four 64-bit words, i.e. at most four
+doubles. A batch of shots ``[a, b)`` simply evaluates the same pure
+function on its slice. The blocks come from numpy's C ``Philox`` bit
+generator (Salmon et al., SC'11), which emits consecutive counters, so one
+generator covers a whole contiguous shot range. ``Generator.random`` turns
+each 64-bit word into the double ``(word >> 11) * 2**-53`` in C,
+bit-identical to applying that formula to the raw words.
 """
 
 from __future__ import annotations
@@ -48,34 +48,32 @@ def derive_key(seed: int, stream: int = 0) -> tuple[int, int]:
     return k0, k1
 
 
-def _counter_before(start: int, block: int) -> np.ndarray:
+def _counter_before(start: int) -> np.ndarray:
     # numpy increments the 256-bit counter before emitting each block, so
-    # the generator starts one step below (start, block, 0, 0)
-    below = (start + (block << 64) - 1) % 2**256
+    # the generator starts one step below (start, 0, 0, 0)
+    below = (start - 1) % 2**256
     return np.array([(below >> (64 * i)) & _WORD_MAX for i in range(4)], dtype=np.uint64)
 
 
 def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.ndarray:
     """Uniform doubles in [0, 1) for shots ``start .. start+count``, shape ``(count, n)``.
 
-    The shots must lie below 2**64; the result for shot i is the same
-    whichever range it is computed in.
+    Shot i reads the first ``n`` (1 to 4) doubles of its one block, at
+    counter ``(i, 0, 0, 0)``. The shots must lie below 2**64; the result
+    for shot i is the same whichever range it is computed in.
     """
+    if not 1 <= n <= 4:
+        raise ValueError(f"n = {n}: a shot's one Philox block holds 1 to 4 doubles")
     # a numpy start would wrap start + count silently at 2**64; a float is refused
     start = operator.index(start)
     if start < 0:
         raise ValueError(f"shot index {start} is negative")
-    # the counter would carry into the block word and reuse a substream; an
+    # the counter would carry into the next word and reuse a substream; an
     # empty range is held to the start that one shot would need
     end = start + max(count, 1)
     if end > 2**64:
         raise ValueError(f"shots {start} .. {end - 1} pass the 64-bit counter range")
     key = np.array(derive_key(seed, stream), dtype=np.uint64)
-    if count == 0:
-        return np.empty((0, n))
-    # Generator.random fills only contiguous arrays, so each block index gets its own slab
-    blocks = np.empty(((n + 3) // 4, count, 4))
-    for block, out in enumerate(blocks):
-        Generator(Philox(key=key, counter=_counter_before(start, block))).random(out=out)
-    # for n <= 4 this is a view of the one slab; more slabs are copied side by side
-    return blocks.transpose(1, 0, 2).reshape(count, 4 * len(blocks))[:, :n]
+    out = np.empty((count, 4))
+    Generator(Philox(key=key, counter=_counter_before(start))).random(out=out)
+    return out[:, :n]

@@ -107,6 +107,7 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         ("demo", "demo.m = banana\n"),
         ("demo", "run.workers = 0\n"),
         ("demo", "run.shots = 0\n"),
+        ("demo", "run.shots = 18446744073709551617\n"),  # past the last Philox shot index
         ("lchs", "lchs.points = 0\n"),
         ("lchs", "lchs.p_assumed = 0\n"),
         ("lchs", "lchs.p_assumed = -0.5\n"),
@@ -451,6 +452,19 @@ def test_demo_few_shots_pass_or_config_error(tmp_path):
         for seed in (1, 2, 3, 4)
     }
     assert set(codes.values()) <= {0, 2}, codes
+
+
+def test_demo_too_few_shots_for_a_ratio_names_run_shots(tmp_path, capsys):
+    # at demo.dim = 2 and seed 0 the one identity shot reads 0, so the ratio
+    # estimate is undefined: a config error on run.shots, and no CSV is left
+    cfg = tmp_path / "d2.cfg"
+    cfg.write_text("demo.dim = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["demo", "--config", str(cfg), "--seed", "0", "--shots", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run.shots = 1 is too few: "), err
+    assert "ratio undefined" in err
+    assert list(out.iterdir()) == []
 
 
 def test_demo_rounding_negative_variance_passes_gate(tmp_path):

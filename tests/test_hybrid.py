@@ -111,9 +111,12 @@ def test_block_encoding_singleton_is_bare_unitary():
     part = Partition.singletons(3)
     for idx, g in enumerate(group_operators(dec, part)):
         l_mat = build_block_encoding(g, dec)
-        # no ancilla: the encoding acts on the system alone
+        # no ancilla: the encoding acts on the system alone, and is the stored unitary to the bit
         assert l_mat.shape == (4, 4)
-        assert np.array_equal(l_mat, dec.unitaries[idx])
+        assert l_mat.tobytes() == dec.unitaries[idx].tobytes()
+        # a singleton passes the same invariant check as any group, so a wrong K_k is refused
+        with pytest.raises(qcore.InvariantViolation, match="block-encoding"):
+            build_block_encoding(g._replace(operator=dec.unitaries[(idx + 1) % 3]), dec)
 
 
 def test_controlled_pair_structure():
