@@ -271,12 +271,9 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
     partition_rows = partition_mod.scan(dec, psi)
 
     # three-way cross-check on a two-group split (richer pair circuits
-    # than the coherent or fully randomized extremes)
-    if m >= 2:
-        half = (m + 1) // 2
-        part = partition_mod.Partition([tuple(range(half)), tuple(range(half, m))], m)
-    else:
-        part = partition_mod.Partition.coherent(m)
+    # than the coherent or fully randomized extremes); one group at m = 1
+    half = (m + 1) // 2
+    part = partition_mod.Partition([g for g in (range(half), range(half, m)) if g], m)
     channel = hybrid.HybridChannel(dec, part)
     # stream 0 carries the observable, stream 1 the identity whose mean P
     # normalises the ratio estimate. Each stream is drawn in chunks whose
@@ -297,18 +294,18 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
     variances = [max(0.0, sampler.exact_second - sampler.exact_mean**2) for sampler in samplers]
 
     def chunks(stream: int):
+        sampler = samplers[stream]
         for lo in range(0, shots, hybrid._CSV_CHUNK_ROWS):
-            count = min(hybrid._CSV_CHUNK_ROWS, shots - lo)
-            chunk = samplers[stream].sample_shots(seed, count, start=lo, stream=stream)
-            counts[stream] += np.bincount(chunk.code, minlength=len(chunk.table))
-            yield chunk
+            codes = sampler.sample_shots(seed, min(hybrid._CSV_CHUNK_ROWS, shots - lo), start=lo, stream=stream)
+            counts[stream] += np.bincount(codes, minlength=len(sampler.table))
+            yield codes
 
     # a fresh name, so no entry already in run.out is written through
     fd, name = tempfile.mkstemp(dir=shots_path.parent, prefix=shots_path.name + ".", suffix=".tmp")
     os.close(fd)
     partial = pathlib.Path(name)
     try:
-        hybrid.write_shot_csv(partial, chunks(0))
+        hybrid.write_shot_csv(partial, samplers[0].table, seed, chunks(0))
         for _ in chunks(1):
             pass
         hists = [estimate.Histogram(sampler.table["g"], tally) for sampler, tally in zip(samplers, counts)]

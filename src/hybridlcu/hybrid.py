@@ -23,24 +23,24 @@ input. They drive :class:`Sampler`, whose ``sample_shots`` is the only
 shot path: each shot reads its two uniforms from its own Philox substream
 (``prng``), so the shots depend only on (seed, stream, shot index). A
 shot is one outcome code, its row in the sampler's one table of G^2 * 4d
-outcomes. Its pair and its row are each read from a guide table, one
+outcomes, and ``sample_shots`` returns the codes; ``table[codes]`` gives
+their fields. Its pair and its row are each read from a guide table, one
 entry per equal bucket of the uniform's range (Chen & Asau 1974); a shot
 whose bucket holds a threshold falls back to the exact lexicographic
 complex search over ``pair + 1j * cumulative probability``, so the codes
-are those of that search for any number of pairs. The shot CSV formats
-one tail per table row and joins each chunk from cached pieces: one
-string per thousand shot indices, the last three digits from a fixed
-table, and the tails. A run's statistics need only the count of shots
-per outcome code. Because any split of the shot range reassembles to the
-same shots, a long run is drawn in chunks of ``_CSV_CHUNK_ROWS`` that
-``write_shot_csv`` streams to disk one at a time, so memory stays
-bounded in the shot count.
+are those of that search for any number of pairs. A run's statistics
+need only the count of shots per outcome code. Because any split of the
+shot range reassembles to the same codes, a long run is drawn in chunks
+of ``_CSV_CHUNK_ROWS`` that ``write_shot_csv`` numbers from shot 0 and
+streams to disk one at a time, so memory stays bounded in the shot
+count. The shot CSV formats one tail per table row and joins each chunk
+from cached pieces: one string per thousand shot indices, the last three
+digits from a fixed table, and the tails.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Iterable
 
 import numpy as np
@@ -55,7 +55,6 @@ __all__ = [
     "exact_expectation",
     "outcome_distribution",
     "Sampler",
-    "SampleArrays",
     "write_shot_csv",
 ]
 
@@ -251,39 +250,6 @@ def _guide_table(keys: np.ndarray, buckets: int, rows: int = 1) -> np.ndarray:
     return np.where(low == high, low, -1)
 
 
-def _table_column(field: str) -> property:
-    return property(lambda self: self.table[field][self.code], doc=f"``{field}`` of each shot, read from its table row.")
-
-
-class SampleArrays:
-    """Shots ``start .. start+n`` as outcome codes, plus the provenance needed for CSV.
-
-    ``code[i]`` is the row of shot ``start + i`` in ``table``, a record array
-    with fields ``k, kprime, z, b, j, g``. ``shot`` and every column are
-    derived when read; ``np.bincount(code)`` tallies the shots per table row.
-    """
-
-    k = _table_column("k")
-    kprime = _table_column("kprime")
-    z = _table_column("z")
-    b = _table_column("b")
-    j = _table_column("j")
-    g = _table_column("g")
-
-    def __init__(self, start: int, code, table, seed: int, stream: int):
-        self.start = int(start)
-        self.code = code
-        self.table = table
-        self.seed = seed
-        self.stream = stream
-        self.n = len(code)
-
-    @property
-    def shot(self) -> np.ndarray:
-        """Global shot indices as uint64, exact up to 2**64 - 1."""
-        return np.arange(self.start, self.start + self.n, dtype=np.uint64)
-
-
 class Sampler:
     """One outcome table for fast, reproducible shot sampling.
 
@@ -319,18 +285,20 @@ class Sampler:
         k, kp, z, b, j = np.unravel_index(np.arange(n_pairs * n_out), (g_count, g_count, 2, 2, d))
         g = np.where(z == 0, 1.0, 0.0) * np.where(b == 0, 1.0, -1.0) * o.eigenvalues[j]
         self.table = np.rec.fromarrays([k, kp, z, b, j, g], names="k,kprime,z,b,j,g")
-        # every batch shares the table
         self.table.setflags(write=False)
         self.exact_mean = exact_expectation(channel, rho, o, backend="analytic")
         self.exact_second = partition_mod.reduction_factor_obs(channel.decomposition, channel.partition, rho, o)
 
-    def sample_shots(self, seed: int, count: int, start: int = 0, stream: int = 0) -> SampleArrays:
-        """Shots ``start .. start+count`` from per-shot Philox substreams.
+    def sample_shots(self, seed: int, count: int, start: int = 0, stream: int = 0) -> np.ndarray:
+        """Outcome codes of shots ``start .. start+count`` from per-shot Philox substreams.
 
-        The result depends only on (seed, stream, shot index), so any
-        split of the shot range into batches reassembles to the identical
-        arrays. A shot's code is ``searchsorted(flat_cum, pair + 1j*u1)``,
-        with ``pair = searchsorted(pair_cum, u0)``: real parts compare pair
+        Entry i is the row of shot ``start + i`` in ``table``, so
+        ``table[codes]`` holds the shots' fields and ``np.bincount(codes)``
+        tallies them per row. The codes depend only on (seed, stream, shot
+        index), so any split of the shot range into batches reassembles to
+        the identical array. A shot's code is
+        ``searchsorted(flat_cum, pair + 1j*u1)``, with
+        ``pair = searchsorted(pair_cum, u0)``: real parts compare pair
         indices exactly and imaginary parts compare ``u1`` itself against
         ``table_cum[pair]``, for any number of pairs. Each search is first
         read from a guide table at the bucket ``floor(u * buckets)`` of its
@@ -350,7 +318,7 @@ class Sampler:
         code = self.table_guide[pair * buckets + (u1 * buckets).astype(np.intp)]
         miss = np.flatnonzero(code < 0)
         code[miss] = np.searchsorted(self.flat_cum, pair[miss] + 1j * u1[miss], side="right")
-        return SampleArrays(start, code, self.table, seed=seed, stream=stream)
+        return code
 
 
 # rows formatted and written per chunk by write_shot_csv, and shots drawn per
@@ -388,36 +356,30 @@ def _shot_digits(lo: int, n: int) -> tuple[list[str], list[str]]:
     return highs, lows
 
 
-def write_shot_csv(path, batches: Iterable[SampleArrays]) -> None:
+def write_shot_csv(path, table, seed: int, chunks: Iterable[np.ndarray]) -> None:
     """One row per shot, ``g`` printed with ``.17g``, framed by ``qcore.frame_table``.
 
-    ``batches`` are consecutive shots of one sampler, consumed one at a time,
-    so a generator that draws them keeps only one batch in memory. Apart
-    from ``shot``, a row is a row of the sampler's outcome table, so each
-    table row's tail is formatted once. A chunk of ``_CSV_CHUNK_ROWS``
-    shots is one ``"".join`` over three pieces per row: the index's high
-    part and its last three digits (``_shot_digits``, from Python ints, so
-    exact past 2**63), and the tail its code names.
+    ``chunks`` are the outcome codes (rows of ``table``, a sampler's
+    outcome table) of shots 0, 1, 2, ... in order, consumed one at a time,
+    so a generator that draws them keeps only one chunk in memory. Apart
+    from ``shot``, a row is a row of ``table``, so each table row's tail
+    is formatted once. Every ``_CSV_CHUNK_ROWS`` shots are one
+    ``"".join`` over three pieces per row: the index's high part and its
+    last three digits (``_shot_digits``, from Python ints, so exact past
+    2**63), and the tail its code names.
     """
-    batches = iter(batches)
-    first = next(batches, None)
-    if first is None:
-        raise ValueError("write_shot_csv needs at least one batch")
-    rows = first.table[["k", "kprime", "z", "b", "j", "g"]].tolist()
+    rows = table[["k", "kprime", "z", "b", "j", "g"]].tolist()
     tails = np.array([f",{k},{kp},{z},{b},{j},{g:.17g}\n" for k, kp, z, b, j, g in rows], dtype=object)
 
-    def chunks():
-        start = first.start
-        for batch in itertools.chain([first], batches):
-            same_run = batch.table is first.table and (batch.seed, batch.stream) == (first.seed, first.stream)
-            if not same_run or batch.start != start:
-                raise ValueError("batches must be consecutive shots of one sampler")
-            for lo in range(0, batch.n, _CSV_CHUNK_ROWS):
-                codes = batch.code[lo : lo + _CSV_CHUNK_ROWS]
-                parts = [""] * (3 * len(codes))
-                parts[::3], parts[1::3] = _shot_digits(start + lo, len(codes))
-                parts[2::3] = tails[codes].tolist()
-                yield "".join(parts)
-            start += batch.n
+    def text():
+        start = 0
+        for codes in chunks:
+            for lo in range(0, len(codes), _CSV_CHUNK_ROWS):
+                part = codes[lo : lo + _CSV_CHUNK_ROWS]
+                pieces = [""] * (3 * len(part))
+                pieces[::3], pieces[1::3] = _shot_digits(start + lo, len(part))
+                pieces[2::3] = tails[part].tolist()
+                yield "".join(pieces)
+            start += len(codes)
 
-    qcore.frame_table(path, "shot,k,kprime,z,b,j,g", chunks(), first.seed)
+    qcore.frame_table(path, "shot,k,kprime,z,b,j,g", text(), seed)

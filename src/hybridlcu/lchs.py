@@ -11,7 +11,7 @@ singleton group needing no ancilla.
 All per-K2 figures of merit (node count M, alpha, |s|_1, the R - P
 bound and the sampling-overhead bound) are analytic; only the
 propagator-accuracy checks assemble actual matrices, each node's
-exp(-iT(H + kL)) from one batched eigh (``_propagators``). |s|_1 is the
+exp(-iT(H + kL)) from batched eighs (``_propagators``). |s|_1 is the
 Euler-Maclaurin series of the trapezoid rule with a proven remainder
 bound, summed explicitly only where that bound is not negligible.
 """
@@ -211,16 +211,29 @@ def discretize(config: LchsConfig) -> LchsDiscretization:
     return discretization_at(config, node_count(config))
 
 
-def _propagators(config: LchsConfig, ks: np.ndarray) -> np.ndarray:
-    """exp(-iT(H + kL)) for every k of the 1-d array ``ks``, from one batched eigh.
+# Nodes per batched eigh in _propagators. A chunk's eigh and product hold about
+# four (chunk, d, d) stacks at once, so the working set beside the (M, d, d)
+# output is fixed, not four times the output.
+_PROPAGATOR_CHUNK = 4096
 
-    H and L come from split_hermitian of a checked matrix, so H + kL is
-    exactly Hermitian for real k and no node is checked again.
+
+def _propagators(config: LchsConfig, ks: np.ndarray) -> np.ndarray:
+    """exp(-iT(H + kL)) for every k of the 1-d array ``ks``, by batched eigh.
+
+    The nodes go ``_PROPAGATOR_CHUNK`` at a time into one preallocated
+    output; each node's eigh and product are its own, so the batching
+    changes no bit. H and L come from split_hermitian of a checked matrix,
+    so H + kL is exactly Hermitian for real k and no node is checked again.
     """
     if config.a_matrix is None:
         raise ValueError("this operation needs the matrix, not just l_norm")
-    w, v = np.linalg.eigh(config.antihermitian_part + ks[:, None, None] * config.hermitian_part)
-    return (v * np.exp(-1j * config.t * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    h, l_psd = config.antihermitian_part, config.hermitian_part
+    out = np.empty((len(ks), *h.shape), dtype=complex)
+    for lo in range(0, len(ks), _PROPAGATOR_CHUNK):
+        chunk = out[lo : lo + _PROPAGATOR_CHUNK]
+        w, v = np.linalg.eigh(h + ks[lo : lo + len(chunk), None, None] * l_psd)
+        np.matmul(v * np.exp(-1j * config.t * w)[:, None, :], v.conj().transpose(0, 2, 1), out=chunk)
+    return out
 
 
 def _window_unitaries(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:

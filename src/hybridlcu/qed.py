@@ -180,10 +180,6 @@ class QedMetrics(NamedTuple):
     p: float
     r_factor: float
 
-    @property
-    def gap(self) -> float:
-        return self.r_factor - self.p
-
 
 def stabilizer_traces(rho) -> np.ndarray:
     """T[f, e] = tr[Z^f X^e rho] over the sector elements: an 8 x 8 real array.

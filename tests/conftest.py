@@ -56,8 +56,6 @@ def bell_number(m: int) -> int:
     return row[-1] if m >= 1 else 1
 
 
-PAULI_I = np.eye(2)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)

@@ -145,13 +145,13 @@ def test_05_sampler_moments():
     obs = h / np.abs(np.linalg.eigvalsh(h)).max()
     channel = hybrid.HybridChannel(dec, partition_mod.Partition([(0, 1), (2, 3)], 4))
     sampler = hybrid.Sampler(channel, psi, obs)
-    batch = sampler.sample_shots(seed=77, count=100000, stream=0)
+    batch = sampler.table[sampler.sample_shots(seed=77, count=100000, stream=0)]
     failures = []
-    se_mean = float(batch.g.std()) / math.sqrt(batch.n)
+    se_mean = float(batch.g.std()) / math.sqrt(len(batch))
     if abs(float(batch.g.mean()) - sampler.exact_mean) > 5.0 * se_mean:
         failures.append(f"mean {batch.g.mean()} vs {sampler.exact_mean} (se {se_mean})")
     g2 = batch.g**2
-    se_second = float(g2.std()) / math.sqrt(batch.n)
+    se_second = float(g2.std()) / math.sqrt(len(batch))
     if abs(float(g2.mean()) - sampler.exact_second) > 5.0 * se_second:
         failures.append(f"second moment {g2.mean()} vs {sampler.exact_second} (se {se_second})")
     finish(5, "sampler-moments", failures)
@@ -315,7 +315,7 @@ def test_12_estimator_coverage():
     n_bern = estimate.bernstein_n(sampler_obs.exact_second, 1.0, eps_num, delta)
     fails_bern = 0
     for rep in range(200):
-        g = sampler_obs.sample_shots(55, n_bern, stream=100 + rep).g
+        g = sampler_obs.table[sampler_obs.sample_shots(55, n_bern, stream=100 + rep)].g
         if abs(float(g.mean()) - mu_x) > eps_num:
             fails_bern += 1
     if fails_bern / 200.0 > delta + 0.02:
@@ -327,8 +327,8 @@ def test_12_estimator_coverage():
     truth = mu_x / mu_y
     fails_ratio = 0
     for rep in range(200):
-        gx = sampler_obs.sample_shots(55, n_ratio, stream=3000 + rep).g
-        gy = sampler_one.sample_shots(55, n_ratio, stream=6000 + rep).g
+        gx = sampler_obs.table[sampler_obs.sample_shots(55, n_ratio, stream=3000 + rep)].g
+        gy = sampler_one.table[sampler_one.sample_shots(55, n_ratio, stream=6000 + rep)].g
         if abs(float(gx.mean()) / float(gy.mean()) - truth) > eps_ratio:
             fails_ratio += 1
     if fails_ratio / 200.0 > delta + 0.02:
@@ -336,8 +336,8 @@ def test_12_estimator_coverage():
 
     covered = 0
     for trial in range(500):
-        gx = sampler_obs.sample_shots(55, 2000, stream=10000 + trial).g
-        gy = sampler_one.sample_shots(55, 2000, stream=20000 + trial).g
+        gx = sampler_obs.table[sampler_obs.sample_shots(55, 2000, stream=10000 + trial)].g
+        gy = sampler_one.table[sampler_one.sample_shots(55, 2000, stream=20000 + trial)].g
         report = estimate.estimate_ratio(estimate.SampleBatch(gx, gy, seed=55), config)
         if abs(report.estimate - truth) <= report.half_width:
             covered += 1

@@ -229,7 +229,8 @@ def test_estimate_R_obs_trivial_and_singleton():
     dec = random_lcu(3, 3, rng)
     ch = HybridChannel(dec, Partition.singletons(3))
     rho = random_density(3, rng)
-    batch = Sampler(ch, rho, np.eye(3)).sample_shots(seed=4, count=2000)
+    sampler = Sampler(ch, rho, np.eye(3))
+    batch = sampler.table[sampler.sample_shots(seed=4, count=2000)]
     assert estimate_R_obs(SampleBatch(batch.g)) == 1.0
 
 
@@ -242,7 +243,7 @@ def test_estimate_R_obs_converges_to_reduction_factor():
     obs = Observable(random_hermitian(3, rng))
     sampler = Sampler(ch, rho, obs)
     n = 100_000
-    batch = sampler.sample_shots(seed=6, count=n)
+    batch = sampler.table[sampler.sample_shots(seed=6, count=n)]
     r_exact = reduction_factor_obs(dec, part, rho, obs.matrix)
     assert abs(sampler.exact_second - r_exact) <= 1e-12
     # SE of the g^2 mean, from the a.s. bound |g| <= |O|
@@ -301,7 +302,7 @@ def test_numerator_bernstein_coverage():
     truth = dec.one_norm**2 * sampler.exact_mean
     failures = 0
     for rep in range(200):
-        batch = sampler.sample_shots(seed=1000, count=n, stream=rep)
+        batch = sampler.table[sampler.sample_shots(seed=1000, count=n, stream=rep)]
         report = estimate_numerator(SampleBatch(batch.g), dec.one_norm, sampler.exact_second, config)
         assert abs(report.half_width - dec.one_norm**2 * eps) <= dec.one_norm**2 * 1e-9 or report.half_width <= dec.one_norm**2 * eps
         if abs(report.estimate - truth) > dec.one_norm**2 * eps:
@@ -339,7 +340,8 @@ def test_estimate_ratio_identity_batches():
     dec = random_lcu(3, 3, rng)
     ch = HybridChannel(dec, Partition([[0, 1], [2]], 3))
     rho = random_density(3, rng)
-    batch = Sampler(ch, rho, np.eye(3)).sample_shots(seed=8, count=500)
+    sampler = Sampler(ch, rho, np.eye(3))
+    batch = sampler.table[sampler.sample_shots(seed=8, count=500)]
     g1 = g_identity(batch)
     assert np.array_equal(batch.g, g1)
     report = estimate_ratio(SampleBatch(batch.g, g1), config)
@@ -374,7 +376,7 @@ def test_sigma_ratio_matches_population_value():
     obs = Observable(herm / np.abs(np.linalg.eigvalsh(herm)).max())
     sampler = Sampler(ch, rho, obs)
     n = 100_000
-    batch = sampler.sample_shots(seed=31, count=n)
+    batch = sampler.table[sampler.sample_shots(seed=31, count=n)]
     x = batch.g
     y = g_identity(batch)
     var_x = Histogram(x).variance
@@ -411,7 +413,7 @@ def test_ratio_error_scales_as_sqrt_R_over_P():
         r_obs = reduction_factor_obs(dec, part, rho, obs.matrix)
         errs = np.empty(reps)
         for rep in range(reps):
-            batch = sampler.sample_shots(seed=40, count=n, stream=rep)
+            batch = sampler.table[sampler.sample_shots(seed=40, count=n, stream=rep)]
             errs[rep] = batch.g.mean() / g_identity(batch).mean()
         xs.append(math.log(math.sqrt(r_obs) / p))
         ys.append(math.log(math.sqrt(float(np.mean(errs**2)))))
@@ -444,16 +446,16 @@ def test_statistics_are_split_invariant(tmp_path):
     whole = [sampler.sample_shots(12, n, stream=stream) for stream, sampler in enumerate(samplers)]
 
     single, split = tmp_path / "single.csv", tmp_path / "split.csv"
-    write_shot_csv(single, [whole[0]])
-    write_shot_csv(split, iter(chunks[0]))
+    write_shot_csv(single, samplers[0].table, 12, [whole[0]])
+    write_shot_csv(split, samplers[0].table, 12, iter(chunks[0]))
     assert split.read_bytes() == single.read_bytes()
 
     hists = []
     for sampler, stream_chunks in zip(samplers, chunks):
-        counts = sum(np.bincount(chunk.code, minlength=len(sampler.table)) for chunk in stream_chunks)
+        counts = sum(np.bincount(chunk, minlength=len(sampler.table)) for chunk in stream_chunks)
         hists.append(Histogram(sampler.table["g"], counts))
     merged = SampleBatch(hists[0], hists[1], seed=12)
-    flat = SampleBatch(np.concatenate([c.g for c in chunks[0]]), np.concatenate([c.g for c in chunks[1]]), seed=12)
+    flat = SampleBatch(*(sampler.table.g[np.concatenate(c)] for sampler, c in zip(samplers, chunks)), seed=12)
     for ours, theirs in ((merged.obs, flat.obs), (merged.one, flat.one)):
         assert (ours.n, ours.mean, ours.variance) == (theirs.n, theirs.mean, theirs.variance)
     config = EstimationConfig(epsilon=0.1, delta=0.05, bound_c=1.0)

@@ -305,7 +305,7 @@ def test_sampler_single_shot_fields():
     ch, rho, obs = _moment_instance()
     sampler = Sampler(ch, rho, obs)
     for stream in (0, 1):
-        batch = sampler.sample_shots(seed=5, count=200, stream=stream)
+        batch = sampler.table[sampler.sample_shots(seed=5, count=200, stream=stream)]
         assert np.all((0 <= batch.k) & (batch.k < ch.G)) and np.all((0 <= batch.kprime) & (batch.kprime < ch.G))
         assert np.isin(batch.z, (0, 1)).all() and np.isin(batch.b, (0, 1)).all()
         assert np.all((0 <= batch.j) & (batch.j < ch.dimension))
@@ -316,7 +316,7 @@ def test_sampler_moments_within_five_se():
     ch, rho, obs = _moment_instance()
     sampler = Sampler(ch, rho, obs)
     n = 100_000
-    batch = sampler.sample_shots(seed=123, count=n)
+    batch = sampler.table[sampler.sample_shots(seed=123, count=n)]
     # exact fourth moment from the same exhaustive tables that drive sampling
     sign = np.array([1.0, -1.0])
     keep = np.array([1.0, 0.0])
@@ -339,7 +339,7 @@ def test_sampler_pair_frequencies_multinomial():
     ch, rho, obs = _moment_instance()
     sampler = Sampler(ch, rho, obs)
     n = 100_000
-    batch = sampler.sample_shots(seed=321, count=n)
+    batch = sampler.table[sampler.sample_shots(seed=321, count=n)]
     for k in range(ch.G):
         for kp in range(ch.G):
             p = ch.weights[k] * ch.weights[kp]
@@ -348,7 +348,7 @@ def test_sampler_pair_frequencies_multinomial():
 
 
 def test_sample_shots_chunks_reassemble_exactly():
-    # per-shot substreams: any chunking of the shot range gives identical columns
+    # per-shot substreams: any chunking of the shot range gives identical codes
     ch, rho, obs = _moment_instance()
     sampler = Sampler(ch, rho, obs)
     whole = sampler.sample_shots(seed=77, count=1000)
@@ -357,9 +357,8 @@ def test_sample_shots_chunks_reassemble_exactly():
         sampler.sample_shots(seed=77, count=350, start=400),
         sampler.sample_shots(seed=77, count=250, start=750),
     ]
-    for field in ("shot", "k", "kprime", "z", "b", "j", "g"):
-        merged = np.concatenate([getattr(part, field) for part in parts])
-        assert np.array_equal(getattr(whole, field), merged)
+    assert isinstance(whole, np.ndarray) and whole.dtype == np.intp
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 def test_sample_shots_matches_table_gather_oracle():
@@ -372,7 +371,7 @@ def test_sample_shots_matches_table_gather_oracle():
     for dim, part in ((8, Partition([(0,), (1, 2), (3, 4, 5)], 6)), (2, Partition.singletons(40))):
         ch = HybridChannel(random_lcu(part.m, dim, rng), part)
         sampler = Sampler(ch, random_density(dim, rng), random_hermitian(dim, rng))
-        batch = sampler.sample_shots(seed=2718, count=n, start=1000, stream=4)
+        codes = sampler.sample_shots(seed=2718, count=n, start=1000, stream=4)
         u = prng.uniforms(2718, 1000, n, 2, stream=4)
         pair = np.clip(np.searchsorted(sampler.pair_cum, u[:, 0], side="right"), 0, len(sampler.pair_cum) - 1)
         out = (u[:, 1:2] >= sampler.table_cum[pair]).sum(axis=1)
@@ -382,11 +381,9 @@ def test_sample_shots_matches_table_gather_oracle():
             assert len(np.unique(pair)) == ch.G**2
         else:
             assert pair.max() >= 32**2
-        assert np.array_equal(batch.code, code)
-        assert np.array_equal(batch.shot, np.arange(1000, 1000 + n, dtype=np.uint64))
-        expected = sampler.table[code]
-        for field in ("k", "kprime", "z", "b", "j", "g"):
-            assert np.array_equal(getattr(batch, field), expected[field])
+        assert np.array_equal(codes, code)
+        # the table's pair fields name the pair each code was drawn in
+        batch = sampler.table[codes]
         assert np.array_equal(batch.k * ch.G + batch.kprime, pair)
 
 
@@ -405,11 +402,11 @@ def test_sample_shots_exact_at_table_boundaries(monkeypatch):
     # real draws stay below 1.0
     u = np.column_stack([u0, u1])[u1 < 1.0]
     monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0: u.copy())
-    batch = sampler.sample_shots(seed=0, count=len(u))
+    codes = sampler.sample_shots(seed=0, count=len(u))
     pair = np.searchsorted(sampler.pair_cum, u[:, 0], side="right")
     assert np.array_equal(pair, np.tile(pairs, 2)[u1 < 1.0])
     out = (u[:, 1:2] >= sampler.table_cum[pair]).sum(axis=1)
-    assert np.array_equal(batch.code, pair * n_out + out)
+    assert np.array_equal(codes, pair * n_out + out)
 
 
 def _edge_values(buckets: int) -> np.ndarray:
@@ -451,11 +448,11 @@ def test_guided_search_exact_at_bucket_edges(monkeypatch, name):
     u1 = np.resize(u1, len(u0))
     u = np.column_stack([u0, u1])
     monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0: u.copy())
-    batch = sampler.sample_shots(seed=0, count=len(u))
+    codes = sampler.sample_shots(seed=0, count=len(u))
     pair = np.searchsorted(sampler.pair_cum, u0, side="right")
     assert np.array_equal(np.unique(pair), np.arange(n_pairs))
     out = (u1[:, None] >= sampler.table_cum[pair]).sum(axis=1)
-    assert np.array_equal(batch.code, pair * n_out + out)
+    assert np.array_equal(codes, pair * n_out + out)
     if name.endswith("dyadic"):
         # thresholds on the edges, some repeated: no bucket holds one inside
         on_edge = sampler.table_cum * buckets
@@ -492,7 +489,7 @@ def test_sample_shots_streams_differ():
     sampler = Sampler(ch, rho, obs)
     a = sampler.sample_shots(seed=5, count=200, stream=0)
     b = sampler.sample_shots(seed=5, count=200, stream=1)
-    assert not np.array_equal(a.g, b.g)
+    assert not np.array_equal(sampler.table.g[a], sampler.table.g[b])
 
 
 def test_identity_observable_samples_R():
@@ -566,35 +563,32 @@ def test_expectation_rounds_matches_direct_product():
 
 def test_write_shot_csv_format(tmp_path):
     ch, rho, obs = _moment_instance()
-    batch = Sampler(ch, rho, obs).sample_shots(seed=9, count=5)
+    sampler = Sampler(ch, rho, obs)
+    codes = sampler.sample_shots(seed=9, count=5)
     path = tmp_path / "shots.csv"
-    write_shot_csv(path, [batch])
+    write_shot_csv(path, sampler.table, 9, [codes])
     lines = path.read_text().splitlines()
     assert lines[0] == "shot,k,kprime,z,b,j,g"
     assert len(lines) == 7
     assert lines[-1] == "# seed=9 version=0.1.0"
     first = lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[6]) == batch.g[0]
+    assert float(first[6]) == sampler.table.g[codes[0]]
 
 
-def _write_shot_csv_per_row(path, batch):
-    # row-at-a-time reference for the table-tail writer; the derived columns
-    # are read once, not once per row
-    shot, k, kprime, z, b, j = batch.shot, batch.k, batch.kprime, batch.z, batch.b, batch.j
+def _write_shot_csv_per_row(path, table, seed, codes):
+    # row-at-a-time reference for the table-tail writer
     with open(path, "w") as fh:
         fh.write("shot,k,kprime,z,b,j,g\n")
-        for i in range(batch.n):
-            fh.write(
-                f"{int(shot[i])},{int(k[i])},{int(kprime[i])},"
-                f"{int(z[i])},{int(b[i])},{int(j[i])},{batch.g[i]:.17g}\n"
-            )
-        fh.write(f"# seed={batch.seed} version={__version__}\n")
+        for shot, row in enumerate(table[codes]):
+            fh.write(f"{shot},{int(row.k)},{int(row.kprime)},{int(row.z)},{int(row.b)},{int(row.j)},{row.g:.17g}\n")
+        fh.write(f"# seed={seed} version={__version__}\n")
 
 
 def test_write_shot_csv_matches_per_row_writer(tmp_path):
     # -0.0 and 0.0 print differently and sit in separate table rows; two-digit
-    # k and a row count past one chunk cover the joins
+    # k, a row count past two chunks and code arrays split at points that are
+    # neither chunk nor thousand boundaries cover the joins
     rng = np.random.default_rng(5)
     g_values = [0.0, -0.0, 0.1, -0.1, 1.0 / 3.0, -2.5e-17, 1.0]
     rows = 40
@@ -602,66 +596,47 @@ def test_write_shot_csv_matches_per_row_writer(tmp_path):
     ints[0][:2] = 11
     g = [g_values[i % len(g_values)] for i in range(rows)]
     table = np.rec.fromarrays([*ints, g], names="k,kprime,z,b,j,g")
-    n = hybrid._CSV_CHUNK_ROWS + 37
-    batch = hybrid.SampleArrays(10**6, rng.integers(0, rows, n), table, seed=2**64 - 1, stream=0)
-    assert np.any(np.signbit(batch.g) & (batch.g == 0)) and np.any(~np.signbit(batch.g) & (batch.g == 0))
-    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    write_shot_csv(ours, [batch])
-    _write_shot_csv_per_row(reference, batch)
-    assert ours.read_bytes() == reference.read_bytes()
-    empty = hybrid.SampleArrays(0, np.zeros(0, dtype=np.intp), table, seed=3, stream=0)
-    write_shot_csv(ours, [empty])
-    _write_shot_csv_per_row(reference, empty)
-    assert ours.read_bytes() == reference.read_bytes()
+    n = 2 * hybrid._CSV_CHUNK_ROWS + 37
+    codes = rng.integers(0, rows, n)
+    assert np.any(np.signbit(table.g[codes]) & (table.g[codes] == 0))
+    assert np.any(~np.signbit(table.g[codes]) & (table.g[codes] == 0))
+    whole, split, reference = tmp_path / "whole.csv", tmp_path / "split.csv", tmp_path / "reference.csv"
+    write_shot_csv(whole, table, 2**64 - 1, [codes])
+    _write_shot_csv_per_row(reference, table, 2**64 - 1, codes)
+    assert whole.read_bytes() == reference.read_bytes()
+    cuts = [0, 777, 777, 2011, hybrid._CSV_CHUNK_ROWS + 5, n - 1, n]
+    write_shot_csv(split, table, 2**64 - 1, (codes[lo:hi] for lo, hi in zip(cuts, cuts[1:])))
+    assert split.read_bytes() == whole.read_bytes()
+    # no shots, as no chunk or one empty chunk, is the header and trailer alone
+    empty = np.zeros(0, dtype=np.intp)
+    _write_shot_csv_per_row(reference, table, 3, empty)
+    for chunks in ([], [empty]):
+        write_shot_csv(whole, table, 3, chunks)
+        assert whole.read_bytes() == reference.read_bytes()
+
+
+def _assert_shot_digits(lo: int, n: int) -> None:
+    highs, lows = hybrid._shot_digits(lo, n)
+    assert [high + low for high, low in zip(highs, lows, strict=True)] == [str(i) for i in range(lo, lo + n)]
 
 
 @pytest.mark.parametrize("first", [0, 995, 10**6 - 10, 2**63 - 500, 2**64 - 1 - 3012, 2**64 - 3012])
-def test_write_shot_csv_index_boundaries(tmp_path, first):
-    # consecutive batches of sizes that are not multiples of 1000 cross the
-    # unpadded rows below 1000, thousand and decade boundaries, 2**63 and the
-    # top of the counter range; their rows must equal the per-row writer's
-    rng = np.random.default_rng(first % 2**32)
-    ints = [rng.integers(0, high, 6) for high in (3, 3, 2, 2, 4)]
-    table = np.rec.fromarrays([*ints, rng.normal(size=6)], names="k,kprime,z,b,j,g")
-    sizes = [777, 1234, 1001]
-    code = rng.integers(0, len(table), sum(sizes))
-    ends = [0, *itertools.accumulate(sizes)]
-    batches = [hybrid.SampleArrays(first + lo, code[lo:hi], table, seed=8, stream=0) for lo, hi in zip(ends, ends[1:])]
-    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-    write_shot_csv(ours, batches)
-    _write_shot_csv_per_row(reference, hybrid.SampleArrays(first, code, table, seed=8, stream=0))
-    assert ours.read_bytes() == reference.read_bytes()
+def test_write_shot_csv_index_boundaries(first):
+    # consecutive index ranges of sizes that are not multiples of 1000 cross
+    # the unpadded indices below 1000, thousand and decade boundaries, 2**63
+    # and the top of the counter range; each index must print as str(i)
+    for lo, hi in itertools.pairwise([0, 777, 2011, 3012]):
+        _assert_shot_digits(first + lo, hi - lo)
+    _assert_shot_digits(first, 0)
 
 
-def test_write_shot_csv_indices_past_int64(tmp_path):
+def test_write_shot_csv_indices_past_int64():
     # the counter range reaches 2**64 - 1; indices past 2**63 - 1 stay positive
-    ch, rho, obs = _moment_instance()
-    batch = Sampler(ch, rho, obs).sample_shots(seed=3, count=3, start=2**63 - 1)
-    path = tmp_path / "shots.csv"
-    write_shot_csv(path, [batch])
-    rows = path.read_text().splitlines()[1:-1]
-    assert [row.split(",")[0] for row in rows] == [str(2**63 - 1), str(2**63), str(2**63 + 1)]
-    assert [int(i) for i in batch.shot] == [2**63 - 1, 2**63, 2**63 + 1]
+    _assert_shot_digits(2**63 - 1, 3)
     # a numpy start must not wrap past 2**64 into an empty batch
+    ch, rho, obs = _moment_instance()
     with pytest.raises(ValueError, match="64-bit counter range"):
         Sampler(ch, rho, obs).sample_shots(seed=3, count=5, start=np.uint64(2**64 - 3))
-
-
-def test_write_shot_csv_takes_consecutive_batches_of_one_sampler(tmp_path):
-    ch, rho, obs = _moment_instance()
-    sampler = Sampler(ch, rho, obs)
-    path = tmp_path / "shots.csv"
-    with pytest.raises(ValueError, match="at least one batch"):
-        write_shot_csv(path, [])
-    first = sampler.sample_shots(seed=3, count=4)
-    for stray in (
-        sampler.sample_shots(seed=3, count=4, start=5),
-        sampler.sample_shots(seed=3, count=4, start=4, stream=1),
-        sampler.sample_shots(seed=4, count=4, start=4),
-        Sampler(ch, rho, obs).sample_shots(seed=3, count=4, start=4),
-    ):
-        with pytest.raises(ValueError, match="consecutive shots of one sampler"):
-            write_shot_csv(path, [first, stray])
 
 
 def _traced_peak(func, *args, **kwargs):
@@ -680,8 +655,8 @@ def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
     sampler = Sampler(ch, rho, obs)
     peaks = []
     for n in (100_000, 400_000):
-        batch = sampler.sample_shots(seed=1, count=n)
-        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", [batch]))
+        codes = sampler.sample_shots(seed=1, count=n)
+        peaks.append(_traced_peak(write_shot_csv, tmp_path / "shots.csv", sampler.table, 1, [codes]))
     assert peaks[1] <= 1.25 * peaks[0], peaks
     rng = np.random.default_rng(12)
     n = 200_000
