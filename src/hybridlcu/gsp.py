@@ -30,8 +30,6 @@ __all__ = [
     "ComplexityReport",
     "cosine_filter",
     "cosine_params",
-    "filter_quality",
-    "gaussian_filter",
     "hybrid_gsp",
     "complexity_report",
     "random_gsp_instance",
@@ -58,12 +56,8 @@ def _cosine_filter(spectrum, e: float, tau: float, order: int) -> np.ndarray:
     return (v * vals[None, :]) @ v.conj().T
 
 
-def gaussian_filter(h_matrix, e_prime: float, tau_prime: float, sigma2: float) -> np.ndarray:
-    """exp(-sigma2 (H - (e_prime - tau_prime) 1)^2 / 2) on the spectrum of H."""
-    return _gaussian_filter(qcore.eigh(h_matrix), e_prime, tau_prime, sigma2)
-
-
 def _gaussian_filter(spectrum, e_prime: float, tau_prime: float, sigma2: float) -> np.ndarray:
+    """exp(-sigma2 (H - (e_prime - tau_prime) 1)^2 / 2) from the spectrum ``(w, v)`` of H."""
     if sigma2 < 0.0:
         raise ValueError("sigma2 must be nonnegative")
     w, v = spectrum
@@ -101,16 +95,12 @@ def _ground_state(spectrum) -> tuple[float, float, np.ndarray]:
     return float(w[0]), gap, v[:, 0]
 
 
-def filter_quality(h_matrix, psi, filter_matrix) -> tuple[float, float]:
-    """(distance to the ground state up to global phase, survival norm).
+def _filter_quality(ground: np.ndarray, psi, filter_matrix) -> tuple[float, float]:
+    """(distance to the ground vector up to global phase, survival norm).
 
-    distance = min over phases of || filtered/||filtered|| - e^{i phi} |lam0> ||,
+    distance = min over phases of || filtered/||filtered|| - e^{i phi} |ground> ||,
     survival = || filter |psi> || for a normalized input.
     """
-    return _filter_quality(_ground_state(qcore.eigh(h_matrix))[2], psi, filter_matrix)
-
-
-def _filter_quality(ground: np.ndarray, psi, filter_matrix) -> tuple[float, float]:
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-9:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lcu, qcore
+from . import qcore
 
 __all__ = [
     "LchsConfig",
@@ -35,10 +35,7 @@ __all__ = [
     "window_weight_sum",
     "discretize",
     "discretization_at",
-    "window_decomposition",
-    "tail_unitary",
     "window_operator",
-    "tail_operator",
     "assemble",
     "measured_r",
     "measured_p",
@@ -236,29 +233,11 @@ def _propagators(config: LchsConfig, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_unitaries(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
-    if disc.m == 0:
-        raise ValueError("empty window has no group operator")
-    return _propagators(config, disc.nodes)
-
-
 def window_operator(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
     """Normalized coherent-group operator sum_j (s_j/|s|_1) U_j."""
-    return np.tensordot(disc.weights / disc.s_norm1, _window_unitaries(config, disc), axes=1)
-
-
-def window_decomposition(config: LchsConfig, disc: LchsDiscretization):
-    """The window as an explicit weighted-unitary decomposition (small M only).
-
-    Together with a one-group partition this is the coherent side of the
-    channel; tail draws stay continuous via sample_tail/tail_unitary.
-    """
-    return lcu.LcuDecomposition.from_terms(disc.weights, _window_unitaries(config, disc))
-
-
-def tail_unitary(config: LchsConfig, k: float) -> np.ndarray:
-    """The propagator factor exp(-iT(H + kL)) at a sampled tail node."""
-    return _propagators(config, np.array([k], dtype=float))[0]
+    if disc.m == 0:
+        raise ValueError("empty window has no group operator")
+    return np.tensordot(disc.weights / disc.s_norm1, _propagators(config, disc.nodes), axes=1)
 
 
 def _tail_integral(config: LchsConfig, k2: float, k1: float) -> np.ndarray:
@@ -276,14 +255,6 @@ def _tail_integral(config: LchsConfig, k2: float, k1: float) -> np.ndarray:
 
     val, _ = quad_vec(integrand, math.atan(k2), math.atan(k1), epsabs=1e-12, epsrel=1e-10)
     return val
-
-
-def tail_operator(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
-    """Normalized tail-average operator (the K of the virtual side)."""
-    if disc.alpha == 0.0:
-        raise ValueError("no tail when K2 = K1")
-    mass = 2.0 * disc.alpha / math.pi
-    return _tail_integral(config, disc.k2, disc.k1) / mass
 
 
 def assemble(config: LchsConfig, disc: LchsDiscretization) -> np.ndarray:
@@ -310,7 +281,7 @@ def measured_r(config: LchsConfig, disc: LchsDiscretization, state) -> float:
 def measured_p(config: LchsConfig, disc: LchsDiscretization, state) -> float:
     """tr[K rho K^dag] for the normalized truncated representation.
 
-    K = q_window * window_operator + q_tail * tail_operator, which is the
+    K = q_window * window_operator + q_tail * tail average, which is the
     assembled window sum plus tail integral over |s|_1 + (2/pi) alpha.
     """
     rho = qcore.density(state)
@@ -376,8 +347,9 @@ def fig_sweep(
 ) -> list[SweepRow]:
     """Bound-vs-M curve: sweep K2 over (0, K1], analytic figures only.
 
-    overhead_bound_at_p = (P + bound)/P^2, the sampling-overhead bound
-    at an assumed success probability.
+    overhead_bound_at_p = min(P + bound, 1)/P^2, the sampling-overhead
+    bound at an assumed success probability. R <= 1, so P + bound is
+    capped at 1 where the paper's rp_bound exceeds 1 - P.
     """
     if not 0.0 < p_assumed <= 1.0:
         raise ValueError("p_assumed must lie in (0, 1]")
@@ -392,9 +364,9 @@ def fig_sweep(
         alpha = math.atan(k1) - math.atan(float(k2))
         bound = rp_bound(k1, float(k2), s1)
         # P**2 underflows to 0 below P ~ 1e-162, and the quotient overflows a little above that
-        overhead = (p_assumed + bound) / p_assumed**2 if p_assumed**2 else math.inf
+        overhead = min(p_assumed + bound, 1.0) / p_assumed**2 if p_assumed**2 else math.inf
         if not math.isfinite(overhead):
-            raise ValueError(f"p_assumed = {p_assumed} puts the overhead bound (P + bound)/P^2 past the float range")
+            raise ValueError(f"p_assumed = {p_assumed} puts the overhead bound past the float range")
         rows.append(
             SweepRow(
                 k2=float(k2),

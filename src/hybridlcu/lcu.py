@@ -4,9 +4,10 @@ An operator ``K = sum_i c_i U_i`` with nonnegative weights ``c_i`` and
 unitaries ``U_i`` is stored as an :class:`LcuDecomposition`: one read-only
 ``(m, d, d)`` stack of the ``U_i`` beside the weights ``c_i`` and
 ``p_i = c_i / |c|_1``. Every operator built from it is one contraction
-over the stack. The normalized sum ``K_lcu = sum_i p_i U_i`` drives the CP
-map ``rho -> K_lcu rho K_lcu^dag`` whose trace is the post-selection
-success probability of the coherent implementation.
+over the stack. The normalized sum ``K_lcu = sum_i p_i U_i`` is the group
+operator of ``Partition.coherent(m)``: the coherent-LCU map is
+``hybrid.HybridChannel`` on that partition, and its success probability P
+is ``partition.reduction_factor`` there.
 
 The constructor is the only way in and checks every term, so each
 decomposition that exists has unitary terms and positive weights that sum
@@ -25,9 +26,6 @@ from .qcore import TOL
 __all__ = [
     "LcuDecomposition",
     "assemble_klcu",
-    "success_probability",
-    "apply_cp_map",
-    "expectation_unnormalized",
 ]
 
 
@@ -92,29 +90,3 @@ class LcuDecomposition:
 def assemble_klcu(dec: LcuDecomposition) -> np.ndarray:
     """The normalized sum ``sum_i p_i U_i`` (generally non-unitary)."""
     return np.tensordot(dec.probs, dec.unitaries, axes=1)
-
-
-def apply_cp_map(dec: LcuDecomposition, state) -> np.ndarray:
-    """Unnormalized output ``K_lcu rho K_lcu^dag`` of the coherent map."""
-    rho = qcore.density(state)
-    k = assemble_klcu(dec)
-    return k @ rho @ k.conj().T
-
-
-def success_probability(dec: LcuDecomposition, state) -> float:
-    """Post-selection probability ``tr[K_lcu rho K_lcu^dag]`` in [0, 1]."""
-    val = float(np.trace(apply_cp_map(dec, state)).real)
-    return val
-
-
-def expectation_unnormalized(dec: LcuDecomposition, state, obs) -> float:
-    """``|c|_1^2 tr[O K_lcu rho K_lcu^dag] = tr[O K rho K^dag]``."""
-    o = qcore.as_observable(obs).matrix
-    rho = qcore.density(state)
-    if o.shape[0] != dec.dimension or rho.shape[0] != dec.dimension:
-        raise ValueError("dimension mismatch between decomposition, state and observable")
-    val = complex(np.trace(o @ apply_cp_map(dec, rho)))
-    if abs(val.imag) > TOL.unitarity * max(1.0, abs(val.real)):
-        raise qcore.InvariantViolation(f"expectation has imaginary residue {val.imag:.3e}")
-    return dec.one_norm**2 * val.real
-

@@ -29,12 +29,11 @@ from . import qcore
 __all__ = [
     "QlssConfig",
     "QlssGrid",
-    "QlssPartition",
     "ReductionFactors",
     "TableRow",
     "build_grid",
-    "hybrid_partition",
     "k_scalar",
+    "group_operator",
     "reduction_factors",
     "assemble",
     "inverse_error",
@@ -133,11 +132,6 @@ class QlssGrid:
         self.z_nodes.setflags(write=False)
         self.z_weights.setflags(write=False)
 
-    def y_node(self, j: int) -> float:
-        if not 0 <= j < self.j_count:
-            raise IndexError("outer index out of range")
-        return j * self.dy
-
 
 def build_grid(config: QlssConfig) -> QlssGrid:
     ell = config.log_factor
@@ -171,11 +165,14 @@ def build_grid(config: QlssConfig) -> QlssGrid:
 
 
 def _geometric_sum(x: np.ndarray, count: int) -> np.ndarray:
-    """sum_{j=0}^{count-1} exp(-i x j), stable near x = 0.
+    """sum_{j=0}^{count-1} exp(-i x j) for every real x, stable near x = 0.
 
-    Valid for |x| < 2pi; the grids used here keep |x| <= O(epsilon).
+    The closed form holds for every x; only its x -> 0 limit, taken where
+    |sin(x/2)| < 1e-12, assumes x is near 0. The sum has period 2pi, so x is
+    first reduced to [-pi, pi]; the lag kernels reach |x| = 7.5 at small J.
     """
     x = np.asarray(x, dtype=float)
+    x = x - 2.0 * math.pi * np.round(x / (2.0 * math.pi))
     half = 0.5 * x
     den = np.sin(half)
     tiny = np.abs(den) < 1e-12
@@ -184,16 +181,10 @@ def _geometric_sum(x: np.ndarray, count: int) -> np.ndarray:
     return np.exp(-1j * (count - 1) * half) * ratio
 
 
-def _inner_scalar(grid: QlssGrid, phase: np.ndarray) -> np.ndarray:
-    """sum_k w_k exp(-i * phase * z_k) for an array of phase values lambda*y."""
-    phase = np.atleast_1d(np.asarray(phase, dtype=float))
-    return (grid.z_weights[None, :] * np.exp(-1j * phase[:, None] * grid.z_nodes[None, :])).sum(axis=1)
-
-
 def k_scalar(grid: QlssGrid, lam, y: float) -> np.ndarray:
-    """Eigenvalue action of K_j at outer coordinate y: i/beta * inner z-sum."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    return 1j / grid.beta * _inner_scalar(grid, lam * y)
+    """Eigenvalue action of K_j at outer coordinate y: i/beta * sum_k w_k exp(-i lam y z_k)."""
+    phase = np.atleast_1d(np.asarray(lam, dtype=float)) * y
+    return 1j / grid.beta * (grid.z_weights[None, :] * np.exp(-1j * phase[:, None] * grid.z_nodes[None, :])).sum(axis=1)
 
 
 def _assembled_scalars(grid: QlssGrid, eigenvalues: np.ndarray) -> np.ndarray:
@@ -229,32 +220,18 @@ def inverse_error(config: QlssConfig, grid: QlssGrid) -> float:
     return num / den
 
 
-class QlssPartition(NamedTuple):
-    """Hybrid grouping of the double sum: one group per outer node y_j."""
-
-    config: QlssConfig
-    grid: QlssGrid
-    weights: np.ndarray
-
-    def operator(self, j: int) -> np.ndarray:
-        """The subnormalized group operator K_j (exact inner sum, not the
-        Gaussian-pulse approximation)."""
-        scalars = k_scalar(self.grid, self.config.eigenvalues, self.grid.y_node(j))
-        v = self.config.eigenvectors
-        return (v * scalars[None, :]) @ v.conj().T
-
-
-def hybrid_partition(config: QlssConfig, grid: QlssGrid) -> QlssPartition:
-    q = grid.beta * grid.dy / (grid.one_norm * SQRT_TWO_PI)
-    weights = np.full(grid.j_count, q)
-    return QlssPartition(config=config, grid=grid, weights=weights)
+def group_operator(config: QlssConfig, grid: QlssGrid, j: int) -> np.ndarray:
+    """Subnormalized K_j of outer node y_j = j Dy, group weight q_j = 1/J: the exact inner sum, not the pulse."""
+    scalars = k_scalar(grid, config.eigenvalues, j * grid.dy)
+    v = config.eigenvectors
+    return (v * scalars[None, :]) @ v.conj().T
 
 
 class ReductionFactors(NamedTuple):
     """The three reduction factors plus the closed-form check value.
 
     r_rand: fully randomized singleton sampling, identically 1.
-    r_int: hybrid grouping by outer node, sum_j q_j <b|K_j^dag K_j|b>.
+    r_int: hybrid grouping by outer node, sum_j q_j <b|K_j^dag K_j|b>, q_j = 1/J.
     r_conv: fully coherent method, equal to the projection probability P.
     r_int_closed_form: pi*sqrt(2)/(4*beta*|c|_1) * <b| |M|^{-1} |b>.
     """

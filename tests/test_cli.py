@@ -1,6 +1,7 @@
 """CLI checks: config parsing, exit codes, CSV shape, worker determinism."""
 
 import dataclasses
+import gc
 import hashlib
 import inspect
 import subprocess
@@ -515,6 +516,19 @@ def test_every_run_key_is_a_flag(tmp_path, capsys):
             assert exc.value.code == 2
             assert f"unrecognized arguments: {wrong}" in capsys.readouterr().err
         assert sum(word in (key, flag) for word in words) == 1, key
+
+
+def test_run_freezes_the_import_objects_and_thaws_them(tmp_path, monkeypatch):
+    # the handler runs with every object older than the run frozen; main leaves no
+    # frozen object behind, on success and on a usage error alike
+    frozen = []
+    unpatched = lchs.fig_sweep
+    monkeypatch.setattr(lchs, "fig_sweep", lambda **kw: frozen.append(gc.get_freeze_count()) or unpatched(**kw))
+    assert run_cli(["lchs"], tmp_path) == 0
+    assert frozen[0] > 10_000 and gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        cli.main(["no-such-subcommand"])
+    assert gc.get_freeze_count() == 0
 
 
 def test_lchs_overflowing_overhead_is_config_error(tmp_path, capsys):

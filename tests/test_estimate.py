@@ -383,7 +383,8 @@ def test_sigma_ratio_matches_population_value():
     var_y = Histogram(y).variance
     plug_in = var_x / y.mean() ** 2 + x.mean() ** 2 * var_y / y.mean() ** 4
     mu_x = sampler.exact_mean
-    p = lcu.success_probability(dec, rho)
+    k = lcu.assemble_klcu(dec)
+    p = np.trace(k @ rho @ k.conj().T).real
     pop_var_x = sampler.exact_second - mu_x**2
     pop_var_y = reduction_factor_obs(dec, part, rho, np.eye(3)) - p**2
     population = pop_var_x / p**2 + mu_x**2 * pop_var_y / p**4
@@ -400,8 +401,9 @@ def test_ratio_error_scales_as_sqrt_R_over_P():
     rho = random_density(4, rng)
     herm = random_hermitian(4, rng)
     raw = Observable(herm / np.abs(np.linalg.eigvalsh(herm)).max())
-    p = lcu.success_probability(dec, rho)
-    shift = lcu.expectation_unnormalized(dec, rho, raw.matrix) / dec.one_norm**2 / p
+    k = lcu.assemble_klcu(dec)
+    p = np.trace(k @ rho @ k.conj().T).real
+    shift = np.trace(raw.matrix @ k @ rho @ k.conj().T).real / p
     obs = Observable(raw.matrix - shift * np.eye(4))
     parts = [Partition.coherent(4), Partition([[0, 1], [2], [3]], 4), Partition.singletons(4)]
     n, reps = 2000, 200

@@ -7,14 +7,12 @@ import pytest
 from rounds import compose_rounds
 from scipy.linalg import cosm
 
-from hybridlcu import hybrid, lcu, partition, qcore
+from hybridlcu import gsp, hybrid, lcu, partition, qcore
 from hybridlcu.gsp import (
     GspConfig,
     complexity_report,
     cosine_filter,
     cosine_params,
-    filter_quality,
-    gaussian_filter,
     hybrid_gsp,
     random_gsp_instance,
     write_report_rows_csv,
@@ -104,7 +102,7 @@ def test_filter_quality_ground_state_input():
     lam0 = np.linalg.eigvalsh(h)[0]
     order, tau = 9, 0.08
     filt = cosine_filter(h, lam0, tau, order)
-    dist, surv = filter_quality(h, ground_of(h), filt)
+    dist, surv = gsp._filter_quality(ground_of(h), ground_of(h), filt)
     assert dist <= 1e-7
     assert surv == pytest.approx(math.cos(tau) ** order, rel=1e-12)
 
@@ -113,14 +111,14 @@ def test_filter_quality_two_level_uniform_perfect_filter():
     h = np.diag([0.0, math.pi / 2.0])
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
     filt = cosine_filter(h, 0.0, 0.0, 1)
-    dist, surv = filter_quality(h, psi, filt)
+    dist, surv = gsp._filter_quality(ground_of(h), psi, filt)
     assert dist <= 1e-12
     assert surv == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_filter_quality_identity_keeps_initial_distance():
     h, psi = random_gsp_instance(5, 0.2, 0.4, seed=3)
-    dist, surv = filter_quality(h, psi, np.eye(5))
+    dist, surv = gsp._filter_quality(ground_of(h), psi, np.eye(5))
     ground = ground_of(h)
     expected = math.sqrt(2.0 - 2.0 * abs(np.vdot(ground, psi)))
     assert dist == pytest.approx(expected, abs=1e-12)
@@ -130,8 +128,8 @@ def test_filter_quality_identity_keeps_initial_distance():
 def test_filter_quality_global_phase_invariant():
     h, psi = random_gsp_instance(5, 0.2, 0.4, seed=8)
     filt = cosine_filter(h, np.linalg.eigvalsh(h)[0], 0.1, 4)
-    d1, s1 = filter_quality(h, psi, filt)
-    d2, s2 = filter_quality(h, np.exp(1j * 0.83) * psi, filt)
+    d1, s1 = gsp._filter_quality(ground_of(h), psi, filt)
+    d2, s2 = gsp._filter_quality(ground_of(h), np.exp(1j * 0.83) * psi, filt)
     assert d1 == pytest.approx(d2, abs=1e-12)
     assert s1 == pytest.approx(s2, rel=1e-12)
 
@@ -139,7 +137,7 @@ def test_filter_quality_global_phase_invariant():
 def test_filter_quality_rejects_unnormalized_input():
     h, psi = random_gsp_instance(4, 0.2, 0.4, seed=0)
     with pytest.raises(ValueError):
-        filter_quality(h, 2.0 * psi, np.eye(4))
+        gsp._filter_quality(ground_of(h), 2.0 * psi, np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +146,23 @@ def test_filter_quality_rejects_unnormalized_input():
 
 def test_gaussian_filter_sigma_zero_is_identity():
     h, _ = random_gsp_instance(5, 0.2, 0.4, seed=2)
-    assert np.abs(gaussian_filter(h, 0.3, 0.1, 0.0) - np.eye(5)).max() <= 1e-12
+    assert np.abs(gsp._gaussian_filter(qcore.eigh(h), 0.3, 0.1, 0.0) - np.eye(5)).max() <= 1e-12
     with pytest.raises(ValueError, match="sigma2"):
-        gaussian_filter(h, 0.3, 0.1, -1e-3)
+        gsp._gaussian_filter(qcore.eigh(h), 0.3, 0.1, -1e-3)
 
 
 def test_gaussian_filter_fixes_shifted_ground_state():
     h, _ = random_gsp_instance(5, 0.2, 0.4, seed=5)
     lam0 = np.linalg.eigvalsh(h)[0]
     tau_prime = 0.07
-    filt = gaussian_filter(h, lam0 + tau_prime, tau_prime, 40.0)
+    filt = gsp._gaussian_filter(qcore.eigh(h), lam0 + tau_prime, tau_prime, 40.0)
     ground = ground_of(h)
     assert np.linalg.norm(filt @ ground - ground) <= 1e-12
 
 
 def test_gaussian_filter_psd_and_subnormalized():
     h, _ = random_gsp_instance(7, 0.15, 0.4, seed=6)
-    filt = gaussian_filter(h, 0.2, 0.05, 30.0)
+    filt = gsp._gaussian_filter(qcore.eigh(h), 0.2, 0.05, 30.0)
     vals = np.linalg.eigvalsh(filt)
     assert vals.min() >= -1e-12
     assert vals.max() <= 1.0 + 1e-12
@@ -177,8 +175,8 @@ def test_gaussian_filter_alone_meets_distance_target():
     lam0 = np.linalg.eigvalsh(h)[0]
     sigma2 = math.log(p0 / eps) / delta**2
     tau_prime = delta / math.sqrt(math.log(p0 / eps))
-    filt = gaussian_filter(h, lam0, tau_prime, sigma2)
-    dist, surv = filter_quality(h, psi, filt)
+    filt = gsp._gaussian_filter(qcore.eigh(h), lam0, tau_prime, sigma2)
+    dist, surv = gsp._filter_quality(ground_of(h), psi, filt)
     assert dist <= 5.0 * eps
     # survival is at least the ground component times the ground filter
     # value exp(-sigma2 tau'^2 / 2) = exp(-1/2)
@@ -271,7 +269,7 @@ def test_hybrid_report_at_operating_point():
 
 def test_hybrid_diagonalises_once(monkeypatch):
     # the config's one eigendecomposition feeds both filters and the ground vector,
-    # and the report matches the public filter functions that diagonalise on their own
+    # and the report matches the filters rebuilt from a fresh eigendecomposition
     h, psi = random_gsp_instance(16, 0.2, 0.5, seed=1)
     calls = []
     unpatched = qcore.eigh
@@ -283,10 +281,10 @@ def test_hybrid_diagonalises_once(monkeypatch):
     monkeypatch.undo()
     t_prime, tau = cfg.stage1_params
     filt1 = cosine_filter(h, cfg.e_estimate, tau, t_prime)
-    assert (rep.stage1_distance, rep.stage1_survival) == filter_quality(h, psi, filt1)
+    assert (rep.stage1_distance, rep.stage1_survival) == gsp._filter_quality(ground_of(h), psi, filt1)
     psi1 = filt1 @ psi / np.linalg.norm(filt1 @ psi)
-    filt2 = gaussian_filter(h, cfg.e_prime_estimate, cfg.tau_prime, cfg.sigma2)
-    assert (rep.final_distance, rep.final_survival) == filter_quality(h, psi1, filt2)
+    filt2 = gsp._gaussian_filter(qcore.eigh(h), cfg.e_prime_estimate, cfg.tau_prime, cfg.sigma2)
+    assert (rep.final_distance, rep.final_survival) == gsp._filter_quality(ground_of(h), psi1, filt2)
 
 
 def test_distances_match_eigenbasis_reference():
@@ -371,7 +369,7 @@ def test_filter_monotonicity_in_order():
         prev = 0.0
         for order in range(1, 51):
             filt = cosine_filter(h, lam0, 0.1, order)
-            dist, _ = filter_quality(h, psi, filt)
+            dist, _ = gsp._filter_quality(ground_of(h), psi, filt)
             fidelity = 1.0 - 0.5 * dist**2
             assert fidelity >= prev - 1e-12
             prev = fidelity

@@ -181,9 +181,10 @@ def test_coherent_limit_matches_plain_lcu():
         ch = HybridChannel(dec, Partition.coherent(4))
         rho = random_density(3, sub)
         obs = random_hermitian(3, sub)
-        want = lcu.expectation_unnormalized(dec, rho, obs) / dec.one_norm**2
+        k = lcu.assemble_klcu(dec)
+        want = np.trace(obs @ k @ rho @ k.conj().T).real
         assert abs(exact_expectation(ch, rho, obs) - want) <= 1e-12
-        p = lcu.success_probability(dec, rho)
+        p = np.trace(k @ rho @ k.conj().T).real
         assert abs(partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, np.eye(3)) - p) <= 1e-12
         assert abs(reduction_factor(dec, Partition.coherent(4), rho) - p) <= 1e-12
 
@@ -196,7 +197,8 @@ def test_singleton_limit_unit_R_and_unbiased_mean():
     rho = random_density(3, rng)
     obs = random_hermitian(3, rng)
     assert abs(partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, np.eye(3)) - 1.0) <= 1e-12
-    want = lcu.expectation_unnormalized(dec, rho, obs) / dec.one_norm**2
+    k = lcu.assemble_klcu(dec)
+    want = np.trace(obs @ k @ rho @ k.conj().T).real
     assert abs(exact_expectation(ch, rho, obs) - want) <= 1e-12
     direct = sum(
         p * np.trace(obs @ obs @ u @ rho @ u.conj().T).real for p, u in zip(dec.probs, dec.unitaries)
@@ -500,7 +502,8 @@ def test_identity_observable_samples_R():
     ch = HybridChannel(dec, part)
     rho = random_density(3, rng)
     sampler = Sampler(ch, rho, np.eye(3))
-    assert abs(sampler.exact_mean - lcu.success_probability(dec, rho)) <= 1e-12
+    k = lcu.assemble_klcu(dec)
+    assert abs(sampler.exact_mean - np.trace(k @ rho @ k.conj().T).real) <= 1e-12
     assert abs(sampler.exact_second - reduction_factor(dec, part, rho)) <= 1e-12
 
 

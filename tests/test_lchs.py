@@ -27,7 +27,6 @@ from hybridlcu.lchs import (
     sample_tail,
     split_hermitian,
     truncation_k1,
-    window_decomposition,
     window_operator,
     window_weight_sum,
     write_sweep_csv,
@@ -115,8 +114,6 @@ def test_discretize_no_tail_at_k2_equal_k1():
     assert disc.k2 == disc.k1
     assert disc.alpha == 0.0
     assert disc.q_tail == 0.0
-    with pytest.raises(ValueError, match="no tail"):
-        lchs.tail_operator(config, disc)
 
 
 def test_discretize_node_and_weight_shapes():
@@ -223,9 +220,8 @@ def test_norm_only_config_refuses_matrix_operations():
     assert config.hermitian_part is None and config.antihermitian_part is None and config.shift is None
     disc = discretization_at(config, 8)
     for call in (
-        lambda: window_decomposition(config, disc),
+        lambda: lchs._propagators(config, np.array([3.0])),
         lambda: window_operator(config, disc),
-        lambda: lchs.tail_unitary(config, 3.0),
         lambda: lchs.assemble(config, disc),
         lambda: measured_r(config, disc, np.eye(2) / 2.0),
     ):
@@ -293,7 +289,7 @@ def test_measured_r_agrees_with_partition_module():
     config = LchsConfig(a, t=1.0, epsilon=0.05, k2=2.0)
     disc = discretize(config)
     rho = np.eye(3) / 3.0
-    dec = window_decomposition(config, disc)
+    dec = lcu.LcuDecomposition(disc.weights, lchs._propagators(config, disc.nodes))
     part = partition.Partition.coherent(dec.m)
     window_r = partition.reduction_factor(dec, part, rho)
     want = disc.q_window * window_r + disc.q_tail
@@ -327,9 +323,12 @@ def test_fig_sweep_operating_point_and_monotone():
 
 
 def test_fig_sweep_overhead_column():
+    # R <= 1 caps P + rp_bound at 1, so no row exceeds the trivial 1/P^2
     rows = fig_sweep(points=10, p_assumed=1e-2)
     for r in rows:
-        assert r.overhead_bound_at_p == pytest.approx((1e-2 + r.rp_bound) / 1e-4)
+        assert r.overhead_bound_at_p == pytest.approx(min(1e-2 + r.rp_bound, 1.0) / 1e-4)
+        assert r.overhead_bound_at_p <= 1.0 / 1e-4
+    assert rows[0].rp_bound > 1.0 - 1e-2 and rows[0].overhead_bound_at_p == 1.0 / 1e-4
     # large-M end approaches the coherent overhead 1/P
     assert rows[-1].overhead_bound_at_p == pytest.approx(100.0)
 
@@ -387,11 +386,11 @@ def test_sample_tail_unbiased_against_quadrature():
     a = random_a(6, dim=2, l_max=1.0)
     config = LchsConfig(a, t=1.0, epsilon=0.05, k2=2.0)
     disc = discretize(config)
-    det = lchs.tail_operator(config, disc)
+    det = lchs._tail_integral(config, disc.k2, disc.k1) / (2 * disc.alpha / math.pi)
     rng = np.random.default_rng(7)
     n = 4000
     ks = sample_tail(disc.k1, disc.k2, rng.random(n))
-    samples = np.array([lchs.tail_unitary(config, k)[0, 0].real for k in ks])
+    samples = lchs._propagators(config, ks)[:, 0, 0].real
     se = samples.std() / math.sqrt(n)
     assert abs(samples.mean() - det[0, 0].real) <= 5.0 * se + 1e-12
 
@@ -458,11 +457,12 @@ def test_operators_match_decomposition_oracles():
     for seed, k2 in ((13, 2.0), (14, 0.5), (15, None)):
         config = LchsConfig(random_a(seed, dim=3), t=1.0, epsilon=0.05, k2=k2)
         disc = discretize(config)
-        k_a = lcu.assemble_klcu(window_decomposition(config, disc))
+        k_a = lcu.assemble_klcu(lcu.LcuDecomposition(disc.weights, lchs._propagators(config, disc.nodes)))
         assert np.linalg.norm(window_operator(config, disc) - k_a, 2) <= 1e-13
         k_norm = disc.q_window * k_a
         if disc.alpha > 0.0:
-            k_norm = k_norm + disc.q_tail * lchs.tail_operator(config, disc)
+            tail = lchs._tail_integral(config, disc.k2, disc.k1) / (2 * disc.alpha / math.pi)
+            k_norm = k_norm + disc.q_tail * tail
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         rho = np.outer(v, v.conj()) / np.vdot(v, v).real
         want = float(np.trace(k_norm @ rho @ k_norm.conj().T).real)
@@ -477,7 +477,7 @@ def test_batched_window_matches_per_node_loop():
     for seed in range(3):
         config = LchsConfig(random_a(seed), t=3.0, epsilon=1e-3, k2=2.0)
         disc = discretization_at(config, 64)
-        got = lchs._window_unitaries(config, disc)
+        got = lchs._propagators(config, disc.nodes)
         assert got.shape == (65, 4, 4)
         assert np.abs(got - loop_propagators(config, disc.nodes)).max() <= 1e-14
 
@@ -487,7 +487,7 @@ def test_tail_pair_matches_per_node_loop():
     for k in sample_tail(config.k1, config.k2, np.random.default_rng(8).random(5)):
         want = loop_propagators(config, [k, -k])
         assert np.abs(lchs._propagators(config, np.array([k, -k])) - want).max() <= 1e-14
-        assert np.abs(lchs.tail_unitary(config, k) - want[0]).max() <= 1e-14
+        assert np.abs(lchs._propagators(config, np.array([k]))[0] - want[0]).max() <= 1e-14
 
 
 def test_propagator_chunks_change_no_bit(monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 from conftest import PAULI_X, PAULI_Z, PLUS, haar_unitary, random_density, random_lcu
 
 from hybridlcu import lcu
+from hybridlcu.hybrid import HybridChannel, exact_expectation
+from hybridlcu.partition import Partition, reduction_factor
 
 RHO_PLUS = np.outer(PLUS, PLUS)
 
@@ -112,16 +114,34 @@ def test_assemble_klcu_cancellation():
     assert np.allclose(lcu.assemble_klcu(dec), np.zeros((2, 2)))
 
 
+def coherent_routes(dec, rho):
+    """P of the coherent partition by its three routes: Gram matrix, analytic and circuit backends."""
+    channel = HybridChannel(dec, Partition.coherent(dec.m))
+    eye = np.eye(dec.dimension)
+    return (
+        reduction_factor(dec, Partition.coherent(dec.m), rho),
+        exact_expectation(channel, rho, eye),
+        exact_expectation(channel, rho, eye, backend="circuit"),
+    )
+
+
+def sandwich(dec, rho, obs=None):
+    """tr[O K_lcu rho K_lcu^dag] from the assembled sum; O = 1 when omitted."""
+    k = lcu.assemble_klcu(dec)
+    out = k @ rho @ k.conj().T
+    return float(np.trace(out if obs is None else obs @ out).real)
+
+
 def test_success_probability_cases():
+    # one unitary passes with certainty, I + Z and X + Z keep half of |+>, and I - I cancels
     single = lcu.LcuDecomposition([2.0], [haar_unitary(3, np.random.default_rng(0))])
     rho = random_density(3, np.random.default_rng(1))
-    assert abs(lcu.success_probability(single, rho) - 1.0) <= 1e-12
-
-    proj = lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), PAULI_Z])
-    assert abs(lcu.success_probability(proj, RHO_PLUS) - 0.5) <= 1e-12
-
-    cancel = lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), -np.eye(2)])
-    assert abs(lcu.success_probability(cancel, RHO_PLUS)) <= 1e-12
+    cases = [(single, rho, 1.0)]
+    for us, p in (([np.eye(2), PAULI_Z], 0.5), ([PAULI_X, PAULI_Z], 0.5), ([np.eye(2), -np.eye(2)], 0.0)):
+        cases.append((lcu.LcuDecomposition.from_terms([1.0, 1.0], us), RHO_PLUS, p))
+    for dec, state, want in cases:
+        for got in (*coherent_routes(dec, state), sandwich(dec, state)):
+            assert abs(got - want) <= 1e-12
 
 
 def test_success_probability_matches_pure_state_norm():
@@ -129,42 +149,58 @@ def test_success_probability_matches_pure_state_norm():
     dec = random_lcu(3, 4, rng)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    k = lcu.assemble_klcu(dec)
-    assert abs(lcu.success_probability(dec, psi) - np.linalg.norm(k @ psi) ** 2) <= 1e-12
+    want = np.linalg.norm(lcu.assemble_klcu(dec) @ psi) ** 2
+    for got in coherent_routes(dec, np.outer(psi, psi.conj())):
+        assert abs(got - want) <= 1e-12
+    assert abs(reduction_factor(dec, Partition.coherent(3), psi) - want) <= 1e-12
 
 
-def test_apply_cp_map_trace_and_psd():
+def test_coherent_map_trace_and_psd():
+    # the sandwich K_lcu rho K_lcu^dag is positive and its trace is the P of every route
     rng = np.random.default_rng(23)
     for seed in range(5):
         dec = random_lcu(4, 3, np.random.default_rng(seed))
         rho = random_density(3, rng)
-        out = lcu.apply_cp_map(dec, rho)
-        assert abs(np.trace(out).real - lcu.success_probability(dec, rho)) <= 1e-12
+        k = lcu.assemble_klcu(dec)
+        out = k @ rho @ k.conj().T
+        for got in coherent_routes(dec, rho):
+            assert abs(np.trace(out).real - got) <= 1e-12
         assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
 
 
 def test_expectation_unnormalized_oracle_values():
+    # |c|_1^2 tr[O K_lcu rho K_lcu^dag] = tr[O K rho K^dag] on the coherent channel
     dec = lcu.LcuDecomposition.from_terms([1.0, 1.0], [np.eye(2), PAULI_Z])
-    assert abs(lcu.expectation_unnormalized(dec, RHO_PLUS, PAULI_Z) - 2.0) <= 1e-12
-    assert abs(lcu.expectation_unnormalized(dec, RHO_PLUS, PAULI_X) - 0.0) <= 1e-12
     single = lcu.LcuDecomposition([1.0], [haar_unitary(2, np.random.default_rng(2))])
     rho = random_density(2, np.random.default_rng(3))
-    assert abs(lcu.expectation_unnormalized(single, rho, np.eye(2)) - 1.0) <= 1e-12
+    cases = ((dec, RHO_PLUS, PAULI_Z, 2.0), (dec, RHO_PLUS, PAULI_X, 0.0), (single, rho, np.eye(2), 1.0))
+    for d, state, obs, want in cases:
+        channel = HybridChannel(d, Partition.coherent(d.m))
+        for backend in ("analytic", "circuit"):
+            assert abs(d.one_norm**2 * exact_expectation(channel, state, obs, backend=backend) - want) <= 1e-12
+        assert abs(d.one_norm**2 * sandwich(d, state, obs) - want) <= 1e-12
 
 
 def test_expectation_identity_equals_scaled_success():
+    # <1> = |c|_1^2 P: the circuit backend against the Gram route and the sandwich
     rng = np.random.default_rng(29)
     dec = random_lcu(5, 4, rng)
     rho = random_density(4, rng)
-    lhs = lcu.expectation_unnormalized(dec, rho, np.eye(4))
-    rhs = dec.one_norm**2 * lcu.success_probability(dec, rho)
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+    channel = HybridChannel(dec, Partition.coherent(5))
+    lhs = dec.one_norm**2 * exact_expectation(channel, rho, np.eye(4), backend="circuit")
+    for p in (reduction_factor(dec, Partition.coherent(5), rho), sandwich(dec, rho)):
+        rhs = dec.one_norm**2 * p
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_expectation_dimension_mismatch():
     dec = lcu.LcuDecomposition([1.0], [np.eye(2)])
-    with pytest.raises(ValueError, match="dimension"):
-        lcu.expectation_unnormalized(dec, np.eye(3) / 3, np.eye(3))
+    channel = HybridChannel(dec, Partition.coherent(1))
+    with pytest.raises(ValueError):
+        reduction_factor(dec, Partition.coherent(1), np.eye(3) / 3)
+    for backend in ("analytic", "circuit"):
+        with pytest.raises(ValueError):
+            exact_expectation(channel, np.eye(3) / 3, np.eye(3), backend=backend)
 
 
 def test_success_probability_bounds_random():
@@ -172,8 +208,8 @@ def test_success_probability_bounds_random():
         rng = np.random.default_rng(seed)
         dec = random_lcu(int(rng.integers(1, 6)), 4, rng)
         rho = random_density(4, rng)
-        p = lcu.success_probability(dec, rho)
-        assert -1e-12 <= p <= 1.0 + 1e-12
+        for p in coherent_routes(dec, rho):
+            assert -1e-12 <= p <= 1.0 + 1e-12
 
 
 def test_probability_check_raises_under_optimize():

@@ -200,7 +200,8 @@ def test_reduction_factor_extremes():
     dec = random_lcu(4, 4, rng)
     rho = random_density(4, rng)
     assert abs(reduction_factor(dec, Partition.singletons(4), rho) - 1.0) <= 1e-12
-    p_success = lcu.success_probability(dec, rho)
+    k = lcu.assemble_klcu(dec)
+    p_success = np.trace(k @ rho @ k.conj().T).real
     assert abs(reduction_factor(dec, Partition.coherent(4), rho) - p_success) <= 1e-12
 
 
@@ -214,7 +215,8 @@ def test_sandwich_property_random():
         rng = np.random.default_rng(100 + seed)
         dec = random_lcu(4, 3, rng)
         rho = random_density(3, rng)
-        p_success = lcu.success_probability(dec, rho)
+        k = lcu.assemble_klcu(dec)
+        p_success = np.trace(k @ rho @ k.conj().T).real
         for part in enumerate_partitions(4):
             r = reduction_factor(dec, part, rho)
             assert p_success - 1e-9 <= r <= 1.0 + 1e-9
@@ -444,7 +446,6 @@ def test_tail_bound_r():
     part = Partition([[0, 1, 2], [3], [4]], 5)
     q_a = float(dec.probs[:3].sum())
     q_b = 1.0 - q_a
-    from hybridlcu.lcu import success_probability
-
+    k = lcu.assemble_klcu(dec)
     r = reduction_factor(dec, part, rho)
-    assert r <= tail_bound_R(q_a, q_b, success_probability(dec, rho)) + 1e-9
+    assert r <= tail_bound_R(q_a, q_b, np.trace(k @ rho @ k.conj().T).real) + 1e-9

@@ -13,7 +13,7 @@ from hybridlcu.qlss import (
     ancilla_counts,
     build_grid,
     fit_exponents,
-    hybrid_partition,
+    group_operator,
     inverse_error,
     k_scalar,
     random_instance,
@@ -182,52 +182,40 @@ def test_degenerate_grid_rejected():
             dataclasses.replace(grid, **bad)
 
 
-def test_y_node_bounds():
-    grid = build_grid(identity_config())
-    assert grid.y_node(0) == 0.0
-    assert grid.y_node(3) == pytest.approx(3 * grid.dy, rel=1e-15)
-    for j in (-1, grid.j_count):
-        with pytest.raises(IndexError):
-            grid.y_node(j)
-
-
 # ---------------------------------------------------------------------------
 # hybrid partition
 
 
 def test_partition_weights_uniform_and_normalized():
+    # each outer node carries Dy beta / sqrt(2pi) of the 1-norm, so q_j = 1/J
     cfg = random_instance(4.0, 1e-2, dim=4, seed=5, haar_b=True)
     grid = build_grid(cfg)
-    part = hybrid_partition(cfg, grid)
-    assert abs(part.weights.sum() - 1.0) <= 1e-12
-    assert np.abs(part.weights - 1.0 / grid.j_count).max() <= 1e-12
+    q = grid.beta * grid.dy / (grid.one_norm * SQRT_TWO_PI)
+    assert abs(grid.j_count * q - 1.0) <= 1e-12
 
 
 def test_partition_operator_at_y_zero_vanishes():
     cfg = random_instance(4.0, 1e-2, dim=4, seed=5, haar_b=True)
-    part = hybrid_partition(cfg, build_grid(cfg))
-    assert np.abs(part.operator(0)).max() <= 1e-14
+    assert np.abs(group_operator(cfg, build_grid(cfg), 0)).max() <= 1e-14
 
 
 def test_partition_operators_subnormalized():
     cfg = random_instance(6.0, 0.05, dim=5, seed=3, haar_b=True)
     grid = build_grid(cfg)
-    part = hybrid_partition(cfg, grid)
     for j in (1, 5, grid.j_count // 3, grid.j_count - 1):
-        assert np.linalg.norm(part.operator(j), 2) <= 1.0 + 1e-9
+        assert np.linalg.norm(group_operator(cfg, grid, j), 2) <= 1.0 + 1e-9
 
 
 def test_partition_operator_matches_gaussian_pulse():
     # exact inner sum vs the closed-form pulse sqrt(2pi)/beta * My exp(-(My)^2/2)
     cfg = random_instance(4.0, 1e-2, dim=4, seed=5, haar_b=True)
     grid = build_grid(cfg)
-    part = hybrid_partition(cfg, grid)
     v = cfg.eigenvectors
     for j in (1, 7, grid.j_count // 4, grid.j_count // 2, grid.j_count - 1):
-        arg = cfg.eigenvalues * grid.y_node(j)
+        arg = cfg.eigenvalues * j * grid.dy
         pulse = SQRT_TWO_PI / grid.beta * arg * np.exp(-0.5 * arg**2)
         approx = (v * pulse[None, :]) @ v.conj().T
-        assert np.linalg.norm(part.operator(j) - approx, 2) <= 1e-4
+        assert np.linalg.norm(group_operator(cfg, grid, j) - approx, 2) <= 1e-4
 
 
 def test_k_scalar_unit_eigenvalue_oracle():
@@ -244,6 +232,20 @@ def test_k_scalar_odd_in_lambda():
     plus = k_scalar(grid, 0.7, 1.3)[0]
     minus = k_scalar(grid, -0.7, 1.3)[0]
     assert plus == pytest.approx(-minus, rel=1e-12)
+
+
+def test_geometric_sum_matches_direct_sum_past_two_pi():
+    # the lag kernel reaches |x| = 7.52 at kappa = 1.368, epsilon = 0.947 (J = 2);
+    # at and near x = 2pi the sum is count, not -count or a quotient of rounding
+    # errors. The direct sum rounds each x j itself, by up to 1e-14 at x j = 48.
+    x = np.concatenate([np.linspace(-8.0, 8.0, 1601), 2 * math.pi * np.array([-1.0, 1.0, 1.0 - 1e-10, 1.0 + 1e-14])])
+    for count in (1, 2, 7):
+        direct = np.exp(-1j * np.outer(x, np.arange(count))).sum(axis=1)
+        assert np.abs(qlss._geometric_sum(x, count) - direct).max() <= 1e-13
+    cfg = random_instance(1.368, 0.947, dim=8, seed=7)
+    grid = build_grid(cfg)
+    lags = np.arange(-2 * grid.k_count, 2 * grid.k_count + 1)
+    assert grid.j_count == 2 and np.abs(cfg.eigenvalues).max() * grid.dy * grid.dz * lags.max() > 7.5
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +270,11 @@ def test_reduction_sandwich_on_random_instances():
 def test_r_int_direct_matches_bruteforce():
     cfg = random_instance(2.0, 0.2, dim=3, seed=2, haar_b=True)
     grid = build_grid(cfg)
-    part = hybrid_partition(cfg, grid)
     rf = reduction_factors(cfg, grid)
     brute = 0.0
     for j in range(grid.j_count):
-        vec = part.operator(j) @ cfg.b
-        brute += part.weights[j] * float(np.vdot(vec, vec).real)
+        vec = group_operator(cfg, grid, j) @ cfg.b
+        brute += float(np.vdot(vec, vec).real) / grid.j_count
     assert rf.r_int == pytest.approx(brute, abs=1e-12)
 
 
@@ -316,7 +317,7 @@ def test_reduction_factors_match_generic_partition_machinery():
     coeffs = []
     unis = []
     for j in range(grid.j_count):
-        y = grid.y_node(j)
+        y = j * grid.dy
         for k in range(-grid.k_count, grid.k_count + 1):
             if k == 0:
                 continue  # zero coefficient, the constructor would drop it anyway
