@@ -114,6 +114,7 @@ _PARAMS = {
     "qed.pz_min": _Param("float", 1e-3),
     "qed.pz_max": _Param("float", 1e-1),
     "qed.pz_points": _Param("int", 10, 1),
+    # inert (the sweep reads every code state's all-ones stabilizer table); kept so config files parse
     "qed.codewords": _Param("int", 32, 1),
     "partitions.m": _Param("int", 5, 1, 8),
     "partitions.dim": _Param("int", 4, 2, 8),

@@ -143,6 +143,7 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
     """
     rho = qcore.density(state)
     o = qcore.as_observable(obs)
+    partition_mod.check_dimensions(channel.decomposition, rho, o.matrix)
     if backend == "analytic":
         return float(partition_mod.gram(channel.decomposition, rho, o.matrix).sum())
     if backend == "circuit":
@@ -263,6 +264,7 @@ class Sampler:
         self.channel = channel
         rho = qcore.density(state)
         o = qcore.as_observable(obs)
+        partition_mod.check_dimensions(channel.decomposition, rho, o.matrix)
         g_count = channel.G
         n_pairs = g_count * g_count
         self.pair_cum = np.cumsum((channel.weights[:, None] * channel.weights[None, :]).reshape(-1))

@@ -89,8 +89,6 @@ class LchsConfig:
     fully coherent choice K2 = K1.
     """
 
-    m_multiplier = M_MULTIPLIER
-
     def __init__(self, a_matrix, t: float, epsilon: float, k2: float | None = None, l_norm: float | None = None):
         if not (math.isfinite(t) and t >= 0):
             raise ValueError("t must be finite and nonnegative")

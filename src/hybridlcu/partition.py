@@ -34,6 +34,7 @@ __all__ = [
     "Partition",
     "group_operators",
     "GroupOperator",
+    "check_dimensions",
     "gram",
     "subset_values",
     "r_from_gram",
@@ -148,9 +149,17 @@ def group_operators(dec: lcu.LcuDecomposition, part: Partition) -> list[GroupOpe
     return ops
 
 
+def check_dimensions(dec: lcu.LcuDecomposition, rho, obs=None) -> None:
+    """Refuse a state or observable (``W = 1`` when omitted) whose dimension is not the decomposition's."""
+    dims = (dec.dimension, len(rho), dec.dimension if obs is None else len(obs))
+    if len(set(dims)) > 1:
+        raise ValueError("dimension mismatch: decomposition {}, state {}, observable {}".format(*dims))
+
+
 def gram(dec: lcu.LcuDecomposition, state, weight=None) -> np.ndarray:
     """Real symmetric ``G_ij = p_i p_j Re tr[W U_i rho U_j^dag]``; ``W = 1`` when omitted."""
     rho = qcore.density(state)
+    check_dimensions(dec, rho, weight)
     us = dec.unitaries
     left = us @ rho if weight is None else np.asarray(weight) @ us @ rho
     # tr[A U^dag] is the flat inner product of A with conj(U)

@@ -26,15 +26,14 @@ rho with no 128 x 128 product.
 
 The code basis is closed-form: |0_L> is the uniform superposition of the
 basis states on the eight X-sector masks and |1_L> its image under
-transversal X, so no projector is built and no eigensolver runs.  Inputs
-are Haar-random codewords in that basis, not stabilizer states, so rho
-itself is dense.  The dense Schroedinger-picture channel stays as the
-oracle the table is checked against; the dense stabilizer projectors are
-test oracles only.
+transversal X, so no projector is built and no eigensolver runs.  The
+dense Schroedinger-picture channel stays as the oracle the table is
+checked against; the dense stabilizer projectors are test oracles only.
 
-Every Z^f X^e is a stabilizer and fixes every code state, so T is all ones
-to rounding for any codewords, and P and R do not depend on them: R =
-(1 + 7 x^4)/8 and P = R (1 + 7 y^4)/8 with x = 1 - 2 p_Z, y = 1 - 2 p_X.
+Every Z^f X^e is a stabilizer and fixes every code state, so T is all
+ones for any code state and the sweep weights that table with no codeword
+drawn: R = (1 + 7 x^4)/8 and P = R (1 + 7 y^4)/8 with x = 1 - 2 p_Z,
+y = 1 - 2 p_X.
 """
 
 from __future__ import annotations
@@ -226,20 +225,16 @@ def fig_sweep(
     codewords: int = 32,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """P and R averaged over a fixed set of random codewords.
+    """P and R of every code state at each (r, p_Z) cell.
 
-    The codeword set is drawn once from the seed and shared across every
-    (r, p_Z) cell.  P and R are linear in rho, so their codeword averages
-    equal their values on the averaged density, and the noise only
-    reweights that density's stabilizer traces: the table is taken once
-    and each cell is two small products with its noise weights.  R reads
-    p_Z alone, so it is bit-identical across r.
+    Every Z^f X^e is a stabilizer, so any code state's trace table is all
+    ones: each cell weights that table and no codeword is drawn.  R reads
+    p_Z alone, so it is bit-identical across r.  ``seed`` labels the rows;
+    ``codewords`` changes no output.
     """
     if pz_grid is None:
         pz_grid = np.geomspace(1e-3, 1e-1, 10)
-    rng = np.random.default_rng(seed)
-    states = np.array([random_codeword(rng) for _ in range(codewords)])
-    traces = stabilizer_traces(states.T @ states.conj() / codewords)
+    traces = np.ones((8, 8))
     rows = []
     for r in r_values:
         for p_z in pz_grid:

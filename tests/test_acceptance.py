@@ -187,7 +187,7 @@ def test_07_lchs_bound_curve():
     if not np.all(np.diff(bounds) <= 1e-12):
         failures.append("bound-vs-M curve is not monotone nonincreasing")
     base = lchs.LchsConfig(None, t=3.0, epsilon=5e-5, k2=1.0, l_norm=2.0)
-    k2_at = (2**21 / (base.m_multiplier * 2.0 * 3.0)) ** (2.0 / 3.0) * (5e-5) ** (1.0 / 3.0)
+    k2_at = (2**21 / (lchs.M_MULTIPLIER * 2.0 * 3.0)) ** (2.0 / 3.0) * (5e-5) ** (1.0 / 3.0)
     at = lchs.LchsConfig(None, t=3.0, epsilon=5e-5, k2=k2_at, l_norm=2.0)
     m_at = lchs.node_count(at)
     if abs(m_at - 2**21) / 2**21 > 0.02:

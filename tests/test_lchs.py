@@ -309,7 +309,7 @@ def test_fig_sweep_operating_point_and_monotone():
     assert np.all(np.diff(bounds[order]) <= 1e-12)
     # documented operating point: bound <= 1.1e-2 around M = 2^21
     config = LchsConfig(None, t=3.0, epsilon=5e-5, k2=1.0, l_norm=2.0)
-    k2_at = (2**21 / (config.m_multiplier * 2.0 * 3.0)) ** (2.0 / 3.0) * 5e-5 ** (1.0 / 3.0)
+    k2_at = (2**21 / (lchs.M_MULTIPLIER * 2.0 * 3.0)) ** (2.0 / 3.0) * 5e-5 ** (1.0 / 3.0)
     at = LchsConfig(None, t=3.0, epsilon=5e-5, k2=k2_at, l_norm=2.0)
     m_at = node_count(at)
     assert abs(m_at - 2**21) / 2**21 <= 0.01

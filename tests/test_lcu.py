@@ -6,8 +6,8 @@ import pytest
 from conftest import PAULI_X, PAULI_Z, PLUS, haar_unitary, random_density, random_lcu
 
 from hybridlcu import lcu
-from hybridlcu.hybrid import HybridChannel, exact_expectation
-from hybridlcu.partition import Partition, reduction_factor
+from hybridlcu.hybrid import HybridChannel, Sampler, exact_expectation
+from hybridlcu.partition import Partition, reduction_factor, reduction_factor_obs
 
 RHO_PLUS = np.outer(PLUS, PLUS)
 
@@ -194,13 +194,19 @@ def test_expectation_identity_equals_scaled_success():
 
 
 def test_expectation_dimension_mismatch():
+    # one ValueError naming the decomposition's, the state's and the observable's dimension
     dec = lcu.LcuDecomposition([1.0], [np.eye(2)])
     channel = HybridChannel(dec, Partition.coherent(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="decomposition 2, state 3, observable 2"):
         reduction_factor(dec, Partition.coherent(1), np.eye(3) / 3)
-    for backend in ("analytic", "circuit"):
-        with pytest.raises(ValueError):
-            exact_expectation(channel, np.eye(3) / 3, np.eye(3), backend=backend)
+    with pytest.raises(ValueError, match="decomposition 2, state 3, observable 3"):
+        reduction_factor_obs(dec, Partition.coherent(1), np.eye(3) / 3, np.eye(3))
+    for state, obs, dims in ((np.eye(3) / 3, np.eye(3), "state 3, observable 3"), (PLUS, np.eye(3), "state 2, observable 3")):
+        for backend in ("analytic", "circuit"):
+            with pytest.raises(ValueError, match=f"decomposition 2, {dims}"):
+                exact_expectation(channel, state, obs, backend=backend)
+        with pytest.raises(ValueError, match=f"decomposition 2, {dims}"):
+            Sampler(channel, state, obs)
 
 
 def test_success_probability_bounds_random():

@@ -343,8 +343,31 @@ def test_fig_sweep_is_the_weight_enumerator():
         r_factor = (1.0 + 7.0 * (1.0 - 2.0 * row.p_z) ** 4) / 8.0
         p = r_factor * (1.0 + 7.0 * (1.0 - 2.0 * row.p_x) ** 4) / 8.0
         assert abs(row.r_factor - r_factor) <= 1e-15 * r_factor and abs(row.p - p) <= 1e-15 * p
-        # the codeword count changes nothing beyond rounding
         assert abs(one.r_factor - r_factor) <= 1e-15 * r_factor and abs(one.p - p) <= 1e-15 * p
+
+
+def test_fig_sweep_reads_neither_seed_nor_codeword_count():
+    # the table is all ones for every code state, so the seed only labels the
+    # rows and the codeword count changes no bit. A drawn codeword set can
+    # round to the same bits by chance (seed 9 with one codeword matches seed 0
+    # with 32), so three other runs are compared as well
+    rows = fig_sweep(seed=0, codewords=32)
+    for seed, codewords in ((9, 1), (1, 1), (2, 3), (3, 100)):
+        others = fig_sweep(seed=seed, codewords=codewords)
+        assert len(others) == len(rows) == 30
+        for row, other in zip(rows, others):
+            assert (row.seed, other.seed) == (0, seed)
+            assert row._replace(seed=seed) == other
+
+
+def test_qed_run_draws_no_random_number(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random draw")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(qed, "random_codeword", refuse)
+    assert cli.main(["qed", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "qed_sweep.csv").is_file()
 
 
 def test_qed_run_calls_no_eigensolver(monkeypatch, tmp_path):
@@ -380,7 +403,7 @@ def reference_sweep(r_values, pz_grid, codewords, seed):
 
 
 def test_fig_sweep_matches_per_codeword_average():
-    # P and R are linear in rho, so averaging the codewords before the noise is exact
+    # the sweep's all-ones table against a per-codeword average through the dense channel
     r_values, pz_grid = (0.1, 0.3), (1e-3, 1e-2, 1e-1)
     rows = fig_sweep(r_values=r_values, pz_grid=pz_grid, codewords=5, seed=3)
     expected = reference_sweep(r_values, pz_grid, codewords=5, seed=3)
