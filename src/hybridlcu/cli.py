@@ -2,12 +2,14 @@
 
 Every subcommand writes CSVs whose final line is a metadata comment with
 the seed and package version, and reruns with the same seed reproduce the
-files byte for byte. Every subcommand runs in one thread; --workers is
-accepted and validated but has no effect. ``demo`` draws its shots from
-per-shot counter-based substreams in fixed chunks: each chunk is appended
-to the shot CSV and its outcome codes are counted per stream, and the
-statistics come from those counts on the sampler's table of g values, so
-memory stays bounded in the shot count.
+files byte for byte. --workers is accepted and validated but has no
+effect. ``demo`` draws its shots from per-shot counter-based substreams in
+fixed chunks: each chunk of the observable stream is appended to the shot
+CSV, the identity stream is tallied on a second thread meanwhile, and the
+outcome codes are counted per stream. The statistics come from those
+counts on the sampler's table of g values, and two chunks are live at
+once, one per stream, so memory stays bounded in the shot count. Every
+other subcommand runs in one thread.
 
 The command line is ``<subcommand> [flags]``. Besides ``--config`` and
 ``--emit-plot-script``, each flag ``--NAME`` sets the ``_PARAMS`` key
@@ -25,6 +27,7 @@ import pathlib
 import shutil
 import sys
 import tempfile
+import threading
 from collections.abc import Callable
 from typing import NamedTuple, NoReturn
 
@@ -294,22 +297,43 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
     # sample variance is 0. The clamp drops a rounding-negative difference at
     # zero variance.
     variances = [max(0.0, sampler.exact_second - sampler.exact_mean**2) for sampler in samplers]
+    # set by whichever thread fails, so the other stops at its next chunk
+    halt = threading.Event()
+    identity_failure: list[BaseException] = []
 
     def chunks(stream: int):
         sampler = samplers[stream]
         for lo in range(0, shots, hybrid._CSV_CHUNK_ROWS):
+            if halt.is_set():
+                return
             codes = sampler.sample_shots(seed, min(hybrid._CSV_CHUNK_ROWS, shots - lo), start=lo, stream=stream)
             counts[stream] += np.bincount(codes, minlength=len(sampler.table))
             yield codes
 
+    def tally_identity() -> None:
+        try:
+            for _ in chunks(1):
+                pass
+        except BaseException as exc:
+            identity_failure.append(exc)
+            halt.set()
+
+    # the identity stream is tallied on a helper thread while this one draws
+    # and writes the observable stream: the Philox fill and the guide-table
+    # gathers release the GIL, so the helper runs beside the writer. The codes
+    # depend only on (seed, stream, shot), so the bytes do not depend on how
+    # the two threads are scheduled.
+    helper = threading.Thread(target=tally_identity, name="demo-identity-stream")
     # a fresh name, so no entry already in run.out is written through
     fd, name = tempfile.mkstemp(dir=shots_path.parent, prefix=shots_path.name + ".", suffix=".tmp")
     os.close(fd)
     partial = pathlib.Path(name)
     try:
+        helper.start()
         hybrid.write_shot_csv(partial, samplers[0].table, seed, chunks(0))
-        for _ in chunks(1):
-            pass
+        helper.join()
+        if identity_failure:
+            raise identity_failure[0]
         hists = [estimate.Histogram(sampler.table["g"], tally) for sampler, tally in zip(samplers, counts)]
         for checked, hist, variance in zip(samplers, hists, variances):
             # |g| <= 1 (unit-norm observables)
@@ -331,6 +355,11 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
         shutil.copymode(reports_path, partial)
         os.replace(partial, shots_path)
     finally:
+        # after a failure on this thread the helper is still drawing; it stops
+        # at its next chunk, so a run of 2**40 shots does not wait for them all
+        halt.set()
+        if helper.is_alive():
+            helper.join()
         partial.unlink(missing_ok=True)
     print(f"demo: wrote {' '.join(path.name for path in paths)} in {p['run.out']}")
 

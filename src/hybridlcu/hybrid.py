@@ -32,7 +32,9 @@ are those of that search for any number of pairs. A run's statistics
 need only the count of shots per outcome code. Because any split of the
 shot range reassembles to the same codes, a long run is drawn in chunks
 of ``_CSV_CHUNK_ROWS`` that ``write_shot_csv`` numbers from shot 0 and
-streams to disk one at a time, so memory stays bounded in the shot
+streams to disk one at a time. ``demo`` tallies its identity stream on a
+second thread meanwhile (``--workers`` changes nothing), so two chunks
+are live at once, one per stream, and memory stays bounded in the shot
 count. The shot CSV formats one tail per table row and joins each chunk
 from cached pieces: one string per thousand shot indices, the last three
 digits from a fixed table, and the tails.
@@ -324,16 +326,19 @@ class Sampler:
 
 
 # rows formatted and written per chunk by write_shot_csv, and shots drawn per
-# chunk by the demo's shot stream; bounds the memory of both. A chunk's working
+# chunk by each of the demo's two shot streams; bounds the memory of both. The
+# demo tallies its identity stream on a second thread (--workers changes
+# nothing), so two chunks are live at once, one per stream. A chunk's working
 # set is about 100 B per shot under tracemalloc: the 32 B Philox slab, the
 # guide-table index temporaries, the bincount tally, and the writer's piece
 # list and joined text. At 16384 shots that is 1.66 MB, inside a 2 MB per-core
 # L2 cache; at 65536 it is 6.4 MB, which is not. A sweep of demo at m = 6,
-# d = 8 and 10**6 shots (12 rounds of fresh interpreters on a 2-vCPU Xeon VM,
-# medians) read, for chunks of 65536 / 32768 / 16384 / 8192 / 4096, a peak RSS
-# of 49.0 / 45.9 / 42.6 / 41.2 / 40.9 MB and 0.211 / 0.190 / 0.174 / 0.190 /
-# 0.193 s in cli.main, with identical output bytes: 16384 keeps most of the
-# memory saving and is the fastest.
+# d = 8 and 10**6 shots, with both streams on one thread (12 rounds of fresh
+# interpreters on a 2-vCPU Xeon VM, medians), read, for chunks of 65536 /
+# 32768 / 16384 / 8192 / 4096, a peak RSS of 49.0 / 45.9 / 42.6 / 41.2 /
+# 40.9 MB and 0.211 / 0.190 / 0.174 / 0.190 / 0.193 s in cli.main, with
+# identical output bytes: 16384 keeps most of the memory saving and is the
+# fastest.
 _CSV_CHUNK_ROWS = 16384
 
 # the last three digits of every shot index from 1000 on
