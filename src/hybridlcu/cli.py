@@ -7,9 +7,11 @@ effect. ``demo`` draws its shots from per-shot counter-based substreams in
 fixed chunks: each chunk of the observable stream is appended to the shot
 CSV, the identity stream is tallied on a second thread meanwhile, and the
 outcome codes are counted per stream. The statistics come from those
-counts on the sampler's table of g values, and two chunks are live at
-once, one per stream, so memory stays bounded in the shot count. Every
-other subcommand runs in one thread.
+counts on the sampler's table of g values. Two chunks are live at once,
+one per stream, and the identity stream draws every chunk in one set of
+buffers made before its thread starts, so memory stays bounded in the
+shot count whatever the scheduling. Every other subcommand runs in one
+thread.
 
 The command line is ``<subcommand> [flags]``. Besides ``--config`` and
 ``--emit-plot-script``, each flag ``--NAME`` sets the ``_PARAMS`` key
@@ -301,28 +303,33 @@ def cmd_demo(p: dict, paths: list[pathlib.Path]) -> None:
     halt = threading.Event()
     identity_failure: list[BaseException] = []
 
-    def chunks(stream: int):
+    def chunks(stream: int, buffers=None):
         sampler = samplers[stream]
         for lo in range(0, shots, hybrid._CSV_CHUNK_ROWS):
             if halt.is_set():
                 return
-            codes = sampler.sample_shots(seed, min(hybrid._CSV_CHUNK_ROWS, shots - lo), start=lo, stream=stream)
+            count = min(hybrid._CSV_CHUNK_ROWS, shots - lo)
+            codes = sampler.sample_shots(seed, count, start=lo, stream=stream, buffers=buffers)
             counts[stream] += np.bincount(codes, minlength=len(sampler.table))
             yield codes
-
-    def tally_identity() -> None:
-        try:
-            for _ in chunks(1):
-                pass
-        except BaseException as exc:
-            identity_failure.append(exc)
-            halt.set()
 
     # the identity stream is tallied on a helper thread while this one draws
     # and writes the observable stream: the Philox fill and the guide-table
     # gathers release the GIL, so the helper runs beside the writer. The codes
     # depend only on (seed, stream, shot), so the bytes do not depend on how
-    # the two threads are scheduled.
+    # the two threads are scheduled. The helper draws every chunk in one set of
+    # buffers, made here and kept to the end, so what it holds is the same at
+    # every moment and the run's peak memory does not depend on it either.
+    identity_buffers = hybrid.Sampler.shot_buffers(min(shots, hybrid._CSV_CHUNK_ROWS))
+
+    def tally_identity() -> None:
+        try:
+            for _ in chunks(1, identity_buffers):
+                pass
+        except BaseException as exc:
+            identity_failure.append(exc)
+            halt.set()
+
     helper = threading.Thread(target=tally_identity, name="demo-identity-stream")
     # a fresh name, so no entry already in run.out is written through
     fd, name = tempfile.mkstemp(dir=shots_path.parent, prefix=shots_path.name + ".", suffix=".tmp")

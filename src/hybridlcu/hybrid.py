@@ -34,10 +34,12 @@ shot range reassembles to the same codes, a long run is drawn in chunks
 of ``_CSV_CHUNK_ROWS`` that ``write_shot_csv`` numbers from shot 0 and
 streams to disk one at a time. ``demo`` tallies its identity stream on a
 second thread meanwhile (``--workers`` changes nothing), so two chunks
-are live at once, one per stream, and memory stays bounded in the shot
-count. The shot CSV formats one tail per table row and joins each chunk
-from cached pieces: one string per thousand shot indices, the last three
-digits from a fixed table, and the tails.
+are live at once, one per stream; the identity stream draws each of its
+chunks in the same ``Sampler.shot_buffers``, so memory stays bounded in
+the shot count whatever the scheduling. The shot CSV formats one tail
+per table row and joins each chunk from cached pieces: one string per
+thousand shot indices, the last three digits from a fixed table, and
+the tails.
 """
 
 from __future__ import annotations
@@ -293,7 +295,14 @@ class Sampler:
         self.exact_mean = exact_expectation(channel, rho, o, backend="analytic")
         self.exact_second = partition_mod.reduction_factor_obs(channel.decomposition, channel.partition, rho, o)
 
-    def sample_shots(self, seed: int, count: int, start: int = 0, stream: int = 0) -> np.ndarray:
+    @staticmethod
+    def shot_buffers(rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrays ``sample_shots`` draws up to ``rows`` shots in: Philox blocks and two index arrays, 48 B a shot."""
+        return np.empty((rows, 4)), np.empty(rows, np.intp), np.empty(rows, np.intp)
+
+    def sample_shots(
+        self, seed: int, count: int, start: int = 0, stream: int = 0, buffers: tuple | None = None
+    ) -> np.ndarray:
         """Outcome codes of shots ``start .. start+count`` from per-shot Philox substreams.
 
         Entry i is the row of shot ``start + i`` in ``table``, so
@@ -307,38 +316,58 @@ class Sampler:
         ``table_cum[pair]``, for any number of pairs. Each search is first
         read from a guide table at the bucket ``floor(u * buckets)`` of its
         uniform; only a shot whose bucket holds a threshold runs the search.
+
+        ``buffers``, from ``shot_buffers`` for at least ``count`` shots, are
+        the arrays the shots are drawn in; without them the call allocates
+        its own. A caller that passes the same buffers chunk after chunk
+        allocates nothing per chunk but the few searched shots, and gets
+        codes that are a view of the buffers, overwritten by the next call.
         """
         if count < 0:
             raise ValueError(f"count = {count} is negative")
-        u = prng.uniforms(seed, start, count, 2, stream=stream)
+        if buffers is None:
+            u = prng.uniforms(seed, start, count, 2, stream=stream)
+            index, code = np.empty(count, np.intp), np.empty(count, np.intp)
+        else:
+            blocks, index, code = (array[:count] for array in buffers)
+            u = prng.uniforms(seed, start, count, 2, stream=stream, out=blocks)
         u0, u1 = u[:, 0], u[:, 1]
         # pair_cum and every table_cum row end at exactly 1.0 (x / x) and u < 1,
-        # so no search runs past the last pair or its own pair's rows. The
-        # buckets are powers of two, so u * buckets is exact and floors by astype.
-        pair = self.pair_guide[(u0 * self.pair_guide.size).astype(np.intp)]
+        # so no search runs past the last pair or its own pair's rows, and no
+        # bucket past its guide's end. The buckets are powers of two, so
+        # u * buckets is exact and floors by the cast to intp. Each step writes
+        # into index or code, so the lookups allocate nothing per shot; "clip"
+        # keeps np.take from copying its output (every index is in range).
+        np.multiply(u0, self.pair_guide.size, out=index, casting="unsafe")
+        pair = np.take(self.pair_guide, index, out=code, mode="clip")
         miss = np.flatnonzero(pair < 0)
         pair[miss] = np.searchsorted(self.pair_cum, u0[miss], side="right")
         buckets = self.table_guide.size // self.pair_cum.size
-        code = self.table_guide[pair * buckets + (u1 * buckets).astype(np.intp)]
+        # index becomes pair * buckets + the bucket of u1, so index // buckets
+        # is the shot's pair once code is overwritten
+        np.multiply(u1, buckets, out=index, casting="unsafe")
+        index += np.multiply(pair, buckets, out=pair)
+        np.take(self.table_guide, index, out=code, mode="clip")
         miss = np.flatnonzero(code < 0)
-        code[miss] = np.searchsorted(self.flat_cum, pair[miss] + 1j * u1[miss], side="right")
+        code[miss] = np.searchsorted(self.flat_cum, index[miss] // buckets + 1j * u1[miss], side="right")
         return code
 
 
 # rows formatted and written per chunk by write_shot_csv, and shots drawn per
 # chunk by each of the demo's two shot streams; bounds the memory of both. The
 # demo tallies its identity stream on a second thread (--workers changes
-# nothing), so two chunks are live at once, one per stream. A chunk's working
-# set is about 100 B per shot under tracemalloc: the 32 B Philox slab, the
-# guide-table index temporaries, the bincount tally, and the writer's piece
-# list and joined text. At 16384 shots that is 1.66 MB, inside a 2 MB per-core
-# L2 cache; at 65536 it is 6.4 MB, which is not. A sweep of demo at m = 6,
-# d = 8 and 10**6 shots, with both streams on one thread (12 rounds of fresh
-# interpreters on a 2-vCPU Xeon VM, medians), read, for chunks of 65536 /
-# 32768 / 16384 / 8192 / 4096, a peak RSS of 49.0 / 45.9 / 42.6 / 41.2 /
-# 40.9 MB and 0.211 / 0.190 / 0.174 / 0.190 / 0.193 s in cli.main, with
-# identical output bytes: 16384 keeps most of the memory saving and is the
-# fastest.
+# nothing), so two chunks are live at once, one per stream; the identity
+# stream's are drawn in one set of shot_buffers, 48 B per shot, kept for the
+# run. A chunk's working set is about 100 B per shot under tracemalloc: the
+# 32 B Philox slab and two 8 B index arrays of sample_shots, the bincount
+# tally, and the writer's piece list and joined text. At 16384 shots that is
+# 1.66 MB, inside a 2 MB per-core L2 cache; at 65536 it is 6.4 MB, which is
+# not. A sweep of demo at m = 6, d = 8 and 10**6 shots, with both streams on
+# one thread (12 rounds of fresh interpreters on a 2-vCPU Xeon VM, medians),
+# read, for chunks of 65536 / 32768 / 16384 / 8192 / 4096, a peak RSS of
+# 49.0 / 45.9 / 42.6 / 41.2 / 40.9 MB and 0.211 / 0.190 / 0.174 / 0.190 /
+# 0.193 s in cli.main, with identical output bytes: 16384 keeps most of the
+# memory saving and is the fastest.
 _CSV_CHUNK_ROWS = 16384
 
 # the last three digits of every shot index from 1000 on

@@ -55,12 +55,17 @@ def _counter_before(start: int) -> np.ndarray:
     return np.array([(below >> (64 * i)) & _WORD_MAX for i in range(4)], dtype=np.uint64)
 
 
-def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.ndarray:
+def uniforms(
+    seed: int, start: int, count: int, n: int, stream: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform doubles in [0, 1) for shots ``start .. start+count``, shape ``(count, n)``.
 
     Shot i reads the first ``n`` (1 to 4) doubles of its one block, at
     counter ``(i, 0, 0, 0)``. The shots must lie below 2**64; the result
-    for shot i is the same whichever range it is computed in.
+    for shot i is the same whichever range it is computed in. ``out``, a
+    C-contiguous float64 array of shape ``(count, 4)``, receives the
+    blocks if given, so a caller drawing range after range can reuse one;
+    the result is a view of it.
     """
     if not 1 <= n <= 4:
         raise ValueError(f"n = {n}: a shot's one Philox block holds 1 to 4 doubles")
@@ -73,7 +78,10 @@ def uniforms(seed: int, start: int, count: int, n: int, stream: int = 0) -> np.n
     end = start + max(count, 1)
     if end > 2**64:
         raise ValueError(f"shots {start} .. {end - 1} pass the 64-bit counter range")
+    if out is None:
+        out = np.empty((count, 4))
+    elif out.shape != (count, 4):
+        raise ValueError(f"out has shape {out.shape}; {count} shots fill ({count}, 4)")
     key = np.array(derive_key(seed, stream), dtype=np.uint64)
-    out = np.empty((count, 4))
     Generator(Philox(key=key, counter=_counter_before(start))).random(out=out)
     return out[:, :n]

@@ -392,45 +392,25 @@ def test_demo_temporary_name_leaves_existing_entry(tmp_path, kind):
     assert {(tmp_path / name).stat().st_mode for name in outputs} == {(tmp_path / outputs[0]).stat().st_mode}
 
 
-class InlineThread(threading.Thread):
-    """A thread whose start() runs its target on the caller, to the end."""
-
-    def start(self):
-        self.run()
-
-    def join(self, timeout=None):
-        pass
-
-
-def test_demo_memory_bounded_in_shots(tmp_path, monkeypatch):
-    # shots are drawn, written and tallied one chunk at a time per stream, at
-    # the chunk size that ships. With both streams on one thread, four times the
-    # chunks moves the traced peak by under 10 %, and the peak stays within 3 MB
-    # (about 1.9 MB at 4 x 16384 shots; a run that kept 16 B per shot would read
-    # 4 MB more at 16 chunks). On its own thread the identity stream holds one
-    # more chunk, about 64 B per shot; whether its peak meets the writer's is up
-    # to the scheduler, so the threaded run is held to the one-thread peak plus
-    # 100 B per shot of one chunk.
+def test_demo_memory_bounded_in_shots(tmp_path):
+    # shots are drawn, written and tallied one chunk at a time, at the chunk
+    # size that ships: four times the chunks moves the traced peak by under
+    # 10 %, and the peak stays within 3 MB (about 2 MB at 4 x 16384 shots; a
+    # run that kept 16 B per shot would read 4 MB more at 16 chunks).
     cfg = tmp_path / "demo.cfg"
     cfg.write_text("demo.m = 6\ndemo.dim = 8\n")
-
-    def peak(chunks):
+    peaks = []
+    for chunks in (4, 16):
         shots = str(chunks * hybrid._CSV_CHUNK_ROWS)
         tracemalloc.start()
         try:
             code = cli.main(["demo", "--config", str(cfg), "--seed", "1", "--shots", shots, "--out", str(tmp_path)])
-            traced = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert code == 0
-        return traced
-
-    threaded = peak(16)
-    monkeypatch.setattr(cli.threading, "Thread", InlineThread)
-    peaks = [peak(4), peak(16)]
     assert peaks[1] <= 1.1 * peaks[0], peaks
     assert peaks[0] <= 3_000_000, peaks
-    assert threaded <= peaks[0] + 100 * hybrid._CSV_CHUNK_ROWS, (threaded, peaks)
 
 
 def test_each_subcommand_writes_exactly_its_declared_files(tmp_path):
@@ -466,18 +446,44 @@ def test_demo_outputs_are_chunk_invariant(tmp_path, monkeypatch):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+class InlineThread(threading.Thread):
+    """A thread whose start() runs its target on the caller, to the end."""
+
+    def start(self):
+        self.run()
+
+    def join(self, timeout=None):
+        pass
+
+
 @pytest.mark.parametrize("shots", [1, 4095, 4096, 4097, 3 * 4096 + 5])
 def test_demo_identity_thread_matches_inline_run(tmp_path, monkeypatch, shots):
     # the identity stream tallied on its helper thread, beside the observable
     # stream, and tallied inline before it write the same three CSVs, at shot
-    # counts around the chunk boundary
+    # counts around the chunk boundary. The threaded run switches threads
+    # every microsecond, so the two streams interleave at many points, and
+    # each identity chunk waits 20 ms first, so the writer finishes before
+    # the tally does and the reports must wait for it.
     monkeypatch.setattr(hybrid, "_CSV_CHUNK_ROWS", 4096)
+    unpatched = hybrid.Sampler.sample_shots
+
+    def sample_shots(self, seed, count, start=0, stream=0, buffers=None):
+        if stream == 1:
+            time.sleep(0.02)
+        return unpatched(self, seed, count, start=start, stream=stream, buffers=buffers)
+
+    monkeypatch.setattr(hybrid.Sampler, "sample_shots", sample_shots)
+    switch = sys.getswitchinterval()
     runs = []
     for threaded in (True, False):
         if not threaded:
             monkeypatch.setattr(cli.threading, "Thread", InlineThread)
         out = tmp_path / str(threaded)
-        code = cli.main(["demo", "--seed", "3", "--shots", str(shots), "--out", str(out)])
+        sys.setswitchinterval(1e-6 if threaded else switch)
+        try:
+            code = cli.main(["demo", "--seed", "3", "--shots", str(shots), "--out", str(out)])
+        finally:
+            sys.setswitchinterval(switch)
         runs.append((code, {path.name: path.read_bytes() for path in out.iterdir()}))
     assert runs[0][0] == 0
     assert runs[1] == runs[0]
@@ -488,10 +494,10 @@ def test_demo_identity_failure_exits_three_and_leaves_nothing(tmp_path, monkeypa
     # chunk and exits 3 with its own message; no CSV, no temporary, no thread is left
     unpatched = hybrid.Sampler.sample_shots
 
-    def sample_shots(self, seed, count, start=0, stream=0):
+    def sample_shots(self, seed, count, start=0, stream=0, buffers=None):
         if stream == 1:
             raise qcore.InvariantViolation("identity stream broke")
-        return unpatched(self, seed, count, start=start, stream=stream)
+        return unpatched(self, seed, count, start=start, stream=stream, buffers=buffers)
 
     monkeypatch.setattr(hybrid.Sampler, "sample_shots", sample_shots)
     threads = threading.active_count()

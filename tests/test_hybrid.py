@@ -363,6 +363,19 @@ def test_sample_shots_chunks_reassemble_exactly():
     assert np.array_equal(whole, np.concatenate(parts))
 
 
+@pytest.mark.parametrize("name", ["three-groups", "1600-pairs"])
+def test_sample_shots_in_reused_buffers(name):
+    # one set of buffers, drawn in chunk after chunk (shorter ones and an
+    # empty one too), gives each chunk the codes of freshly allocated arrays,
+    # also where guide buckets hold a threshold and shots run the search
+    sampler = _guide_sampler(name)
+    buffers = Sampler.shot_buffers(400)
+    for start, count in ((0, 400), (400, 350), (750, 0), (750, 250), (1000, 400)):
+        codes = sampler.sample_shots(seed=77, count=count, start=start, stream=2, buffers=buffers)
+        assert np.array_equal(codes, sampler.sample_shots(seed=77, count=count, start=start, stream=2))
+        assert count == 0 or np.shares_memory(codes, buffers[2])
+
+
 def test_sample_shots_matches_table_gather_oracle():
     # the outcome code must be the table row the full N x 4d comparison
     # against each shot's cumulative table row picks; the second instance

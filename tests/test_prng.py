@@ -105,6 +105,18 @@ def test_uniforms_shape_and_range():
     assert len(np.unique(u[:, 0])) == 1000
 
 
+def test_uniforms_into_a_callers_blocks():
+    # blocks drawn into the caller's array equal fresh ones and the result is
+    # a view of it; an array of another shape is refused before any draw
+    out = np.empty((5, 4))
+    u = prng.uniforms(3, 10, 5, 2, stream=1, out=out)
+    assert np.array_equal(u, prng.uniforms(3, 10, 5, 2, stream=1))
+    assert np.shares_memory(u, out)
+    for shape in ((4, 4), (5, 2)):
+        with pytest.raises(ValueError, match="shape"):
+            prng.uniforms(3, 10, 5, 2, out=np.empty(shape))
+
+
 def test_uniforms_chunk_independent():
     full = prng.uniforms(31337, 0, 200, 2, stream=5)
     part1 = prng.uniforms(31337, 0, 77, 2, stream=5)
