@@ -8,11 +8,12 @@ probability-weighted mixture of unitaries, the composite reduction
 factor equals the survival probability of the cosine stage alone,
 R = <psi| cos^{2T'}(H) |psi>.
 
-Filters are computed spectrally from the exact eigensystem, which a
-GspConfig diagonalises once for the whole run; the energy
-estimates E and E' the algorithm would obtain from measurements are
-modeled as the true ground energy plus injected offsets, so the
-robustness claims can be probed directly.
+A GspConfig diagonalises H once for the run; both stages multiply psi's
+amplitudes in that eigenbasis, so no filter matrix is formed, and
+``cosine_filter`` builds the cosine stage as a matrix only as the tests'
+oracle.  The energy estimates E and E' the algorithm would obtain from
+measurements are modeled as the true ground energy plus injected
+offsets, so the robustness claims can be probed directly.
 """
 
 from __future__ import annotations
@@ -45,25 +46,10 @@ C_TAU_PRIME = 1.0
 
 def cosine_filter(h_matrix, e: float, tau: float, order: int) -> np.ndarray:
     """cos^order(H - (e - tau) 1), evaluated on the spectrum of H."""
-    return _cosine_filter(qcore.eigh(h_matrix), e, tau, order)
-
-
-def _cosine_filter(spectrum, e: float, tau: float, order: int) -> np.ndarray:
     if order < 0:
         raise ValueError("filter order must be nonnegative")
-    w, v = spectrum
-    vals = np.cos(w - (e - tau)) ** order
-    return (v * vals[None, :]) @ v.conj().T
-
-
-def _gaussian_filter(spectrum, e_prime: float, tau_prime: float, sigma2: float) -> np.ndarray:
-    """exp(-sigma2 (H - (e_prime - tau_prime) 1)^2 / 2) from the spectrum ``(w, v)`` of H."""
-    if sigma2 < 0.0:
-        raise ValueError("sigma2 must be nonnegative")
-    w, v = spectrum
-    shifted = w - (e_prime - tau_prime)
-    vals = np.exp(-0.5 * sigma2 * shifted**2)
-    return (v * vals[None, :]) @ v.conj().T
+    w, v = qcore.eigh(h_matrix)
+    return (v * np.cos(w - (e - tau)) ** order) @ v.conj().T
 
 
 def cosine_params(delta: float, p0: float, eps: float, c_tau: float = 1.0) -> tuple[int, float]:
@@ -84,35 +70,19 @@ def cosine_params(delta: float, p0: float, eps: float, c_tau: float = 1.0) -> tu
     return order, tau
 
 
-def _ground_state(spectrum) -> tuple[float, float, np.ndarray]:
-    """(ground energy, spectral gap, ground eigenvector) from the spectrum of a Hermitian matrix."""
-    w, v = spectrum
-    if w.size < 2:
-        raise ValueError("need at least a two-level spectrum")
-    gap = float(w[1] - w[0])
-    if gap <= 1e-12:
-        raise ValueError("ground state must be unique (gap above 1e-12)")
-    return float(w[0]), gap, v[:, 0]
+def _filter_quality(filtered: np.ndarray) -> tuple[float, float]:
+    """(distance to the ground state up to global phase, survival norm).
 
-
-def _filter_quality(ground: np.ndarray, psi, filter_matrix) -> tuple[float, float]:
-    """(distance to the ground vector up to global phase, survival norm).
-
-    distance = min over phases of || filtered/||filtered|| - e^{i phi} |ground> ||,
-    survival = || filter |psi> || for a normalized input.
+    ``filtered`` holds the eigen-amplitudes, ground state first, of a
+    filtered normalized state: survival = ||filtered|| and, with
+    u = filtered / survival, distance = min over phases of ||u - e^{i phi} e_0||.
     """
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("psi must be normalized")
-    filtered = qcore.as_matrix(filter_matrix) @ vec
     survival = float(np.linalg.norm(filtered))
     if survival <= 1e-300:
         return math.sqrt(2.0), 0.0
-    # 2 - 2|<g|u>| = 2 ||u - <g|u> g||^2 / (1 + |<g|u>|), without the cancellation near |<g|u>| = 1
+    # 2 - 2|u_0| = 2 ||u[1:]||^2 / (1 + |u_0|), without the cancellation near |u_0| = 1
     u = filtered / survival
-    c = np.vdot(ground, u)
-    return math.sqrt(2.0) * float(np.linalg.norm(u - c * ground)) / math.sqrt(1.0 + abs(c)), survival
+    return math.sqrt(2.0) * float(np.linalg.norm(u[1:])) / math.sqrt(1.0 + abs(u[0])), survival
 
 
 class GspConfig:
@@ -123,9 +93,9 @@ class GspConfig:
     also the accuracy scale E' is supposed to respect.  ``c_tau`` scales the
     cosine shift tau; the other Theta constants are the module constants
     C_T, C_SIGMA and C_TAU_PRIME.  The eigendecomposition of H is taken
-    once here, as the read-only ``spectrum``, and every filter of the run is
-    built from it.  ``stage1_params`` is (T', tau) for the cosine stage,
-    which targets distance O(p0).
+    once here, as the read-only ``spectrum``, and both filters of the run
+    act on psi's amplitudes in its eigenbasis.  ``stage1_params`` is
+    (T', tau) for the cosine stage, which targets distance O(p0).
     """
 
     def __init__(
@@ -133,11 +103,16 @@ class GspConfig:
     ):
         self.h_matrix = qcore.require_hermitian(h_matrix, what="h_matrix")
         self.spectrum = qcore.eigh(self.h_matrix)
-        if self.spectrum[0].min() < -1e-9 or self.spectrum[0].max() > 1.0 + 1e-9:
+        w = self.spectrum[0]
+        if w[0] < -1e-9 or w[-1] > 1.0 + 1e-9:
             raise ValueError("spectrum must be normalized into [0, 1]")
+        if w.size < 2:
+            raise ValueError("need at least a two-level spectrum")
         for a in self.spectrum:
             a.setflags(write=False)
-        self.lambda0, self.gap, self.ground = _ground_state(self.spectrum)
+        self.lambda0, self.gap = float(w[0]), float(w[1] - w[0])
+        if self.gap <= 1e-12:
+            raise ValueError("ground state must be unique (gap above 1e-12)")
         if not 0.0 < p0 < 1.0:
             raise ValueError("p0 must lie in (0, 1)")
         if not 0.0 < epsilon < p0:
@@ -182,27 +157,31 @@ class GspReport(NamedTuple):
 def hybrid_gsp(config: GspConfig, psi) -> GspReport:
     """Run cosine stage then Gaussian stage on |psi> and report the metrics.
 
-    r_factor is the composite reduction factor; the Gaussian stage is a
-    mixture of unitaries, so it contributes a factor 1 and r_factor equals
-    the cosine-stage survival probability.  An overlap below p0 does not
-    raise; it is flagged in the report.
+    psi's amplitudes in the eigenbasis of H are multiplied by
+    cos^{T'}(w - (E - tau)), then, normalized, by
+    exp(-sigma^2 (w - (E' - tau'))^2 / 2); each stage's survival and
+    distance are read from its amplitudes.  r_factor is the composite
+    reduction factor; the Gaussian stage is a mixture of unitaries, so it
+    contributes a factor 1 and r_factor equals the cosine-stage survival
+    probability.  An overlap below p0 does not raise; it is flagged.
     """
     vec = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("psi must be normalized")
-    vec = vec / nrm
-    overlap = float(abs(np.vdot(config.ground, vec)) ** 2)
+    w, v = config.spectrum
+    # v^dagger psi as the conjugate of psi^dagger v, so no conjugate of v is formed
+    amps = (vec.conj() @ v).conj() / nrm
+    overlap = float(abs(amps[0]) ** 2)
 
     t_prime, tau = config.stage1_params
-    filt1 = _cosine_filter(config.spectrum, config.e_estimate, tau, t_prime)
-    stage1_distance, stage1_survival = _filter_quality(config.ground, vec, filt1)
+    stage1 = np.cos(w - (config.e_estimate - tau)) ** t_prime * amps
+    stage1_distance, stage1_survival = _filter_quality(stage1)
     r_factor = stage1_survival**2
 
-    psi1 = filt1 @ vec
-    psi1 = psi1 / np.linalg.norm(psi1)
-    filt2 = _gaussian_filter(config.spectrum, config.e_prime_estimate, config.tau_prime, config.sigma2)
-    final_distance, final_survival = _filter_quality(config.ground, psi1, filt2)
+    shifted = w - (config.e_prime_estimate - config.tau_prime)
+    final = np.exp(-0.5 * config.sigma2 * shifted**2) * (stage1 / stage1_survival)
+    final_distance, final_survival = _filter_quality(final)
 
     cost = complexity_report(config.p0, config.gap, config.epsilon)
     return GspReport(

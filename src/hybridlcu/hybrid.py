@@ -318,19 +318,16 @@ class Sampler:
         uniform; only a shot whose bucket holds a threshold runs the search.
 
         ``buffers``, from ``shot_buffers`` for at least ``count`` shots, are
-        the arrays the shots are drawn in; without them the call allocates
-        its own. A caller that passes the same buffers chunk after chunk
-        allocates nothing per chunk but the few searched shots, and gets
-        codes that are a view of the buffers, overwritten by the next call.
+        the arrays the shots are drawn in; without them the call draws in a
+        fresh ``shot_buffers(count)``. A caller that passes the same buffers
+        chunk after chunk allocates nothing per chunk but the few searched
+        shots, and gets codes that are a view of the buffers, overwritten by
+        the next call.
         """
         if count < 0:
             raise ValueError(f"count = {count} is negative")
-        if buffers is None:
-            u = prng.uniforms(seed, start, count, 2, stream=stream)
-            index, code = np.empty(count, np.intp), np.empty(count, np.intp)
-        else:
-            blocks, index, code = (array[:count] for array in buffers)
-            u = prng.uniforms(seed, start, count, 2, stream=stream, out=blocks)
+        blocks, index, code = (array[:count] for array in buffers or self.shot_buffers(count))
+        u = prng.uniforms(seed, start, count, 2, stream=stream, out=blocks)
         u0, u1 = u[:, 0], u[:, 1]
         # pair_cum and every table_cum row end at exactly 1.0 (x / x) and u < 1,
         # so no search runs past the last pair or its own pair's rows, and no

@@ -97,47 +97,62 @@ def test_cosine_params_rejects_degenerate_inputs():
 # filter quality
 
 
+def staged(h, order: int, tau: float, **attrs) -> GspConfig:
+    """A config for h whose cosine stage is (order, tau), with any other attribute overridden.
+
+    Order 0 makes the cosine stage the identity, so the Gaussian stage acts on psi itself.
+    """
+    cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
+    cfg.stage1_params = (order, tau)
+    vars(cfg).update(attrs)
+    return cfg
+
+
 def test_filter_quality_ground_state_input():
     h, _ = random_gsp_instance(6, 0.2, 0.5, seed=1)
-    lam0 = np.linalg.eigvalsh(h)[0]
     order, tau = 9, 0.08
-    filt = cosine_filter(h, lam0, tau, order)
-    dist, surv = gsp._filter_quality(ground_of(h), ground_of(h), filt)
-    assert dist <= 1e-7
-    assert surv == pytest.approx(math.cos(tau) ** order, rel=1e-12)
+    rep = hybrid_gsp(staged(h, order, tau), ground_of(h))
+    assert rep.stage1_distance <= 1e-7
+    assert rep.stage1_survival == pytest.approx(math.cos(tau) ** order, rel=1e-12)
 
 
 def test_filter_quality_two_level_uniform_perfect_filter():
-    h = np.diag([0.0, math.pi / 2.0])
+    # cos(w - (0 - tau)) vanishes at w = 1 for tau = pi/2 - 1 and is sin(1) at w = 0
+    h = np.diag([0.0, 1.0])
     psi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    filt = cosine_filter(h, 0.0, 0.0, 1)
-    dist, surv = gsp._filter_quality(ground_of(h), psi, filt)
-    assert dist <= 1e-12
-    assert surv == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    rep = hybrid_gsp(staged(h, 1, math.pi / 2.0 - 1.0), psi)
+    assert rep.stage1_distance <= 1e-12
+    assert rep.stage1_survival == pytest.approx(math.sin(1.0) / math.sqrt(2.0), rel=1e-12)
+    # a filter that keeps nothing reads as the largest distance
+    assert gsp._filter_quality(np.zeros(3, dtype=complex)) == (math.sqrt(2.0), 0.0)
 
 
 def test_filter_quality_identity_keeps_initial_distance():
     h, psi = random_gsp_instance(5, 0.2, 0.4, seed=3)
-    dist, surv = gsp._filter_quality(ground_of(h), psi, np.eye(5))
-    ground = ground_of(h)
-    expected = math.sqrt(2.0 - 2.0 * abs(np.vdot(ground, psi)))
-    assert dist == pytest.approx(expected, abs=1e-12)
-    assert surv == pytest.approx(1.0, rel=1e-12)
+    rep = hybrid_gsp(staged(h, 0, 0.1), psi)
+    expected = math.sqrt(2.0 - 2.0 * abs(np.vdot(ground_of(h), psi)))
+    assert rep.stage1_distance == pytest.approx(expected, abs=1e-12)
+    assert rep.stage1_survival == pytest.approx(1.0, rel=1e-12)
 
 
 def test_filter_quality_global_phase_invariant():
     h, psi = random_gsp_instance(5, 0.2, 0.4, seed=8)
-    filt = cosine_filter(h, np.linalg.eigvalsh(h)[0], 0.1, 4)
-    d1, s1 = gsp._filter_quality(ground_of(h), psi, filt)
-    d2, s2 = gsp._filter_quality(ground_of(h), np.exp(1j * 0.83) * psi, filt)
-    assert d1 == pytest.approx(d2, abs=1e-12)
-    assert s1 == pytest.approx(s2, rel=1e-12)
+    cfg = staged(h, 4, 0.1)
+    r1, r2 = hybrid_gsp(cfg, psi), hybrid_gsp(cfg, np.exp(1j * 0.83) * psi)
+    assert r1.stage1_distance == pytest.approx(r2.stage1_distance, abs=1e-12)
+    assert r1.stage1_survival == pytest.approx(r2.stage1_survival, rel=1e-12)
+    assert r1.final_distance == pytest.approx(r2.final_distance, abs=1e-12)
+    assert r1.final_survival == pytest.approx(r2.final_survival, rel=1e-12)
 
 
 def test_filter_quality_rejects_unnormalized_input():
+    # psi's norm is checked once, to within 1e-9
     h, psi = random_gsp_instance(4, 0.2, 0.4, seed=0)
-    with pytest.raises(ValueError):
-        gsp._filter_quality(ground_of(h), 2.0 * psi, np.eye(4))
+    cfg = GspConfig(h_matrix=h, p0=0.4, epsilon=0.1)
+    for scale in (2.0, 1.0 + 1e-8):
+        with pytest.raises(ValueError, match="normalized"):
+            hybrid_gsp(cfg, scale * psi)
+    assert hybrid_gsp(cfg, (1.0 + 1e-10) * psi).r_factor == pytest.approx(hybrid_gsp(cfg, psi).r_factor, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -145,42 +160,46 @@ def test_filter_quality_rejects_unnormalized_input():
 
 
 def test_gaussian_filter_sigma_zero_is_identity():
-    h, _ = random_gsp_instance(5, 0.2, 0.4, seed=2)
-    assert np.abs(gsp._gaussian_filter(qcore.eigh(h), 0.3, 0.1, 0.0) - np.eye(5)).max() <= 1e-12
-    with pytest.raises(ValueError, match="sigma2"):
-        gsp._gaussian_filter(qcore.eigh(h), 0.3, 0.1, -1e-3)
+    h, psi = random_gsp_instance(5, 0.2, 0.4, seed=2)
+    rep = hybrid_gsp(staged(h, 3, 0.1, sigma2=0.0), psi)
+    assert rep.final_distance == pytest.approx(rep.stage1_distance, rel=1e-12)
+    assert rep.final_survival == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gaussian_filter_fixes_shifted_ground_state():
     h, _ = random_gsp_instance(5, 0.2, 0.4, seed=5)
     lam0 = np.linalg.eigvalsh(h)[0]
     tau_prime = 0.07
-    filt = gsp._gaussian_filter(qcore.eigh(h), lam0 + tau_prime, tau_prime, 40.0)
-    ground = ground_of(h)
-    assert np.linalg.norm(filt @ ground - ground) <= 1e-12
+    cfg = staged(h, 0, 0.0, e_prime_estimate=lam0 + tau_prime, tau_prime=tau_prime, sigma2=40.0)
+    rep = hybrid_gsp(cfg, ground_of(h))
+    assert rep.final_distance <= 1e-12
+    assert rep.final_survival == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_filter_psd_and_subnormalized():
-    h, _ = random_gsp_instance(7, 0.15, 0.4, seed=6)
-    filt = gsp._gaussian_filter(qcore.eigh(h), 0.2, 0.05, 30.0)
-    vals = np.linalg.eigvalsh(filt)
-    assert vals.min() >= -1e-12
-    assert vals.max() <= 1.0 + 1e-12
+    # on each eigenvector the stage multiplies by its value there, which lies in (0, 1]
+    h, psi = random_gsp_instance(7, 0.15, 0.4, seed=6)
+    cfg = staged(h, 0, 0.0, e_prime_estimate=0.2, tau_prime=0.05, sigma2=30.0)
+    w, v = np.linalg.eigh(h)
+    values = np.exp(-15.0 * (w - 0.15) ** 2)
+    survivals = [hybrid_gsp(cfg, v[:, k]).final_survival for k in range(7)]
+    assert survivals == pytest.approx(values, rel=1e-12)
+    assert all(0.0 < s <= 1.0 for s in survivals)
+    assert hybrid_gsp(cfg, psi).final_survival <= 1.0 + 1e-12
 
 
 def test_gaussian_filter_alone_meets_distance_target():
     # single-stage run with the documented widths on a 16-dim instance
     delta, p0, eps = 0.2, 0.5, 1e-3
     h, psi = random_gsp_instance(16, delta, p0, seed=12)
-    lam0 = np.linalg.eigvalsh(h)[0]
-    sigma2 = math.log(p0 / eps) / delta**2
-    tau_prime = delta / math.sqrt(math.log(p0 / eps))
-    filt = gsp._gaussian_filter(qcore.eigh(h), lam0, tau_prime, sigma2)
-    dist, surv = gsp._filter_quality(ground_of(h), psi, filt)
-    assert dist <= 5.0 * eps
+    cfg = staged(h, 0, 0.0)
+    assert cfg.sigma2 == pytest.approx(math.log(p0 / eps) / delta**2, rel=1e-12)
+    assert cfg.tau_prime == pytest.approx(delta / math.sqrt(math.log(p0 / eps)), rel=1e-12)
+    rep = hybrid_gsp(cfg, psi)
+    assert rep.final_distance <= 5.0 * eps
     # survival is at least the ground component times the ground filter
     # value exp(-sigma2 tau'^2 / 2) = exp(-1/2)
-    assert surv >= math.sqrt(p0) * math.exp(-0.5) - 1e-12
+    assert rep.final_survival >= math.sqrt(p0) * math.exp(-0.5) - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +211,8 @@ def test_config_rejects_bad_spectrum():
         GspConfig(h_matrix=np.diag([0.0, 1.5]), p0=0.5, epsilon=0.1)
     with pytest.raises(ValueError):
         GspConfig(h_matrix=np.diag([-0.2, 0.5]), p0=0.5, epsilon=0.1)
+    with pytest.raises(ValueError, match="two-level"):
+        GspConfig(h_matrix=np.array([[0.5]]), p0=0.5, epsilon=0.1)
 
 
 def test_config_rejects_degenerate_ground_state():
@@ -240,6 +261,9 @@ def test_random_instance_has_exact_gap_and_overlap():
         assert np.linalg.norm(psi) == pytest.approx(1.0, rel=1e-12)
         overlap = abs(np.vdot(ground_of(h), psi)) ** 2
         assert overlap == pytest.approx(0.45, abs=1e-12)
+    # the ground energy is drawn from [0.05, 0.15], so a gap of 0.99 leaves [0, 1]
+    with pytest.raises(ValueError, match="gap too large"):
+        random_gsp_instance(10, 0.99, 0.45, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +291,42 @@ def test_hybrid_report_at_operating_point():
         assert rep.r_factor == pytest.approx(rep.stage1_survival**2, abs=1e-12)
 
 
+def gaussian_matrix(h, e_prime: float, tau_prime: float, sigma2: float) -> np.ndarray:
+    """exp(-sigma2 (H - (e_prime - tau_prime) 1)^2 / 2) as a matrix, from np.linalg.eigh."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-0.5 * sigma2 * (w - (e_prime - tau_prime)) ** 2)) @ v.conj().T
+
+
+def matrix_route(cfg: GspConfig, psi) -> tuple[float, float, float, float]:
+    """(stage-1 distance, stage-1 survival, final distance, final survival) from the two filter matrices.
+
+    The distance of u = F psi / ||F psi|| from the ground vector g is
+    sqrt(2) ||u - <g|u> g|| / sqrt(1 + |<g|u>|), which equals
+    sqrt(2 - 2 |<g|u>|) without its cancellation near |<g|u>| = 1.
+    """
+    ground = ground_of(cfg.h_matrix)
+    t_prime, tau = cfg.stage1_params
+    filters = (
+        cosine_filter(cfg.h_matrix, cfg.e_estimate, tau, t_prime),
+        gaussian_matrix(cfg.h_matrix, cfg.e_prime_estimate, cfg.tau_prime, cfg.sigma2),
+    )
+    out, state = [], psi
+    for filt in filters:
+        filtered = filt @ state
+        survival = float(np.linalg.norm(filtered))
+        state = filtered / survival
+        c = np.vdot(ground, state)
+        out += [math.sqrt(2.0) * float(np.linalg.norm(state - c * ground)) / math.sqrt(1.0 + abs(c)), survival]
+    return tuple(out)
+
+
+def report_route(rep) -> tuple[float, float, float, float]:
+    return rep.stage1_distance, rep.stage1_survival, rep.final_distance, rep.final_survival
+
+
 def test_hybrid_diagonalises_once(monkeypatch):
-    # the config's one eigendecomposition feeds both filters and the ground vector,
-    # and the report matches the filters rebuilt from a fresh eigendecomposition
+    # the config's one eigendecomposition feeds both stages and the overlap,
+    # and the report matches the filter matrices rebuilt from a fresh one
     h, psi = random_gsp_instance(16, 0.2, 0.5, seed=1)
     calls = []
     unpatched = qcore.eigh
@@ -279,38 +336,27 @@ def test_hybrid_diagonalises_once(monkeypatch):
     rep = hybrid_gsp(cfg, psi)
     assert len(calls) == 1
     monkeypatch.undo()
-    t_prime, tau = cfg.stage1_params
-    filt1 = cosine_filter(h, cfg.e_estimate, tau, t_prime)
-    assert (rep.stage1_distance, rep.stage1_survival) == gsp._filter_quality(ground_of(h), psi, filt1)
-    psi1 = filt1 @ psi / np.linalg.norm(filt1 @ psi)
-    filt2 = gsp._gaussian_filter(qcore.eigh(h), cfg.e_prime_estimate, cfg.tau_prime, cfg.sigma2)
-    assert (rep.final_distance, rep.final_survival) == gsp._filter_quality(ground_of(h), psi1, filt2)
+    assert report_route(rep) == pytest.approx(matrix_route(cfg, psi), rel=1e-11)
 
 
 def test_distances_match_eigenbasis_reference():
-    # in the eigenbasis the filtered state's part off the ground state is read
-    # directly, so 2 - 2|overlap| is never formed; at the CLI's default instance
-    # (seed 1) the final overlap is 1 - 2e-9, where that difference keeps about
-    # seven digits
+    # the eigen-amplitude route against the filter matrices applied to psi; at
+    # the CLI's default instance (seed 1) the final overlap is 1 - 2e-9, where
+    # 2 - 2|overlap| would keep about seven digits, so both routes read the
+    # part off the ground state instead
     for seed in (1, 2, 3):
         h, psi = random_gsp_instance(16, 0.2, 0.5, seed=seed)
         cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
         rep = hybrid_gsp(cfg, psi)
-        w, v = np.linalg.eigh(h)
-        t_prime, tau = cfg.stage1_params
-        a1 = np.cos(w - (cfg.e_estimate - tau)) ** t_prime * (v.conj().T @ psi)
-        shifted = w - (cfg.e_prime_estimate - cfg.tau_prime)
-        a2 = np.exp(-0.5 * cfg.sigma2 * shifted**2) * a1 / np.linalg.norm(a1)
-        for a, got in ((a1, rep.stage1_distance), (a2, rep.final_distance)):
-            u = a / np.linalg.norm(a)
-            want = math.sqrt(2.0) * np.linalg.norm(u[1:]) / math.sqrt(1.0 + abs(u[0]))
-            assert got == pytest.approx(want, rel=1e-11), (seed, got, want)
+        want = matrix_route(cfg, psi)
+        assert report_route(rep) == pytest.approx(want, rel=1e-11), seed
+        assert rep.r_factor == pytest.approx(want[1] ** 2, rel=1e-11), seed
 
 
 def test_config_arrays_are_read_only():
     h, _ = random_gsp_instance(6, 0.2, 0.5, seed=1)
     cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=1e-3)
-    for a in (*cfg.spectrum, cfg.ground):
+    for a in cfg.spectrum:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -365,11 +411,9 @@ def test_hybrid_r_matches_multi_round_composition():
 def test_filter_monotonicity_in_order():
     for seed in range(5):
         h, psi = random_gsp_instance(8, 0.15, 0.4, seed=seed)
-        lam0 = np.linalg.eigvalsh(h)[0]
         prev = 0.0
         for order in range(1, 51):
-            filt = cosine_filter(h, lam0, 0.1, order)
-            dist, _ = gsp._filter_quality(ground_of(h), psi, filt)
+            dist = hybrid_gsp(staged(h, order, 0.1), psi).stage1_distance
             fidelity = 1.0 - 0.5 * dist**2
             assert fidelity >= prev - 1e-12
             prev = fidelity

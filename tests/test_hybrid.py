@@ -211,7 +211,7 @@ def test_singleton_limit_unit_R_and_unbiased_mean():
 ## ------------------------------------------------------------------
 
 
-def test_outcome_distribution_normalized_and_moment_exact():
+def test_outcome_distribution_normalized_and_moment_exact(monkeypatch):
     rng = np.random.default_rng(9)
     for _ in range(8):
         m = int(rng.integers(2, 6))
@@ -240,6 +240,10 @@ def test_outcome_distribution_normalized_and_moment_exact():
                 msq += w * float((probs * g_vals**2).sum())
         assert abs(mean - exact_expectation(ch, rho, obs)) <= 1e-9
         assert abs(msq - partition.reduction_factor_obs(ch.decomposition, ch.partition, rho, obs)) <= 1e-9
+    # the sampler refuses a table whose rows do not sum to 1
+    monkeypatch.setattr(hybrid, "outcome_distribution", lambda *args: 1.01 * outcome_distribution(*args))
+    with pytest.raises(qcore.InvariantViolation, match="not normalized"):
+        Sampler(ch, rho, obs)
 
 
 def test_outcome_distribution_diagonal_pair_has_no_b1_plane():
@@ -416,7 +420,7 @@ def test_sample_shots_exact_at_table_boundaries(monkeypatch):
     u1 = np.concatenate([np.nextafter(bounds, 0.0), bounds])
     # real draws stay below 1.0
     u = np.column_stack([u0, u1])[u1 < 1.0]
-    monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0: u.copy())
+    monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0, out=None: u.copy())
     codes = sampler.sample_shots(seed=0, count=len(u))
     pair = np.searchsorted(sampler.pair_cum, u[:, 0], side="right")
     assert np.array_equal(pair, np.tile(pairs, 2)[u1 < 1.0])
@@ -462,7 +466,7 @@ def test_guided_search_exact_at_bucket_edges(monkeypatch, name):
     u0 = np.concatenate([np.repeat(u0_pairs, len(u1)), _edge_values(sampler.pair_guide.size)])
     u1 = np.resize(u1, len(u0))
     u = np.column_stack([u0, u1])
-    monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0: u.copy())
+    monkeypatch.setattr(prng, "uniforms", lambda seed, start, count, n, stream=0, out=None: u.copy())
     codes = sampler.sample_shots(seed=0, count=len(u))
     pair = np.searchsorted(sampler.pair_cum, u0, side="right")
     assert np.array_equal(np.unique(pair), np.arange(n_pairs))

@@ -175,6 +175,7 @@ def test_weight_sum_coarse_windows_sum_explicitly():
     # a coarse grid is summed node by node, and past the node cap it is refused
     config = LchsConfig(None, t=3.0, epsilon=1e-3, k2=30.0, l_norm=2.0)
     assert window_weight_sum(30.0, 64) == discretization_at(config, 64).s_norm1
+    assert window_weight_sum(30.0, 0) == 0.0
     with pytest.raises(ValueError, match="too large"):
         window_weight_sum(1e6, lchs.MAX_WINDOW_NODES + 1)
 
@@ -248,6 +249,7 @@ def test_matrix_config_takes_its_own_norm():
 def test_rp_bound_limits():
     k1 = truncation_k1(0.01)
     assert rp_bound(k1, k1, 0.9) == 0.0
+    assert rp_bound(k1, k1, 0.0) == 0.0  # no window weight and no tail
     assert abs(rp_bound(k1, 0.0, 0.0) - 1.0) <= 1e-12
     assert rp_bound_approx(k1, k1) == pytest.approx(0.0, abs=1e-12)
     assert rp_bound_approx(k1, 0.0) == 1.0
@@ -294,6 +296,10 @@ def test_measured_r_agrees_with_partition_module():
     window_r = partition.reduction_factor(dec, part, rho)
     want = disc.q_window * window_r + disc.q_tail
     assert measured_r(config, disc, rho) == pytest.approx(want, abs=1e-12)
+    # K2 = 0 leaves no window: every term is a unitary tail singleton
+    tail_only = LchsConfig(a, t=1.0, epsilon=0.05, k2=0.0)
+    assert discretize(tail_only).m == 0
+    assert measured_r(tail_only, discretize(tail_only), rho) == 1.0
 
 
 ## ------------------------------------------------------------------

@@ -63,6 +63,7 @@ def test_canonical_ordering():
 
 def test_text_roundtrip_one_based():
     assert Partition([[4, 3], [2], [1, 0]], 5).to_text() == "1,2|3|4,5"
+    assert repr(Partition([[4, 3], [2], [1, 0]], 5)) == "Partition('1,2|3|4,5', m=5)"
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,6 +430,7 @@ def test_fragment_bound_formula_and_instances():
 def test_harmonic_mean_values():
     assert harmonic_mean(1.0, 1.0) == 1.0
     assert harmonic_mean(0.7, 0.0) == 0.0
+    assert harmonic_mean(0.0, 0.0) == 0.0
     assert abs(harmonic_mean(0.3, 0.6) - 0.4) <= 1e-15
     for a, b in ((-0.1, 0.5), (0.5, -0.1)):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -54,6 +54,7 @@ def test_expm_unitary_and_group_property():
     h = random_hermitian(6, rng)
     u = qcore.expm_i_hermitian(h, 0.7)
     assert np.linalg.norm(u.conj().T @ u - np.eye(6)) <= TOL.unitarity
+    assert qcore.is_unitary(u) and not qcore.is_unitary(u[:, :5])
     lhs = qcore.expm_i_hermitian(h, 0.3 + 0.4)
     rhs = qcore.expm_i_hermitian(h, 0.3) @ qcore.expm_i_hermitian(h, 0.4)
     assert np.linalg.norm(lhs - rhs) <= 1e-9
