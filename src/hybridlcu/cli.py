@@ -92,9 +92,10 @@ class _Param(NamedTuple):
         return f">= {self.lo}" if self.hi is None else f"{self.lo}..{self.hi}"
 
 
-# The one declaration of every config key; a subcommand reads the run.* keys
-# and its own. Flags override the run.* keys. Keys without a range here are
-# validated by the driver that reads them, and run.out by creating it.
+# The one declaration of every config key and run default (no driver parameter
+# a key feeds has a default); a subcommand reads the run.* keys and its own.
+# Flags override the run.* keys. Keys without a range here are validated by
+# the driver that reads them, and run.out by creating it.
 _PARAMS = {
     "run.seed": _Param("int", 0, 0, 2**64 - 1),
     "run.shots": _Param("int", 20000, 1, 2**64),

@@ -13,7 +13,9 @@ amplitudes in that eigenbasis, so no filter matrix is formed, and
 ``cosine_filter`` builds the cosine stage as a matrix only as the tests'
 oracle.  The energy estimates E and E' the algorithm would obtain from
 measurements are modeled as the true ground energy plus injected
-offsets, so the robustness claims can be probed directly.
+offsets, so the robustness claims can be probed directly.  The
+Theta-hidden scales of T', tau, sigma^2 and tau' are the module constants
+C_T, C_TAU, C_SIGMA and C_TAU_PRIME.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ __all__ = [
     "write_report_rows_csv",
 ]
 
-# Theta-hidden constants of the cosine order T', the Gaussian width sigma^2
-# and its shift tau'; 1 meets the accuracy the tests check.
+# Theta-hidden constants of the cosine order T' and shift tau, the Gaussian
+# width sigma^2 and its shift tau'; 1 meets the accuracy the tests check.
 C_T = 1.0
+C_TAU = 1.0
 C_SIGMA = 1.0
 C_TAU_PRIME = 1.0
 
@@ -52,11 +55,11 @@ def cosine_filter(h_matrix, e: float, tau: float, order: int) -> np.ndarray:
     return (v * np.cos(w - (e - tau)) ** order) @ v.conj().T
 
 
-def cosine_params(delta: float, p0: float, eps: float, c_tau: float = 1.0) -> tuple[int, float]:
+def cosine_params(delta: float, p0: float, eps: float) -> tuple[int, float]:
     """Filter order and shift for a target distance eps from overlap bound p0.
 
     order = ceil(C_T * delta^-2 * log^2(1/(p0*eps))),
-    tau   = c_tau * delta / log(1/(p0*eps)).
+    tau   = C_TAU * delta / log(1/(p0*eps)).
     """
     if not delta > 0.0:
         raise ValueError("spectral gap must be positive")
@@ -66,7 +69,7 @@ def cosine_params(delta: float, p0: float, eps: float, c_tau: float = 1.0) -> tu
     if not log_term > 0.0:
         raise ValueError("p0 * eps must be < 1")
     order = math.ceil(C_T * log_term**2 / delta**2)
-    tau = c_tau * delta / log_term
+    tau = C_TAU * delta / log_term
     return order, tau
 
 
@@ -89,18 +92,17 @@ class GspConfig:
     """Problem instance: normalized Hamiltonian, overlap bound, accuracy target.
 
     e_offset / e_prime_offset model the errors of the measured energy
-    estimates E and E' relative to the exact ground energy; tau_prime is
-    also the accuracy scale E' is supposed to respect.  ``c_tau`` scales the
-    cosine shift tau; the other Theta constants are the module constants
-    C_T, C_SIGMA and C_TAU_PRIME.  The eigendecomposition of H is taken
-    once here, as the read-only ``spectrum``, and both filters of the run
-    act on psi's amplitudes in its eigenbasis.  ``stage1_params`` is
-    (T', tau) for the cosine stage, which targets distance O(p0).
+    estimates E and E' relative to the exact ground energy and are read
+    only into ``e_estimate`` / ``e_prime_estimate``; tau_prime is also the
+    accuracy scale E' is supposed to respect.  The Theta constants are the
+    module constants C_T, C_TAU, C_SIGMA and C_TAU_PRIME.  The
+    eigendecomposition of H is taken once here, as the read-only
+    ``spectrum``, and both filters of the run act on psi's amplitudes in
+    its eigenbasis.  ``stage1_params`` is (T', tau) for the cosine stage,
+    which targets distance O(p0).
     """
 
-    def __init__(
-        self, h_matrix, p0: float, epsilon: float, e_offset: float = 0.0, e_prime_offset: float = 0.0, c_tau: float = 1.0
-    ):
+    def __init__(self, h_matrix, p0: float, epsilon: float, e_offset: float = 0.0, e_prime_offset: float = 0.0):
         self.h_matrix = qcore.require_hermitian(h_matrix, what="h_matrix")
         self.spectrum = qcore.eigh(self.h_matrix)
         w = self.spectrum[0]
@@ -117,15 +119,10 @@ class GspConfig:
             raise ValueError("p0 must lie in (0, 1)")
         if not 0.0 < epsilon < p0:
             raise ValueError("two-stage filtering assumes 0 < epsilon < p0")
-        if not c_tau > 0.0:
-            raise ValueError("c_tau must be positive")
         self.p0 = p0
         self.epsilon = epsilon
-        self.e_offset = e_offset
-        self.e_prime_offset = e_prime_offset
-        self.c_tau = c_tau
         self.dimension = self.h_matrix.shape[0]
-        self.stage1_params = cosine_params(self.gap, p0, p0, c_tau=c_tau)
+        self.stage1_params = cosine_params(self.gap, p0, p0)
         self.sigma2 = C_SIGMA * math.log(p0 / epsilon) / self.gap**2
         self.tau_prime = C_TAU_PRIME * self.gap / math.sqrt(math.log(p0 / epsilon))
         self.e_estimate = self.lambda0 + e_offset
@@ -180,7 +177,10 @@ def hybrid_gsp(config: GspConfig, psi) -> GspReport:
     r_factor = stage1_survival**2
 
     shifted = w - (config.e_prime_estimate - config.tau_prime)
-    final = np.exp(-0.5 * config.sigma2 * shifted**2) * (stage1 / stage1_survival)
+    # a cosine stage that keeps nothing leaves the Gaussian stage nothing to keep
+    if stage1_survival:
+        stage1 = stage1 / stage1_survival
+    final = np.exp(-0.5 * config.sigma2 * shifted**2) * stage1
     final_distance, final_survival = _filter_quality(final)
 
     cost = complexity_report(config.p0, config.gap, config.epsilon)
@@ -256,16 +256,10 @@ def complexity_report(p0: float, delta: float, eps: float, alpha: float | None =
     )
 
 
-def random_gsp_instance(
-    dim: int,
-    delta: float,
-    p0: float,
-    seed: int,
-    lambda0_range: tuple[float, float] = (0.05, 0.15),
-) -> tuple[np.ndarray, np.ndarray]:
+def random_gsp_instance(dim: int, delta: float, p0: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(H~, psi) with exact gap delta and overlap exactly p0.
 
-    The ground energy is drawn from lambda0_range, the rest of the
+    The ground energy is drawn from [0.05, 0.15), the rest of the
     spectrum fills (lambda0 + delta, 1] uniformly, eigenvectors are a
     Haar-ish random unitary, and psi puts sqrt(p0) on the ground state
     plus a random excited component.
@@ -273,7 +267,7 @@ def random_gsp_instance(
     if not (0.0 < delta < 1.0 and 0.0 < p0 < 1.0):
         raise ValueError("need 0 < delta < 1 and 0 < p0 < 1")
     rng = np.random.default_rng(seed)
-    lam0 = float(rng.uniform(*lambda0_range))
+    lam0 = float(rng.uniform(0.05, 0.15))
     if lam0 + delta >= 1.0:
         raise ValueError("gap too large for the [0, 1] normalization")
     rest = rng.uniform(lam0 + delta, 1.0, size=dim - 2)

@@ -336,13 +336,7 @@ class SweepRow(NamedTuple):
     p_assumed: float
 
 
-def fig_sweep(
-    l_norm: float = 2.0,
-    t: float = 3.0,
-    epsilon: float = 5e-5,
-    points: int = 60,
-    p_assumed: float = 1e-2,
-) -> list[SweepRow]:
+def fig_sweep(l_norm: float, t: float, epsilon: float, points: int, p_assumed: float) -> list[SweepRow]:
     """Bound-vs-M curve: sweep K2 over (0, K1], analytic figures only.
 
     overhead_bound_at_p = min(P + bound, 1)/P^2, the sampling-overhead

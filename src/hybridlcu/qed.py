@@ -219,12 +219,7 @@ class SweepRow(NamedTuple):
         return self.r_factor - self.p
 
 
-def fig_sweep(
-    r_values=(0.1, 0.2, 0.3),
-    pz_grid=None,
-    codewords: int = 32,
-    seed: int = 0,
-) -> list[SweepRow]:
+def fig_sweep(r_values, pz_grid, codewords: int, seed: int) -> list[SweepRow]:
     """P and R of every code state at each (r, p_Z) cell.
 
     Every Z^f X^e is a stabilizer, so any code state's trace table is all
@@ -232,8 +227,6 @@ def fig_sweep(
     p_Z alone, so it is bit-identical across r.  ``seed`` labels the rows;
     ``codewords`` changes no output.
     """
-    if pz_grid is None:
-        pz_grid = np.geomspace(1e-3, 1e-1, 10)
     traces = np.ones((8, 8))
     rows = []
     for r in r_values:

@@ -297,13 +297,7 @@ class TableRow(NamedTuple):
     anc_coherent: int
 
 
-def random_instance(
-    kappa: float,
-    epsilon: float,
-    dim: int = 8,
-    seed: int = 0,
-    haar_b: bool = False,
-) -> QlssConfig:
+def random_instance(kappa: float, epsilon: float, dim: int, seed: int, haar_b: bool = False) -> QlssConfig:
     """Rotated diagonal instance with singular values spanning [1/kappa, 1].
 
     Interior magnitudes are geometrically spaced with random signs.  By
@@ -328,7 +322,7 @@ def random_instance(
     return QlssConfig(m_matrix=m, b=b, kappa=kappa, epsilon=epsilon)
 
 
-def sweep(kappas, epsilon: float = 1e-2, dim: int = 8, seed: int = 7) -> list[TableRow]:
+def sweep(kappas, epsilon: float, dim: int, seed: int) -> list[TableRow]:
     """One row per condition number, all on b = smallest-singular-value
     eigenvector so the scaling exponents are not masked by <b||M|^{-1}|b>."""
     rows = []

@@ -9,12 +9,28 @@ import pathlib
 import numpy as np
 
 import hybridlcu
-from hybridlcu import lcu
+from hybridlcu import cli, lcu, qed
 
 # child interpreters started by the tests import the same package as the
 # suite, also when it runs from a checkout without an install
 _SRC = str(pathlib.Path(hybridlcu.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def run_defaults(subcommand: str, **overrides) -> dict:
+    """The subcommand's own config keys at their ``cli._PARAMS`` defaults, by
+    the name after the dot, as keyword arguments; ``overrides`` replace or add."""
+    prefix = subcommand + "."
+    kwargs = {key.removeprefix(prefix): param.default for key, param in cli._PARAMS.items() if key.startswith(prefix)}
+    return {**kwargs, **overrides}
+
+
+def qed_sweep_at_defaults(seed: int, **overrides):
+    """``qed.fig_sweep`` on the qed.* keys at their defaults, with the noise
+    grid built from them as the ``qed`` subcommand builds it."""
+    keys = run_defaults("qed", **overrides)
+    pz_grid = np.geomspace(keys["pz_min"], keys["pz_max"], keys["pz_points"])
+    return qed.fig_sweep(keys["r_values"], pz_grid, keys["codewords"], seed)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

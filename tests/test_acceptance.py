@@ -181,7 +181,7 @@ def test_07_lchs_bound_curve():
     # |L|=2, T=3, 2eps=1e-4: bound <= 1.1e-2 at M ~ 2^21; curve monotone; seconds
     start = time.perf_counter()
     failures = []
-    rows = lchs.fig_sweep(l_norm=2.0, t=3.0, epsilon=5e-5, points=60)
+    rows = lchs.fig_sweep(l_norm=2.0, t=3.0, epsilon=5e-5, points=60, p_assumed=1e-2)
     order = np.argsort([r.m for r in rows])
     bounds = np.array([r.rp_bound for r in rows])[order]
     if not np.all(np.diff(bounds) <= 1e-12):

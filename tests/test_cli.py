@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import qed_sweep_at_defaults
 
 import hybridlcu
 from hybridlcu import cli, estimate, gsp, hybrid, lchs, partition, qcore, qed, qlss
@@ -199,27 +200,22 @@ def test_dimension_above_pure_state_cap_is_config_error(tmp_path, monkeypatch, c
         assert f"{subcommand}.dim" in capsys.readouterr().err
 
 
-def test_cli_defaults_match_driver_signatures():
-    def defaults(fn):
-        return {name: param.default for name, param in inspect.signature(fn).parameters.items()}
-
-    table = cli._PARAMS
-    sweep = defaults(lchs.fig_sweep)
-    # cmd_lchs passes each lchs.* key as the fig_sweep parameter it names
-    names = [key.removeprefix("lchs.") for key in table if key.startswith("lchs.")]
-    assert names == ["l_norm", "t", "epsilon", "points", "p_assumed"]
-    for name in names:
-        assert table[f"lchs.{name}"].default == sweep[name], name
-    sweep = defaults(qlss.sweep)
-    for name in ("epsilon", "dim"):
-        assert table[f"qlss.{name}"].default == sweep[name], name
-    sweep = defaults(qed.fig_sweep)
-    assert table["qed.r_values"].default == sweep["r_values"]
-    assert table["qed.codewords"].default == sweep["codewords"]
-    # the driver's own grid, taken when pz_grid is None
-    grid = np.geomspace(table["qed.pz_min"].default, table["qed.pz_max"].default, table["qed.pz_points"].default)
-    assert sweep["pz_grid"] is None
-    assert [row.p_z for row in qed.fig_sweep(r_values=(0.1,), codewords=1)] == grid.tolist()
+def test_run_defaults_are_written_only_in_the_key_table():
+    # cmd_lchs passes each lchs.* key as the fig_sweep parameter it names, in order
+    names = [key.removeprefix("lchs.") for key in cli._PARAMS if key.startswith("lchs.")]
+    assert names == list(inspect.signature(lchs.fig_sweep).parameters)
+    # no driver parameter that a key feeds keeps a default of its own, which
+    # could drift from the table's
+    fed = {
+        lchs.fig_sweep: names,
+        qlss.sweep: ["kappas", "epsilon", "dim", "seed"],
+        qlss.random_instance: ["dim", "seed"],
+        qed.fig_sweep: ["r_values", "pz_grid", "codewords", "seed"],
+    }
+    for driver, fed_names in fed.items():
+        params = inspect.signature(driver).parameters
+        for name in fed_names:
+            assert params[name].default is inspect.Parameter.empty, f"{driver.__module__}.{driver.__name__}: {name}"
 
 
 def test_help_lists_every_config_key(capsys):
@@ -819,7 +815,7 @@ def test_qed_matches_direct_sweep_and_workers(tmp_path):
         assert cli.main(["qed", "--seed", "5", "--workers", workers, "--out", str(d)]) == 0
     w1 = (tmp_path / "w1" / "qed_sweep.csv").read_bytes()
     assert (tmp_path / "w3" / "qed_sweep.csv").read_bytes() == w1
-    rows = qed.fig_sweep(seed=5)
+    rows = qed_sweep_at_defaults(5)
     lines = w1.decode().splitlines()
     assert len(lines) == len(rows) + 2
     first = lines[1].split(",")

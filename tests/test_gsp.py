@@ -127,6 +127,18 @@ def test_filter_quality_two_level_uniform_perfect_filter():
     assert gsp._filter_quality(np.zeros(3, dtype=complex)) == (math.sqrt(2.0), 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cosine_stage_that_keeps_nothing_leaves_nothing():
+    # on psi = |1> the cosine stage is cos(pi/2)^20, below the smallest float,
+    # so the Gaussian stage gets no amplitude to normalise and both read as
+    # the largest distance, with no nan and no numpy warning
+    h = np.diag([0.0, 1.0])
+    rep = hybrid_gsp(staged(h, 20, math.pi / 2.0 - 1.0), np.array([0.0, 1.0]))
+    assert (rep.stage1_distance, rep.stage1_survival) == (math.sqrt(2.0), 0.0)
+    assert (rep.final_distance, rep.final_survival) == (math.sqrt(2.0), 0.0)
+    assert rep.r_factor == 0.0
+
+
 def test_filter_quality_identity_keeps_initial_distance():
     h, psi = random_gsp_instance(5, 0.2, 0.4, seed=3)
     rep = hybrid_gsp(staged(h, 0, 0.1), psi)
@@ -229,9 +241,6 @@ def test_config_rejects_epsilon_not_below_p0():
     for p0 in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="p0"):
             GspConfig(h_matrix=h, p0=p0, epsilon=0.1)
-    for c_tau in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="c_tau"):
-            GspConfig(h_matrix=h, p0=0.5, epsilon=0.1, c_tau=c_tau)
 
 
 def test_config_derived_parameters():
@@ -374,14 +383,16 @@ def test_hybrid_flags_low_overlap():
         hybrid_gsp(cfg, 2.0 * psi)
 
 
-def test_hybrid_weak_filter_limit():
+def test_hybrid_weak_filter_limit(monkeypatch):
     # ground-state input and a vanishing shift: R = cos^{2T'}(tau) -> 1
-    h, _ = random_gsp_instance(4, 0.8, 0.5, seed=3, lambda0_range=(0.05, 0.1))
-    cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=0.1, c_tau=0.01)
+    h, _ = random_gsp_instance(4, 0.8, 0.5, seed=3)
+    stronger = GspConfig(h_matrix=h, p0=0.5, epsilon=0.1)
+    monkeypatch.setattr(gsp, "C_TAU", 0.01)
+    cfg = GspConfig(h_matrix=h, p0=0.5, epsilon=0.1)
     rep = hybrid_gsp(cfg, ground_of(h))
     assert rep.t_prime <= 4
+    assert rep.tau == pytest.approx(0.01 * stronger.stage1_params[1], rel=1e-15)
     assert rep.r_factor >= 0.99
-    stronger = GspConfig(h_matrix=h, p0=0.5, epsilon=0.1, c_tau=1.0)
     assert hybrid_gsp(stronger, ground_of(h)).r_factor < rep.r_factor
 
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_hermitian
+from conftest import random_hermitian, run_defaults
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -152,7 +152,7 @@ def test_weight_sum_large_m_uses_limit():
     assert peak < 1 << 20
     # no row of the default bound sweep builds a node array
     with mock.patch.object(lchs, "_trapezoid", side_effect=AssertionError("node array built")):
-        assert len(fig_sweep()) == 60
+        assert len(fig_sweep(**run_defaults("lchs"))) == 60
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,7 +211,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="node count"):
         node_count(LchsConfig(None, t=1e300, epsilon=5e-5, l_norm=2.0))
     with pytest.raises(ValueError, match="K1 = 0"):
-        fig_sweep(epsilon=1.0)
+        fig_sweep(**run_defaults("lchs", epsilon=1.0))
 
 
 def test_norm_only_config_refuses_matrix_operations():
@@ -308,7 +308,7 @@ def test_measured_r_agrees_with_partition_module():
 
 
 def test_fig_sweep_operating_point_and_monotone():
-    rows = fig_sweep(points=60)
+    rows = fig_sweep(l_norm=2.0, t=3.0, epsilon=5e-5, points=60, p_assumed=1e-2)
     ms = np.array([r.m for r in rows])
     bounds = np.array([r.rp_bound for r in rows])
     order = np.argsort(ms)
@@ -330,7 +330,7 @@ def test_fig_sweep_operating_point_and_monotone():
 
 def test_fig_sweep_overhead_column():
     # R <= 1 caps P + rp_bound at 1, so no row exceeds the trivial 1/P^2
-    rows = fig_sweep(points=10, p_assumed=1e-2)
+    rows = fig_sweep(**run_defaults("lchs", points=10, p_assumed=1e-2))
     for r in rows:
         assert r.overhead_bound_at_p == pytest.approx(min(1e-2 + r.rp_bound, 1.0) / 1e-4)
         assert r.overhead_bound_at_p <= 1.0 / 1e-4
@@ -343,11 +343,11 @@ def test_fig_sweep_refuses_overflowing_overhead():
     # at 1e-155 the quotient overflows to inf; at 1e-200 P^2 underflows to 0
     for p_assumed in (1e-155, 1e-200):
         with pytest.raises(ValueError, match="overhead bound"):
-            fig_sweep(points=5, p_assumed=p_assumed)
+            fig_sweep(**run_defaults("lchs", points=5, p_assumed=p_assumed))
 
 
 def test_write_sweep_csv(tmp_path):
-    rows = fig_sweep(points=5)
+    rows = fig_sweep(**run_defaults("lchs", points=5))
     path = tmp_path / "sweep.csv"
     write_sweep_csv(path, rows, seed=1)
     lines = path.read_text().splitlines()

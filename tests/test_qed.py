@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import qed_sweep_at_defaults, random_density
 from rounds import hybrid_qed_channel, sector_elements, steane_projectors
 
 from hybridlcu import cli, lcu, qcore, qed
@@ -184,7 +184,7 @@ def test_noise_model_validation():
             with pytest.raises(ValueError):
                 NoiseModel(p_z=p_z, r=r)
     with pytest.raises(ValueError):
-        fig_sweep(r_values=(float("nan"),), pz_grid=[0.01])
+        fig_sweep(r_values=(float("nan"),), pz_grid=[0.01], codewords=1, seed=0)
     assert NoiseModel(p_z=0.5, r=0.2).p_x == pytest.approx(0.1)
 
 
@@ -315,7 +315,7 @@ def test_fig_sweep_matches_codeword_closed_forms():
     # every stabilizer fixes a codeword, so each trace is 1: P and R are the
     # mean noise weights, (sum wz)(sum wx)/64 and sum wx/8
     weights = np.array([bin(mask).count("1") for mask in qed._ELEMENT_MASKS])
-    rows = fig_sweep(seed=4)
+    rows = qed_sweep_at_defaults(4)
     assert len(rows) == 30
     for row in rows:
         wx = ((1.0 - 2.0 * row.p_z) ** weights).sum()
@@ -338,8 +338,8 @@ def test_codeword_trace_table_is_all_ones():
 def test_fig_sweep_is_the_weight_enumerator():
     # the X sector is the identity and seven weight-4 strings, so with T = 1
     # R = (1 + 7x^4)/8 at x = 1 - 2 p_Z and P = R (1 + 7y^4)/8 at y = 1 - 2 p_X
-    rows = fig_sweep(seed=1)
-    for row, one in zip(rows, fig_sweep(seed=1, codewords=1)):
+    rows = qed_sweep_at_defaults(1)
+    for row, one in zip(rows, qed_sweep_at_defaults(1, codewords=1)):
         r_factor = (1.0 + 7.0 * (1.0 - 2.0 * row.p_z) ** 4) / 8.0
         p = r_factor * (1.0 + 7.0 * (1.0 - 2.0 * row.p_x) ** 4) / 8.0
         assert abs(row.r_factor - r_factor) <= 1e-15 * r_factor and abs(row.p - p) <= 1e-15 * p
@@ -351,9 +351,9 @@ def test_fig_sweep_reads_neither_seed_nor_codeword_count():
     # rows and the codeword count changes no bit. A drawn codeword set can
     # round to the same bits by chance (seed 9 with one codeword matches seed 0
     # with 32), so three other runs are compared as well
-    rows = fig_sweep(seed=0, codewords=32)
+    rows = qed_sweep_at_defaults(0, codewords=32)
     for seed, codewords in ((9, 1), (1, 1), (2, 3), (3, 100)):
-        others = fig_sweep(seed=seed, codewords=codewords)
+        others = qed_sweep_at_defaults(seed, codewords=codewords)
         assert len(others) == len(rows) == 30
         for row, other in zip(rows, others):
             assert (row.seed, other.seed) == (0, seed)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hybridlcu import lcu, partition, qcore, qlss
+from hybridlcu import cli, lcu, partition, qcore, qlss
 from hybridlcu.qlss import (
     QlssConfig,
     QlssGrid,
@@ -384,6 +384,23 @@ def test_inverse_error_matches_assembled_matrix_route():
     truth = np.linalg.solve(cfg.m_matrix, cfg.b)
     direct = np.linalg.norm(approx @ cfg.b - truth) / np.linalg.norm(truth)
     assert inverse_error(cfg, grid) == pytest.approx(direct, rel=1e-10)
+
+
+def even_weights(grid: QlssGrid) -> QlssGrid:
+    """The grid with |w_k| for its odd inner weights w_k, so the assembled scalars are not real."""
+    return dataclasses.replace(grid, z_weights=np.abs(grid.z_weights))
+
+
+def test_assembled_scalars_that_are_not_real_are_an_invariant_violation(monkeypatch, tmp_path, capsys):
+    cfg = random_instance(4.0, 1e-2, dim=4, seed=1)
+    with pytest.raises(qcore.InvariantViolation, match="assembled scalars are not real"):
+        reduction_factors(cfg, even_weights(build_grid(cfg)))
+    # a numerical fault, exit 3, and no CSV is written
+    monkeypatch.setattr(qlss, "build_grid", lambda config: even_weights(build_grid(config)))
+    capsys.readouterr()
+    assert cli.main(["qlss", "--out", str(tmp_path)]) == 3
+    assert "invariant violation: assembled scalars are not real" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_inverse_error_per_eigenvalue_reduction():
