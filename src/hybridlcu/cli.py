@@ -188,7 +188,7 @@ def build_run_config(args: Args) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            texts = parse_config_text(path.read_text())
+            texts = parse_config_text(path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             # a ValueError, which main would blame on the subcommand's keys
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None

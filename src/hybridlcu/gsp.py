@@ -225,17 +225,15 @@ class ComplexityReport(NamedTuple):
     limit_large_alpha: float
 
 
-def complexity_report(p0: float, delta: float, eps: float, alpha: float | None = None) -> ComplexityReport:
+def complexity_report(p0: float, delta: float, eps: float) -> ComplexityReport:
     if not delta > 0.0:
         raise ValueError("spectral gap must be positive")
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must lie in (0, 1)")
     if not 0.0 < eps <= p0:
         raise ValueError("eps must lie in (0, p0]")
-    if alpha is None:
-        alpha = math.log(eps) / math.log(p0)
-    if alpha < 1.0:
-        raise ValueError("alpha = log(eps)/log(p0) below 1 means eps > p0")
+    # at least 1, since 0 < eps <= p0 < 1
+    alpha = math.log(eps) / math.log(p0)
     scale = 1.0 / eps**2 / p0
     log_p0 = math.log(1.0 / p0)
     log_eps = math.log(1.0 / eps)
@@ -247,7 +245,7 @@ def complexity_report(p0: float, delta: float, eps: float, alpha: float | None =
         p0=p0,
         delta=delta,
         epsilon=eps,
-        alpha=float(alpha),
+        alpha=alpha,
         term1=term1,
         term2=term2,
         total=term1 + term2,

@@ -15,7 +15,9 @@ moment is ``sum_k q_k tr[O^2 K_k rho K_k^dag]``.
 Two independent evaluation routes are kept deliberately separate: the
 analytic backend sums the term Gram matrix ``partition.gram``, the circuit
 backend multiplies out the explicit block-encoding unitaries. They must
-agree to 1e-9. Only the circuit backend builds pair-circuit states.
+agree to 1e-9. For every pair, k = k' included, the circuit backend
+applies the controlled pair ``L_c`` to the 2d columns that the input
+``|+>_B |0>_A (x) rho`` reads and measures ``X_B (x) |0><0|_A (x) O``.
 
 The exhaustive outcome tables come from the first block column
 ``L_k|0>_A`` of each encoding, the only part that acts on the circuit's
@@ -142,8 +144,10 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
     """``tr[O Lambda(rho)]`` through either backend.
 
     analytic: ``sum_ij p_i p_j Re tr[O U_i rho U_j^dag]``, the sum of the
-    Gram matrix on weight O. circuit: Born-rule value of the pair circuits
-    with explicit block-encoding matrices.
+    Gram matrix on weight O. circuit: ``sum_kk' q_k q_k' tr[M C rho C^dag]``
+    with ``M = X_B (x) |0><0|_A (x) O`` and ``C = L_c (|+>_B |0>_A (x) 1)``,
+    the pair's explicit controlled pair applied to the input's 2d columns;
+    every pair, k = k' included, takes this one route.
     """
     rho = qcore.density(state)
     o = qcore.as_observable(obs)
@@ -155,41 +159,23 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _on_zero_ancilla(channel: HybridChannel, op: np.ndarray) -> np.ndarray:
-    """``|0><0|_A (x) op`` on (ancilla x system) at the common width a*."""
-    na = 2**channel.a_star
-    proj0 = np.zeros((na, na))
-    proj0[0, 0] = 1.0
-    return np.kron(proj0, op)
-
-
-def _pair_state(channel: HybridChannel, rho: np.ndarray, k: int, kprime: int) -> np.ndarray:
-    """Density after the (k, k') pair circuit, before any measurement.
-
-    The circuit backend's state; the outcome tables never form it. For
-    k = k' the B register never entangles, so it is dropped and the
-    state lives on (ancilla x system); otherwise B starts in |+> and the
-    state lives on (B x ancilla x system).
-    """
-    init_as = _on_zero_ancilla(channel, rho)
-    padded = channel.padded_encodings
-    if k == kprime:
-        l_mat = padded[k]
-        return l_mat @ init_as @ l_mat.conj().T
-    l_c = build_controlled_pair(padded[k], padded[kprime])
-    plus = np.full((2, 2), 0.5)
-    return l_c @ np.kron(plus, init_as) @ l_c.conj().T
-
-
 def _circuit_expectation(channel: HybridChannel, rho: np.ndarray, o: qcore.Observable) -> float:
-    meas_as = _on_zero_ancilla(channel, o.matrix)
-    meas_pair = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), meas_as)
+    n = 2**channel.a_star * channel.dimension
+    d = channel.dimension
+    padded = channel.padded_encodings
     total = 0.0
     for k, wk in enumerate(channel.weights):
         for kp, wkp in enumerate(channel.weights):
-            meas = meas_as if k == kp else meas_pair
-            # tr[M S] as the flat sum of M * S^T
-            total += wk * wkp * (meas * _pair_state(channel, rho, k, kp).T).sum().real
+            l_c = build_controlled_pair(padded[k], padded[kp])
+            # the input |+>_B |0>_A (x) rho reads only these 2d columns, so the
+            # output state is cols @ rho @ cols^dag
+            cols = (l_c[:, :d] + l_c[:, n : n + d]) / np.sqrt(2.0)
+            # cols^dag M cols: M = X_B (x) |0><0|_A (x) O pairs the A = 0 rows
+            # of the two B halves
+            zero_b0, zero_b1 = cols[:d], cols[n : n + d]
+            effect = zero_b0.conj().T @ o.matrix @ zero_b1 + zero_b1.conj().T @ o.matrix @ zero_b0
+            # tr[effect rho] as the flat sum of effect * rho^T
+            total += wk * wkp * (effect * rho.T).sum().real
     return float(total)
 
 

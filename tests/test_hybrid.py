@@ -255,20 +255,51 @@ def test_outcome_distribution_diagonal_pair_has_no_b1_plane():
     assert np.all(probs[:, 1, :] == 0.0)
 
 
+def _dense_pair_state(ch, rho, k, kp):
+    # reference: L_c (|+><+|_B (x) |0><0|_A (x) rho) L_c^dag, the whole
+    # pair-circuit density on (B x ancilla x system), built with np.kron
+    zero_a = np.zeros((2**ch.a_star, 2**ch.a_star))
+    zero_a[0, 0] = 1.0
+    l_c = build_controlled_pair(ch.padded_encodings[k], ch.padded_encodings[kp])
+    return l_c @ np.kron(np.full((2, 2), 0.5), np.kron(zero_a, rho)) @ l_c.conj().T
+
+
+@pytest.mark.parametrize(
+    "groups, dim, a_star",
+    [
+        ([[0, 1, 2], [3, 4]], 4, 2),  # mixed ancilla widths: the second encoding is padded
+        ([[0], [1, 2], [3, 4, 5]], 3, 2),
+        ([[0, 1, 2, 3]], 4, 2),  # one group: only k = k' = 0
+        ([[0], [1], [2], [3]], 3, 0),  # all singletons: no ancilla
+    ],
+)
+def test_circuit_backend_matches_dense_pair_circuit(groups, dim, a_star):
+    rng = np.random.default_rng(len(groups) * 10 + dim)
+    m = sum(len(g) for g in groups)
+    ch = HybridChannel(random_lcu(m, dim, rng), Partition(groups, m))
+    assert ch.a_star == a_star
+    rho = random_density(dim, rng)
+    assert np.linalg.matrix_rank(rho) == dim
+    obs = random_hermitian(dim, rng)
+    zero_a = np.zeros((2**a_star, 2**a_star))
+    zero_a[0, 0] = 1.0
+    meas = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.kron(zero_a, obs))
+    want = sum(
+        ch.weights[k] * ch.weights[kp] * np.trace(meas @ _dense_pair_state(ch, rho, k, kp)).real
+        for k in range(ch.G)
+        for kp in range(ch.G)
+    )
+    assert abs(exact_expectation(ch, rho, obs, backend="circuit") - want) <= 1e-12
+
+
 def _pair_circuit_table(ch, rho, obs, k, kp):
-    # reference: the Born diagonal of the whole pair-circuit density, B read
+    # reference: the Born diagonal of the dense pair-circuit density, B read
     # in the Hadamard basis and the system in O's eigenbasis
     na, d = 2**ch.a_star, ch.dimension
-    final = hybrid._pair_state(ch, rho, k, kp)
-    nb = 1 if k == kp else 2
-    basis = np.kron(np.eye(na), obs.eigenvectors)
-    if k != kp:
-        basis = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), basis)
-    diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real.reshape(nb, na, d)
-    probs = np.zeros((2, 2, d))
-    probs[0, :nb] = diag[:, 0]
-    probs[1, :nb] = diag[:, 1:].sum(axis=1)
-    return np.clip(probs, 0.0, None)
+    basis = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.kron(np.eye(na), obs.eigenvectors))
+    final = _dense_pair_state(ch, rho, k, kp)
+    diag = np.einsum("ij,jk,ki->i", basis.conj().T, final, basis).real.reshape(2, na, d)
+    return np.clip(np.stack([diag[:, 0], diag[:, 1:].sum(axis=1)]), 0.0, None)
 
 
 @pytest.mark.parametrize(
