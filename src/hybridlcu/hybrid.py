@@ -13,35 +13,36 @@ whose mean over shots is ``tr[O K_lcu rho K_lcu^dag]`` and whose second
 moment is ``sum_k q_k tr[O^2 K_k rho K_k^dag]``.
 
 Two independent evaluation routes are kept deliberately separate: the
-analytic backend sums the term Gram matrix ``partition.gram``, the circuit
-backend multiplies out the explicit block-encoding unitaries. They must
-agree to 1e-9. For every pair, k = k' included, the circuit backend
-applies the controlled pair ``L_c`` to the 2d columns that the input
-``|+>_B |0>_A (x) rho`` reads and measures ``X_B (x) |0><0|_A (x) O``.
+analytic backend sums the term Gram matrix ``partition.gram``, the
+circuit backend multiplies out the block encodings. They must agree to
+1e-9. Every pair circuit starts from ``|+>_B |0>_A (x) rho``, so only
+the first block column ``L_k|0>_A`` of an encoding acts, and the channel
+keeps just those columns (``HybridChannel.first_columns``). The circuit
+backend reads their A = 0 blocks, all that ``X_B (x) |0><0|_A (x) O``
+measures, for every pair, k = k' included; the exhaustive outcome tables
+read the whole columns.
 
-The exhaustive outcome tables come from the first block column
-``L_k|0>_A`` of each encoding, the only part that acts on the circuit's
-input. They drive :class:`Sampler`, whose ``sample_shots`` is the only
-shot path: each shot reads its two uniforms from its own Philox substream
-(``prng``), so the shots depend only on (seed, stream, shot index). A
-shot is one outcome code, its row in the sampler's one table of G^2 * 4d
-outcomes, and ``sample_shots`` returns the codes; ``table[codes]`` gives
-their fields. Its pair and its row are each read from a guide table, one
-entry per equal bucket of the uniform's range (Chen & Asau 1974); a shot
-whose bucket holds a threshold falls back to the exact lexicographic
-complex search over ``pair + 1j * cumulative probability``, so the codes
-are those of that search for any number of pairs. A run's statistics
-need only the count of shots per outcome code. Because any split of the
-shot range reassembles to the same codes, a long run is drawn in chunks
-of ``_CSV_CHUNK_ROWS`` that ``write_shot_csv`` numbers from shot 0 and
-streams to disk one at a time. ``demo`` tallies its identity stream on a
-second thread meanwhile (``--workers`` changes nothing), so two chunks
-are live at once, one per stream; the identity stream draws each of its
-chunks in the same ``Sampler.shot_buffers``, so memory stays bounded in
-the shot count whatever the scheduling. The shot CSV formats one tail
-per table row and joins each chunk from cached pieces: one string per
-thousand shot indices, the last three digits from a fixed table, and
-the tails.
+The outcome tables drive :class:`Sampler`, whose ``sample_shots`` is the
+only shot path: each shot reads its two uniforms from its own Philox
+substream (``prng``), so the shots depend only on (seed, stream, shot
+index). A shot is one outcome code, its row in the sampler's one table
+of G^2 * 4d outcomes, and ``sample_shots`` returns the codes;
+``table[codes]`` gives their fields. Its pair and its row are each read
+from a guide table, one entry per equal bucket of the uniform's range
+(Chen & Asau 1974); a shot whose bucket holds a threshold falls back to
+the exact lexicographic complex search over ``pair + 1j * cumulative
+probability``, so the codes are those of that search for any number of
+pairs. A run's statistics need only the count of shots per outcome code.
+Because any split of the shot range reassembles to the same codes, a
+long run is drawn in chunks of ``_CSV_CHUNK_ROWS`` that
+``write_shot_csv`` numbers from shot 0 and streams to disk one at a
+time. ``demo`` tallies its identity stream on a second thread meanwhile
+(``--workers`` changes nothing), so two chunks are live at once, one per
+stream; the identity stream draws each of its chunks in the same
+``Sampler.shot_buffers``, so memory stays bounded in the shot count
+whatever the scheduling. The shot CSV formats one tail per table row and
+joins each chunk from cached pieces: one string per thousand shot
+indices, the last three digits from a fixed table, and the tails.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .qcore import TOL
 __all__ = [
     "HybridChannel",
     "build_block_encoding",
-    "build_controlled_pair",
     "exact_expectation",
     "outcome_distribution",
     "Sampler",
@@ -101,23 +101,8 @@ def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecompo
     return l_mat
 
 
-def build_controlled_pair(l_k: np.ndarray, l_kprime: np.ndarray) -> np.ndarray:
-    """``|0><0|_B (x) L_k' + |1><1|_B (x) L_k`` on (B x ancilla x system).
-
-    The primed encoding sits on the zero branch. Both inputs must already
-    be padded to the common ancilla width.
-    """
-    if l_k.shape != l_kprime.shape:
-        raise ValueError("encodings must be padded to a common shape first")
-    n = l_k.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = l_kprime
-    out[n:, n:] = l_k
-    return out
-
-
 class HybridChannel:
-    """Decomposition + partition with group operators and block encodings."""
+    """Decomposition + partition with group operators and each encoding's first block column."""
 
     def __init__(self, dec: lcu.LcuDecomposition, part: partition_mod.Partition):
         self.decomposition = dec
@@ -133,11 +118,15 @@ class HybridChannel:
             raise qcore.InvariantViolation(f"pair weights sum to {pair_sum}, expected 1")
 
     @functools.cached_property
-    def padded_encodings(self) -> list[np.ndarray]:
-        """Block encodings with identity ancillas tensored on the left up to width a*."""
-        width = 2**self.a_star * self.dimension
-        encs = [build_block_encoding(g, self.decomposition) for g in self.group_ops]
-        return [np.kron(np.eye(width // len(e)), e) for e in encs]
+    def first_columns(self) -> np.ndarray:
+        """Read-only ``(G, 2**a*, d, d)``: ancilla block a of ``L_k|0>_A``, zero past group k's width."""
+        d = self.dimension
+        cols = np.zeros((self.G, 2**self.a_star, d, d), dtype=complex)
+        for k, g in enumerate(self.group_ops):
+            col = build_block_encoding(g, self.decomposition)[:, :d]
+            cols[k, : len(col) // d] = col.reshape(-1, d, d)
+        cols.setflags(write=False)
+        return cols
 
 
 def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analytic") -> float:
@@ -145,9 +134,10 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
 
     analytic: ``sum_ij p_i p_j Re tr[O U_i rho U_j^dag]``, the sum of the
     Gram matrix on weight O. circuit: ``sum_kk' q_k q_k' tr[M C rho C^dag]``
-    with ``M = X_B (x) |0><0|_A (x) O`` and ``C = L_c (|+>_B |0>_A (x) 1)``,
-    the pair's explicit controlled pair applied to the input's 2d columns;
-    every pair, k = k' included, takes this one route.
+    with ``M = X_B (x) |0><0|_A (x) O`` and ``C`` the pair circuit on
+    ``|+>_B |0>_A``: M reads the A = 0 blocks ``B_k`` of the first block
+    columns, so every pair, k = k' included, adds
+    ``tr[(B_k'^dag O B_k + B_k^dag O B_k') rho] / 2``.
     """
     rho = qcore.density(state)
     o = qcore.as_observable(obs)
@@ -160,20 +150,15 @@ def exact_expectation(channel: HybridChannel, state, obs, backend: str = "analyt
 
 
 def _circuit_expectation(channel: HybridChannel, rho: np.ndarray, o: qcore.Observable) -> float:
-    n = 2**channel.a_star * channel.dimension
-    d = channel.dimension
-    padded = channel.padded_encodings
+    # on |+>_B |0>_A (x) rho the controlled pair outputs
+    # (|0>_B L_k'|0>_A + |1>_B L_k|0>_A)/sqrt(2), and M = X_B (x) |0><0|_A (x) O
+    # pairs the A = 0 blocks B_k of the two B halves
+    blocks = channel.first_columns[:, 0]
     total = 0.0
     for k, wk in enumerate(channel.weights):
         for kp, wkp in enumerate(channel.weights):
-            l_c = build_controlled_pair(padded[k], padded[kp])
-            # the input |+>_B |0>_A (x) rho reads only these 2d columns, so the
-            # output state is cols @ rho @ cols^dag
-            cols = (l_c[:, :d] + l_c[:, n : n + d]) / np.sqrt(2.0)
-            # cols^dag M cols: M = X_B (x) |0><0|_A (x) O pairs the A = 0 rows
-            # of the two B halves
-            zero_b0, zero_b1 = cols[:d], cols[n : n + d]
-            effect = zero_b0.conj().T @ o.matrix @ zero_b1 + zero_b1.conj().T @ o.matrix @ zero_b0
+            b_k, b_kp = blocks[k], blocks[kp]
+            effect = (b_kp.conj().T @ o.matrix @ b_k + b_k.conj().T @ o.matrix @ b_kp) / 2.0
             # tr[effect rho] as the flat sum of effect * rho^T
             total += wk * wkp * (effect * rho.T).sum().real
     return float(total)
@@ -186,20 +171,23 @@ def outcome_distribution(channel: HybridChannel, state, obs, k: int, kprime: int
     bit z (0 = all-zero outcome), the X-basis bit b and the observable
     eigenindex j.
 
-    Only the first block column of each encoding acts on |0>_A (x) rho; its
-    ancilla-a block B_{k,a} gives the amplitude (B_{k',a} + (-1)^b B_{k,a})/2
-    after the X-basis measurement of B, and z = 0 is the a = 0 block. For
-    k = k' that is exactly B_{k,a} for b = 0 and exactly 0 for b = 1.
+    It reads the channel's first block columns, the only part of each
+    encoding that acts on |0>_A (x) rho: the ancilla-a block B_{k,a} gives
+    the amplitude (B_{k',a} + (-1)^b B_{k,a})/2 after the X-basis
+    measurement of B, and z = 0 is the a = 0 block. For k = k' that is
+    exactly B_{k,a} for b = 0 and exactly 0 for b = 1. ``k`` and ``kprime``
+    must lie in range(G), and the state and observable must have the
+    decomposition's dimension.
     """
     rho = qcore.density(state)
     o = qcore.as_observable(obs)
-    na = 2**channel.a_star
-    d = channel.dimension
-    padded = channel.padded_encodings
-    # first block columns split into ancilla blocks (a, d, d), in O's eigenbasis
+    partition_mod.check_dimensions(channel.decomposition, rho, o.matrix)
+    if not (0 <= k < channel.G and 0 <= kprime < channel.G):
+        raise ValueError(f"pair (k, k') = ({k}, {kprime}) is outside range({channel.G})")
+    # first block columns in O's eigenbasis, ancilla blocks (a, d, d)
     rot = o.eigenvectors.conj().T
-    col_k = rot @ padded[k][:, :d].reshape(na, d, d)
-    col_kp = rot @ padded[kprime][:, :d].reshape(na, d, d)
+    col_k = rot @ channel.first_columns[k]
+    col_kp = rot @ channel.first_columns[kprime]
     amps = np.stack([col_kp + col_k, col_kp - col_k]) / 2.0
     # <j|A rho A^dag|j> for each amplitude A, indexed (b, a, j)
     diag = ((amps @ rho) * amps.conj()).sum(axis=-1).real

@@ -136,9 +136,11 @@ def as_observable(obs) -> Observable:
 def density(state) -> np.ndarray:
     """Coerce a state (vector or matrix) to a density matrix."""
     arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        return np.outer(arr, arr.conj())
-    return as_matrix(arr)
+    if arr.ndim != 1:
+        return as_matrix(arr)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("state vector contains non-finite entries")
+    return np.outer(arr, arr.conj())
 
 
 ## --- CSV tables ---------------------------------------------------------

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import PAULI_Z, haar_unitary, random_density, random_hermitian, random_lcu
+from conftest import PAULI_Z, random_density, random_hermitian, random_lcu
 from rounds import DegenerateRoundError, compose_rounds, expectation_rounds
 
 from hybridlcu import __version__, hybrid, lcu, partition, prng, qcore
@@ -14,7 +14,6 @@ from hybridlcu.hybrid import (
     HybridChannel,
     Sampler,
     build_block_encoding,
-    build_controlled_pair,
     exact_expectation,
     outcome_distribution,
     write_shot_csv,
@@ -119,29 +118,22 @@ def test_block_encoding_singleton_is_bare_unitary():
             build_block_encoding(g._replace(operator=dec.unitaries[(idx + 1) % 3]), dec)
 
 
-def test_controlled_pair_structure():
-    rng = np.random.default_rng(3)
-    a = haar_unitary(4, rng)
-    b = haar_unitary(4, rng)
-    l_c = build_controlled_pair(a, b)
-    # primed encoding on the zero branch of B
-    assert np.array_equal(l_c[:4, :4], b)
-    assert np.array_equal(l_c[4:, 4:], a)
-    assert np.linalg.norm(l_c[:4, 4:]) == 0.0
-    assert np.linalg.norm(l_c @ l_c.conj().T - np.eye(8)) < 1e-12
-    with pytest.raises(ValueError):
-        build_controlled_pair(a, np.eye(8))
-
-
-def test_padded_encodings_share_width():
+def test_first_columns_are_padded_encodings_first_block_column():
     rng = np.random.default_rng(4)
-    dec = random_lcu(5, 3, rng)
-    part = Partition([[0, 1, 2], [3], [4]], 5)
-    ch = HybridChannel(dec, part)
+    dec = random_lcu(6, 3, rng)
+    # ancilla widths 4, 2 and 1 under a common a* = 2
+    ch = HybridChannel(dec, Partition([[0, 1, 2], [3, 4], [5]], 6))
     assert ch.a_star == 2
-    for l_mat, g in zip(ch.padded_encodings, ch.group_ops):
-        assert l_mat.shape == (4 * 3, 4 * 3)
-        assert np.linalg.norm(l_mat[:3, :3] - g.operator) < 1e-10
+    cols = ch.first_columns
+    assert cols.shape == (3, 4, 3, 3)
+    assert not cols.flags.writeable
+    for k, g in enumerate(ch.group_ops):
+        l_mat = build_block_encoding(g, dec)
+        na = len(l_mat) // 3
+        assert np.all(cols[k, na:] == 0.0)
+        # the first d columns of L_k with identity ancillas tensored on the left up to a*
+        assert np.array_equal(cols[k].reshape(12, 3), np.kron(np.eye(4 // na), l_mat)[:, :3])
+        assert np.linalg.norm(cols[k, 0] - g.operator) < 1e-10
 
 
 ## ------------------------------------------------------------------
@@ -257,10 +249,16 @@ def test_outcome_distribution_diagonal_pair_has_no_b1_plane():
 
 def _dense_pair_state(ch, rho, k, kp):
     # reference: L_c (|+><+|_B (x) |0><0|_A (x) rho) L_c^dag, the whole
-    # pair-circuit density on (B x ancilla x system), built with np.kron
-    zero_a = np.zeros((2**ch.a_star, 2**ch.a_star))
+    # pair-circuit density on (B x ancilla x system), built with np.kron: each
+    # encoding padded with identity ancillas up to width a*, and the
+    # controlled pair L_c = [[L_k', 0], [0, L_k]] with L_k' on the zero branch of B
+    na = 2**ch.a_star
+    zero_a = np.zeros((na, na))
     zero_a[0, 0] = 1.0
-    l_c = build_controlled_pair(ch.padded_encodings[k], ch.padded_encodings[kp])
+    l_k, l_kp = (build_block_encoding(ch.group_ops[i], ch.decomposition) for i in (k, kp))
+    l_k, l_kp = (np.kron(np.eye(na * ch.dimension // len(l_mat)), l_mat) for l_mat in (l_k, l_kp))
+    zero = np.zeros_like(l_k)
+    l_c = np.block([[l_kp, zero], [zero, l_k]])
     return l_c @ np.kron(np.full((2, 2), 0.5), np.kron(zero_a, rho)) @ l_c.conj().T
 
 
@@ -290,6 +288,21 @@ def test_circuit_backend_matches_dense_pair_circuit(groups, dim, a_star):
         for kp in range(ch.G)
     )
     assert abs(exact_expectation(ch, rho, obs, backend="circuit") - want) <= 1e-12
+
+
+def test_outcome_distribution_refuses_bad_pairs_and_sizes():
+    rng = np.random.default_rng(14)
+    ch = HybridChannel(random_lcu(4, 2, rng), Partition([[0, 1], [2, 3]], 4))
+    rho = random_density(2, rng)
+    # a negative index is not read from the end, and G is past the last group
+    for k, kp in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(ValueError, match=rf"pair \(k, k'\) = \({k}, {kp}\) is outside range\(2\)"):
+            outcome_distribution(ch, rho, PAULI_Z, k, kp)
+    # the state and observable are checked against the decomposition, as in exact_expectation
+    with pytest.raises(ValueError, match="dimension mismatch: decomposition 2, state 3, observable 3"):
+        outcome_distribution(ch, random_density(3, rng), np.eye(3), 0, 0)
+    with pytest.raises(ValueError, match="dimension mismatch: decomposition 2, state 2, observable 4"):
+        outcome_distribution(ch, rho, np.eye(4), 1, 1)
 
 
 def _pair_circuit_table(ch, rho, obs, k, kp):
@@ -717,3 +730,16 @@ def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
         sampler = Sampler(ch, random_density(dim, rng), random_hermitian(dim, rng))
         per_shot.append(_traced_peak(sampler.sample_shots, seed=1, count=n) / n)
     assert abs(per_shot[1] - per_shot[0]) <= 0.1 * per_shot[0], per_shot
+
+
+def test_circuit_oracle_memory_is_the_first_block_columns():
+    # m = 8, d = 64 in two groups of four, so W = 2**a* * d = 256: the first
+    # block columns of both groups take 2 x 4 x 64 x 64 x 16 B = 0.5 MB, and each
+    # W x W encoding (1 MB) is live only while its first column is cut out
+    rng = np.random.default_rng(15)
+    ch = HybridChannel(random_lcu(8, 64, rng), Partition([[0, 1, 2, 3], [4, 5, 6, 7]], 8))
+    assert ch.a_star == 2
+    rho = random_density(64, rng)
+    obs = random_hermitian(64, rng)
+    peak = _traced_peak(exact_expectation, ch, rho, obs, backend="circuit")
+    assert peak < 5_000_000, peak

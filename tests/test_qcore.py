@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import PAULI_Z, random_hermitian
 
-from hybridlcu import qcore
+from hybridlcu import lcu, partition, qcore
 from hybridlcu.qcore import TOL
 
 
@@ -36,6 +36,16 @@ def test_eigh_rejects_non_hermitian():
     for bad in (np.nan, np.inf, 1j * np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             qcore.eigh(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_density_refuses_non_finite_state_vector():
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        with pytest.raises(ValueError, match="state vector contains non-finite entries"):
+            qcore.density(np.array([bad, 1.0]))
+    # a NaN amplitude is refused before it reaches a reduction factor
+    dec = lcu.LcuDecomposition([1.0, 1.0], [np.eye(2), PAULI_Z])
+    with pytest.raises(ValueError, match="non-finite"):
+        partition.reduction_factor(dec, partition.Partition.coherent(2), np.array([np.nan, 1.0]))
 
 
 def test_expm_zero_time_is_identity():
