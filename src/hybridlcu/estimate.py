@@ -98,7 +98,8 @@ class Histogram:
     ``Histogram(samples)`` takes an array as unit counts, with no sort, and
     values may repeat. ``mean`` is ``sum(c v) / n`` and ``variance`` the
     two-pass ``sum(c (v - mean)^2) / n``, each sum exact before its one
-    rounding; both raise ``ValueError`` on an empty histogram.
+    rounding; both raise ``ValueError`` on an empty histogram. Counts must
+    be finite, nonnegative whole numbers.
     """
 
     def __init__(self, values, counts=None):
@@ -107,6 +108,8 @@ class Histogram:
         self.counts = np.ones(len(self.values)) if counts is None else np.asarray(counts, dtype=float)
         if self.counts.shape != self.values.shape:
             raise ValueError("values and counts must have equal length")
+        if not np.all(np.isfinite(self.counts) & (self.counts >= 0) & (self.counts == np.floor(self.counts))):
+            raise ValueError("counts must be finite, nonnegative whole numbers")
         self.n = int(self.counts.sum())
 
     @functools.cached_property

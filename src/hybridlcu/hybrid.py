@@ -14,13 +14,13 @@ moment is ``sum_k q_k tr[O^2 K_k rho K_k^dag]``.
 
 Two independent evaluation routes are kept deliberately separate: the
 analytic backend sums the term Gram matrix ``partition.gram``, the
-circuit backend multiplies out the block encodings. They must agree to
-1e-9. Every pair circuit starts from ``|+>_B |0>_A (x) rho``, so only
-the first block column ``L_k|0>_A`` of an encoding acts, and the channel
-keeps just those columns (``HybridChannel.first_columns``). The circuit
-backend reads their A = 0 blocks, all that ``X_B (x) |0><0|_A (x) O``
-measures, for every pair, k = k' included; the exhaustive outcome tables
-read the whole columns.
+circuit backend multiplies out the encodings. They must agree to 1e-9.
+Every pair circuit starts from ``|+>_B |0>_A (x) rho``, so only the
+first block column ``L_k|0>_A`` of an encoding acts, and it is all that
+is built (``first_block_column``), one per group in
+``HybridChannel.first_columns``. The circuit backend reads their A = 0
+blocks, all that ``X_B (x) |0><0|_A (x) O`` measures, for every pair,
+k = k' included; the exhaustive outcome tables read the whole columns.
 
 The outcome tables drive :class:`Sampler`, whose ``sample_shots`` is the
 only shot path: each shot reads its two uniforms from its own Philox
@@ -57,8 +57,8 @@ from .qcore import TOL
 
 __all__ = [
     "HybridChannel",
-    "build_block_encoding",
     "exact_expectation",
+    "first_block_column",
     "outcome_distribution",
     "Sampler",
     "write_shot_csv",
@@ -76,29 +76,26 @@ def _householder_prepare(column: np.ndarray) -> np.ndarray:
     return np.eye(dim) - (2.0 / nrm2) * np.outer(v, v)
 
 
-def build_block_encoding(group: partition_mod.GroupOperator, dec: lcu.LcuDecomposition) -> np.ndarray:
-    """PREPARE/SELECT block encoding ``L_k`` of one group operator.
+def first_block_column(group: partition_mod.GroupOperator, dec: lcu.LcuDecomposition) -> np.ndarray:
+    """First block column ``L_k|0>_A`` of the PREPARE/SELECT encoding of one group operator.
 
-    Returns the unitary on (ancilla x system) whose zero-ancilla block is
-    ``K_k``; its ancilla width ``a = ceil(log2 |S_k|)`` follows from its
-    shape. PREPARE may be completed from its first column ``sqrt(p_i/q_k)``
-    by any unitary; a real Householder reflection ``P`` is used here, so
-    block ``(a, b)`` of ``L_k`` is ``sum_s P[s,a] P[s,b] U_s``, with
-    ``U_s = 1`` on the padding slots. A singleton group takes the same
-    route with one slot and ``P = [[1]]``, so ``L_k = U_i`` and its
-    zero-ancilla block is checked against ``K_k`` like any other group's.
+    Returns ``(2**a, d, d)`` with ``a = ceil(log2 |S_k|)``; block 0 is
+    ``K_k``. PREPARE may be completed from its first column
+    ``sqrt(p_s/q_k)`` by any unitary; a real Householder reflection ``P``
+    is used here, so block a is ``sum_{s in S_k} P[s,a] sqrt(p_s/q_k) U_s``
+    (SELECT's padding slots have weight 0). A singleton group takes the
+    same route with one slot and ``P = [[1]]``, so its column is ``U_i``
+    and is checked against ``K_k`` like any other group's.
     """
     members = list(group.members)
-    d = dec.dimension
-    na = 1 << (len(members) - 1).bit_length()
-    column = np.zeros(na)
-    column[: len(members)] = np.sqrt(dec.probs[members] / group.weight)
+    n = len(members)
+    column = np.zeros(1 << (n - 1).bit_length())
+    column[:n] = np.sqrt(dec.probs[members] / group.weight)
     prepare = _householder_prepare(column)
-    units = np.concatenate([dec.unitaries[members], np.broadcast_to(np.eye(d), (na - len(members), d, d))])
-    l_mat = np.einsum("sa,sb,sij->aibj", prepare, prepare, units).reshape(na * d, na * d)
-    if np.linalg.norm(l_mat[:d, :d] - group.operator) > TOL.unitarity:
+    col = np.tensordot(prepare[:n].T * column[:n], dec.unitaries[members], axes=1)
+    if np.linalg.norm(col[0] - group.operator) > TOL.unitarity:
         raise qcore.InvariantViolation("block-encoding invariant violated")
-    return l_mat
+    return col
 
 
 class HybridChannel:
@@ -123,8 +120,8 @@ class HybridChannel:
         d = self.dimension
         cols = np.zeros((self.G, 2**self.a_star, d, d), dtype=complex)
         for k, g in enumerate(self.group_ops):
-            col = build_block_encoding(g, self.decomposition)[:, :d]
-            cols[k, : len(col) // d] = col.reshape(-1, d, d)
+            col = first_block_column(g, self.decomposition)
+            cols[k, : len(col)] = col
         cols.setflags(write=False)
         return cols
 

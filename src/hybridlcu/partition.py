@@ -230,6 +230,8 @@ def split_delta(dec, part: Partition, group_idx: int, subset_a, state, obs) -> f
     """
     if part.m != dec.m:
         raise ValueError(f"partition over {part.m} indices, decomposition has {dec.m} terms")
+    if not 0 <= group_idx < len(part.groups):
+        raise ValueError(f"group_idx = {group_idx} is outside range({len(part.groups)})")
     group = part.groups[group_idx]
     sub_a = tuple(sorted(int(i) for i in subset_a))
     if not sub_a or not set(sub_a) < set(group):
@@ -246,6 +248,8 @@ def split_delta(dec, part: Partition, group_idx: int, subset_a, state, obs) -> f
 
 def fragment_bound(weights, group_idx: int, obs) -> float:
     """Lemma bound ``|O^2| q_G`` on the R^O cost of fully fragmenting a group."""
+    if not 0 <= group_idx < len(weights):
+        raise ValueError(f"group_idx = {group_idx} is outside range({len(weights)})")
     return qcore.as_observable(obs).spectral_norm ** 2 * float(weights[group_idx])
 
 

@@ -249,7 +249,8 @@ def _r_int_direct(config: QlssConfig, grid: QlssGrid) -> float:
     first turns each pair into a geometric-series kernel evaluated at the
     lag k - k', and the pair sum collapses onto the autocorrelation of the
     weight vector. Cost O(K) per eigenvalue after the direct np.correlate,
-    which is O(K^2) once per kappa and dominates near the grid cap (ROADMAP item 3: FFT).
+    which is O(K^2) once per kappa and dominates near the grid cap (FFT:
+    ROADMAP, QLSS trade-off curve).
     """
     w = grid.z_weights
     acorr = np.correlate(w, w, mode="full")  # lags -2K .. 2K

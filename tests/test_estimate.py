@@ -204,6 +204,16 @@ def test_histogram_sum_is_exact():
         Histogram([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("counts", [[0.5, 0.5], [2, -1], [1.0, np.nan], [1.0, np.inf], [3.0, -np.inf]])
+def test_histogram_refuses_counts_that_are_not_whole(counts):
+    # a fractional count would truncate n, a negative one would give a
+    # negative variance, and a NaN would fail in int()
+    with pytest.raises(ValueError, match="counts must be finite, nonnegative whole numbers"):
+        Histogram([1.0, 3.0], counts)
+    # zero counts are whole numbers
+    assert Histogram([1.0, 3.0], [0, 2]).mean == 3.0
+
+
 def test_weighted_sums_match_rational_oracle():
     # counts up to 1e11 and values over 60 decades, signed zeros and zero
     # counts included, against one rounding of the rational sum

@@ -13,8 +13,8 @@ from hybridlcu import __version__, hybrid, lcu, partition, prng, qcore
 from hybridlcu.hybrid import (
     HybridChannel,
     Sampler,
-    build_block_encoding,
     exact_expectation,
+    first_block_column,
     outcome_distribution,
     write_shot_csv,
 )
@@ -80,14 +80,17 @@ def test_block_encoding_matches_select_sandwich():
             rest = [i for i in range(size + 2) if i not in members]
             groups = group_operators(dec, Partition([members, rest], size + 2))
             g = next(g for g in groups if list(g.members) == members)
-            l_mat = build_block_encoding(g, dec)
+            col = first_block_column(g, dec)
             ref = reference_block_encoding(g, dec)
-            assert l_mat.shape == ref.shape == (2 ** math.ceil(math.log2(size)) * dim,) * 2
-            assert np.linalg.norm(l_mat - ref) <= 1e-12, (size, dim)
+            assert ref.shape == (2 ** math.ceil(math.log2(size)) * dim,) * 2
+            assert col.shape == (len(ref) // dim, dim, dim)
+            # block a of the column is rows a*d .. (a+1)*d of the first d columns
+            assert np.linalg.norm(col.reshape(-1, dim) - ref[:, :dim]) <= 1e-12, (size, dim)
 
 
 def test_block_encoding_invariant():
-    # zero-ancilla block of L_k must reproduce K_k = sum_{i in S_k} (p_i/q_k) U_i
+    # block 0 of L_k|0>_A must reproduce K_k = sum_{i in S_k} (p_i/q_k) U_i,
+    # and the column of a unitary is an isometry: sum_a B_a^dag B_a = 1
     rng = np.random.default_rng(1)
     for _ in range(15):
         m = int(rng.integers(2, 7))
@@ -95,11 +98,11 @@ def test_block_encoding_invariant():
         dec = random_lcu(m, dim, rng)
         part = random_partition(m, rng)
         for g in group_operators(dec, part):
-            l_mat = build_block_encoding(g, dec)
-            na = l_mat.shape[0] // dim
-            assert l_mat.shape == (na * dim, na * dim)
-            assert np.linalg.norm(l_mat @ l_mat.conj().T - np.eye(na * dim)) < 1e-10
-            assert np.linalg.norm(l_mat[:dim, :dim] - g.operator) < 1e-10
+            col = first_block_column(g, dec)
+            na = len(col)
+            assert col.shape == (na, dim, dim)
+            assert np.linalg.norm(np.einsum("aji,ajk->ik", col.conj(), col) - np.eye(dim)) < 1e-10
+            assert np.linalg.norm(col[0] - g.operator) < 1e-10
             expect_a = math.ceil(math.log2(len(g.members))) if len(g.members) > 1 else 0
             assert na == 2**expect_a
 
@@ -109,13 +112,13 @@ def test_block_encoding_singleton_is_bare_unitary():
     dec = random_lcu(3, 4, rng)
     part = Partition.singletons(3)
     for idx, g in enumerate(group_operators(dec, part)):
-        l_mat = build_block_encoding(g, dec)
-        # no ancilla: the encoding acts on the system alone, and is the stored unitary to the bit
-        assert l_mat.shape == (4, 4)
-        assert l_mat.tobytes() == dec.unitaries[idx].tobytes()
+        col = first_block_column(g, dec)
+        # no ancilla: one block, the stored unitary to the bit
+        assert col.shape == (1, 4, 4)
+        assert col.tobytes() == dec.unitaries[idx].tobytes()
         # a singleton passes the same invariant check as any group, so a wrong K_k is refused
         with pytest.raises(qcore.InvariantViolation, match="block-encoding"):
-            build_block_encoding(g._replace(operator=dec.unitaries[(idx + 1) % 3]), dec)
+            first_block_column(g._replace(operator=dec.unitaries[(idx + 1) % 3]), dec)
 
 
 def test_first_columns_are_padded_encodings_first_block_column():
@@ -128,12 +131,25 @@ def test_first_columns_are_padded_encodings_first_block_column():
     assert cols.shape == (3, 4, 3, 3)
     assert not cols.flags.writeable
     for k, g in enumerate(ch.group_ops):
-        l_mat = build_block_encoding(g, dec)
+        l_mat = reference_block_encoding(g, dec)
         na = len(l_mat) // 3
+        assert np.array_equal(cols[k, :na], first_block_column(g, dec))
         assert np.all(cols[k, na:] == 0.0)
-        # the first d columns of L_k with identity ancillas tensored on the left up to a*
-        assert np.array_equal(cols[k].reshape(12, 3), np.kron(np.eye(4 // na), l_mat)[:, :3])
+        # the first d columns of the dense L_k with identity ancillas tensored on the left up to a*
+        assert np.linalg.norm(cols[k].reshape(12, 3) - np.kron(np.eye(4 // na), l_mat)[:, :3]) <= 1e-12
         assert np.linalg.norm(cols[k, 0] - g.operator) < 1e-10
+
+
+def test_first_columns_memory_is_a_few_columns():
+    # m = 8, d = 64 in one group of eight, so 2**a* = 8: the first block
+    # column takes 8 x 64 x 64 x 16 B = 0.5 MB, and the channel builds it
+    # from the member unitaries alone, never the 512 x 512 encoding (4 MB)
+    rng = np.random.default_rng(16)
+    ch = HybridChannel(random_lcu(8, 64, rng), Partition.coherent(8))
+    assert ch.a_star == 3
+    peak = _traced_peak(lambda: ch.first_columns)
+    nbytes = ch.first_columns.nbytes
+    assert peak < 5 * nbytes, peak / nbytes
 
 
 ## ------------------------------------------------------------------
@@ -250,12 +266,12 @@ def test_outcome_distribution_diagonal_pair_has_no_b1_plane():
 def _dense_pair_state(ch, rho, k, kp):
     # reference: L_c (|+><+|_B (x) |0><0|_A (x) rho) L_c^dag, the whole
     # pair-circuit density on (B x ancilla x system), built with np.kron: each
-    # encoding padded with identity ancillas up to width a*, and the
+    # dense encoding padded with identity ancillas up to width a*, and the
     # controlled pair L_c = [[L_k', 0], [0, L_k]] with L_k' on the zero branch of B
     na = 2**ch.a_star
     zero_a = np.zeros((na, na))
     zero_a[0, 0] = 1.0
-    l_k, l_kp = (build_block_encoding(ch.group_ops[i], ch.decomposition) for i in (k, kp))
+    l_k, l_kp = (reference_block_encoding(ch.group_ops[i], ch.decomposition) for i in (k, kp))
     l_k, l_kp = (np.kron(np.eye(na * ch.dimension // len(l_mat)), l_mat) for l_mat in (l_k, l_kp))
     zero = np.zeros_like(l_k)
     l_c = np.block([[l_kp, zero], [zero, l_k]])
@@ -734,8 +750,8 @@ def test_shot_path_memory_does_not_grow_with_n_or_d(tmp_path):
 
 def test_circuit_oracle_memory_is_the_first_block_columns():
     # m = 8, d = 64 in two groups of four, so W = 2**a* * d = 256: the first
-    # block columns of both groups take 2 x 4 x 64 x 64 x 16 B = 0.5 MB, and each
-    # W x W encoding (1 MB) is live only while its first column is cut out
+    # block columns of both groups take 2 x 4 x 64 x 64 x 16 B = 0.5 MB, and no
+    # W x W encoding (1 MB) is built
     rng = np.random.default_rng(15)
     ch = HybridChannel(random_lcu(8, 64, rng), Partition([[0, 1, 2, 3], [4, 5, 6, 7]], 8))
     assert ch.a_star == 2

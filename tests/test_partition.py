@@ -146,7 +146,7 @@ def test_scan_text_column_matches_per_row_join():
 def test_a_star_is_one_integer_rule():
     # every nonempty S is the one group of width > 0 in {S} + singletons,
     # so the scan's a* of that partition is its per-mask width, and the
-    # block encoding of S carries that many ancilla qubits
+    # first block column of S's encoding has one block per ancilla state
     rng = np.random.default_rng(9)
     for m in range(1, MAX_ENUM_M + 1):
         dec = random_lcu(m, 2, rng)
@@ -157,7 +157,7 @@ def test_a_star_is_one_integer_rule():
             width = math.ceil(math.log2(len(group)))
             assert scanned[part.to_text()] == part.a_star == width
             (op,) = [g for g in group_operators(dec, part) if list(g.members) == group]
-            assert hybrid.build_block_encoding(op, dec).shape == (2**width * 2,) * 2
+            assert hybrid.first_block_column(op, dec).shape == (2**width, 2, 2)
 
 
 ## ------------------------------------------------------------------
@@ -411,6 +411,17 @@ def test_split_delta_rejects_bad_subset():
         split_delta(dec, Partition.coherent(2), 0, [], RHO_PLUS, np.eye(2))
     with pytest.raises(ValueError, match="partition over 3 indices, decomposition has 2 terms"):
         split_delta(dec, Partition.coherent(3), 0, [0], RHO_PLUS, np.eye(2))
+
+
+def test_group_index_outside_range_refused():
+    # a negative index is not read from the end, and G is past the last group
+    dec = lcu.LcuDecomposition.from_terms([1.0, 1.0, 1.0, 1.0], [np.eye(2), PAULI_Z, np.eye(2), PAULI_Z])
+    part = Partition([[0, 1], [2, 3]], 4)
+    for idx in (-1, 2):
+        with pytest.raises(ValueError, match=rf"group_idx = {idx} is outside range\(2\)"):
+            split_delta(dec, part, idx, [2], RHO_PLUS, np.eye(2))
+        with pytest.raises(ValueError, match=rf"group_idx = {idx} is outside range\(2\)"):
+            partition.fragment_bound([0.5, 0.5], idx, np.eye(2))
 
 
 def test_fragment_bound_formula_and_instances():

@@ -131,12 +131,12 @@ def test_no_unused_imports():
 # Exports that no run reaches yet and that the pinned acceptance tests do not
 # name: each is an oracle that another test compares against.
 NAMED_ORACLES = (
-    "lchs.measured_r",  # test_lchs.py::test_rp_bound_dominates_measured_gap; ROADMAP item 4 gives it a run
+    "lchs.measured_r",  # test_lchs.py::test_rp_bound_dominates_measured_gap; ROADMAP's LCHS trade-off item gives it a run
     "lchs.measured_p",  # test_lchs.py::test_rp_bound_dominates_measured_gap, the P side of the measured gap
     "lchs.rp_bound_approx",  # test_lchs.py::test_rp_bound_equals_approx_at_limit_weight
     "lchs.sample_tail",  # test_lchs.py::test_sample_tail_unbiased_against_quadrature
-    "partition.fragment_bound",  # test_partition.py::test_fragment_bound_formula_and_instances; ROADMAP item 1
-    "partition.tail_bound_R",  # test_lchs.py::test_rp_bound_is_tail_bound_in_normalized_weights; ROADMAP item 1
+    "partition.fragment_bound",  # test_partition.py::test_fragment_bound_formula_and_instances; ROADMAP's `hybridlcu optimize` item
+    "partition.tail_bound_R",  # test_lchs.py::test_rp_bound_is_tail_bound_in_normalized_weights; ROADMAP's `hybridlcu optimize` item
     "qcore.expm_i_hermitian",  # test_lchs.py::loop_propagators, the per-node oracle of the batched propagators
     "qlss.assemble",  # test_qlss.py::test_inverse_error_matches_assembled_matrix_route, the matrix the error reads
     "qlss.group_operator",  # test_qlss.py::test_r_int_direct_matches_bruteforce, the sum over j of K_j
