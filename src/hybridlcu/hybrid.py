@@ -370,7 +370,8 @@ def write_shot_csv(path, table, seed: int, chunks: Iterable[np.ndarray]) -> None
     is formatted once. Every ``_CSV_CHUNK_ROWS`` shots are one
     ``"".join`` over three pieces per row: the index's high part and its
     last three digits (``_shot_digits``, from Python ints, so exact past
-    2**63), and the tail its code names.
+    2**63), and the tail its code names. A code outside ``range(len(table))``
+    raises ``ValueError``.
     """
     rows = table[["k", "kprime", "z", "b", "j", "g"]].tolist()
     tails = np.array([f",{k},{kp},{z},{b},{j},{g:.17g}\n" for k, kp, z, b, j, g in rows], dtype=object)
@@ -378,6 +379,8 @@ def write_shot_csv(path, table, seed: int, chunks: Iterable[np.ndarray]) -> None
     def text():
         start = 0
         for codes in chunks:
+            if len(codes) and not (0 <= codes.min() and codes.max() < len(tails)):
+                raise ValueError(f"outcome codes span {codes.min()}..{codes.max()}, outside range({len(tails)})")
             for lo in range(0, len(codes), _CSV_CHUNK_ROWS):
                 part = codes[lo : lo + _CSV_CHUNK_ROWS]
                 pieces = [""] * (3 * len(part))

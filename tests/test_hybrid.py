@@ -656,6 +656,18 @@ def test_write_shot_csv_format(tmp_path):
     assert float(first[6]) == sampler.table.g[codes[0]]
 
 
+def test_write_shot_csv_refuses_codes_outside_the_table(tmp_path):
+    # a negative code would read a table row from the end, and one past the
+    # end has no row; each is refused with the range, in any chunk
+    table = Sampler(*_moment_instance()).table
+    n = len(table)
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match=rf"outside range\({n}\)"):
+            write_shot_csv(tmp_path / "shots.csv", table, 0, [np.array([0, 2]), np.array([bad, 2])])
+    write_shot_csv(tmp_path / "shots.csv", table, 0, [np.array([0, n - 1])])
+    assert len((tmp_path / "shots.csv").read_text().splitlines()) == 4
+
+
 def _write_shot_csv_per_row(path, table, seed, codes):
     # row-at-a-time reference for the table-tail writer
     with open(path, "w") as fh:
