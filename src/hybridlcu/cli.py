@@ -2,16 +2,19 @@
 
 Every subcommand writes CSVs whose final line is a metadata comment with
 the seed and package version, and reruns with the same seed reproduce the
-files byte for byte. --workers is accepted and validated but has no
-effect. ``demo`` draws its shots from per-shot counter-based substreams in
-fixed chunks: each chunk of the observable stream is appended to the shot
-CSV, the identity stream is tallied on a second thread meanwhile, and the
-outcome codes are counted per stream. The statistics come from those
-counts on the sampler's table of g values. Two chunks are live at once,
-one per stream, and the identity stream draws every chunk in one set of
-buffers made before its thread starts, so memory stays bounded in the
-shot count whatever the scheduling. Every other subcommand runs in one
-thread.
+files byte for byte for one numpy build, BLAS kernel and BLAS thread count:
+more BLAS threads round a QR or an eigensolver differently from d = 128
+on, so the CLI sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless the caller set them. --workers is accepted and
+validated but has no effect. ``demo`` draws its shots from per-shot
+counter-based substreams in fixed chunks: each chunk of the observable
+stream is appended to the shot CSV, the identity stream is tallied on a
+second thread meanwhile, and the outcome codes are counted per stream.
+The statistics come from those counts on the sampler's table of g values.
+Two chunks are live at once, one per stream, and the identity stream
+draws every chunk in one set of buffers made before its thread starts, so
+memory stays bounded in the shot count whatever the scheduling. Every
+other subcommand runs in one thread.
 
 The command line is ``<subcommand> [flags]``. Besides ``--config`` and
 ``--emit-plot-script``, each flag ``--NAME`` sets the ``_PARAMS`` key
@@ -32,6 +35,10 @@ import tempfile
 import threading
 from collections.abc import Callable
 from typing import NamedTuple, NoReturn
+
+# set before numpy, imported here or by a package module, loads its BLAS
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 
@@ -101,8 +108,8 @@ _PARAMS = {
     "run.shots": _Param("int", 20000, 1, 2**64),
     "run.out": _Param("str", "."),
     "run.workers": _Param("int", 1, 1),
-    "demo.m": _Param("int", 4, 1, 6),
-    "demo.dim": _Param("int", 4, 2, 8),
+    "demo.m": _Param("int", 4, 1, 8),
+    "demo.dim": _Param("int", 4, 2, 128),
     "demo.delta": _Param("float", 0.05),
     "lchs.l_norm": _Param("float", 2.0),
     "lchs.t": _Param("float", 3.0),
@@ -122,8 +129,8 @@ _PARAMS = {
     "qed.pz_points": _Param("int", 10, 1),
     # inert (the sweep reads every code state's all-ones stabilizer table); kept so config files parse
     "qed.codewords": _Param("int", 32, 1),
-    "partitions.m": _Param("int", 5, 1, 8),
-    "partitions.dim": _Param("int", 4, 2, 8),
+    "partitions.m": _Param("int", 5, 1, partition_mod.MAX_ENUM_M),
+    "partitions.dim": _Param("int", 4, 2, 128),
 }
 
 

@@ -207,15 +207,7 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
     """True iff every group of ``fine`` lies inside one group of ``coarse``."""
     if fine.m != coarse.m:
         raise ValueError("partitions are over different index sets")
-    owner = {}
-    for gi, g in enumerate(coarse.groups):
-        for i in g:
-            owner[i] = gi
-    for g in fine.groups:
-        owners = {owner[i] for i in g}
-        if len(owners) != 1:
-            return False
-    return True
+    return all(any(set(g) <= set(c) for c in coarse.groups) for g in fine.groups)
 
 
 def split_delta(dec, part: Partition, group_idx: int, subset_a, state, obs) -> float:

@@ -109,7 +109,7 @@ def test_missing_grid_key_is_named(tmp_path, capsys):
 
 def test_bad_values_are_config_errors(tmp_path, capsys):
     cases = [
-        ("demo", "demo.m = 7\n"),  # above the demo cap
+        ("demo", "demo.m = 9\n"),  # above the demo cap
         ("demo", "demo.m = banana\n"),
         ("demo", "run.workers = 0\n"),
         ("demo", "run.shots = 0\n"),
@@ -166,7 +166,7 @@ def test_bad_values_are_config_errors(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["gsp", "--config", str(cfg), "--out", str(tmp_path)]) == 2, value
         assert "gsp.dim" in capsys.readouterr().err
-    # one step past each side of every bound in the key table (so demo.dim = 9,
+    # one step past each side of every bound in the key table (so demo.dim = 129,
     # partitions.m = 0, ...) is refused by key, as is a seed below 0
     out_of_range = [("run.seed", -1)]
     for key, param in cli._PARAMS.items():
@@ -306,7 +306,7 @@ def test_module_validation_maps_to_config_error(tmp_path):
 
 def test_partitions_m_cap(tmp_path):
     cfg = tmp_path / "m.cfg"
-    cfg.write_text("partitions.m = 9\n")
+    cfg.write_text("partitions.m = 11\n")
     assert cli.main(["partitions", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
@@ -868,6 +868,63 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "52 rows" in proc.stdout
     assert (tmp_path / "partitions.csv").is_file()
+
+
+def test_ci_cases_are_runs_the_cli_accepts(tmp_path):
+    # every case of the CI workflow's byte-identity table, split as its step
+    # splits it, names a subcommand and config keys that the CLI's own reader
+    # takes, so a case past a key's range fails here and not only in CI
+    workflow = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = [line.strip() for line in workflow.read_text().splitlines()]
+    begin, end = lines.index("# cases: begin"), lines.index("# cases: end")
+    cases = [line.removeprefix("#").split() for line in lines[begin + 1 : end]]
+    assert cases and len({case[0] for case in cases}) == len(cases)
+    shots = []
+    for name, subcommand, rows, *keys in cases:
+        assert subcommand in cli._SUBCOMMANDS, name
+        assert rows == "-" or rows.isdigit(), name
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("".join(key + "\n" for key in keys))
+        p = cli.build_run_config(cli.Args(subcommand, str(cfg), {"run.out": str(tmp_path / name)}, False))
+        if subcommand == "demo":
+            # the row count of the shot CSV is the shot count
+            assert rows == str(p["run.shots"]), name
+            shots.append(p["run.shots"])
+    # the last chunk of some run is a whole one, and of another a partial one
+    chunk = hybrid._CSV_CHUNK_ROWS
+    assert any(n > chunk and n % chunk == 0 for n in shots)
+    assert any(n > chunk and n % chunk for n in shots)
+
+
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # a fresh interpreter's BLAS starts a thread per CPU it may use unless told
+    # otherwise, and at d = 128 the QR of the instance and the eigensolver round
+    # differently with more threads; the CLI's own one-thread default keeps the
+    # bytes, so one CPU and every CPU write the same report
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_THREAD_ENV}
+    run = "import os, sys\n{}from hybridlcu import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    cfg = tmp_path / "gsp.cfg"
+    cfg.write_text("gsp.dim = 128\n")
+    for name, prefix in (("all", ""), ("one", pin)):
+        argv = ["-c", run.format(prefix), "gsp", "--config", str(cfg), "--out", str(tmp_path / name)]
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "all/gsp_report.csv").read_bytes() == (tmp_path / "one/gsp_report.csv").read_bytes()
+
+
+def test_blas_thread_default_keeps_a_set_value():
+    # importing the CLI sets each unset variable to 1 and leaves a set one alone
+    probe = "import os\nimport hybridlcu.cli\nprint(*(os.environ[key] for key in {!r}))".format(_BLAS_THREAD_ENV)
+    unset = {key: value for key, value in os.environ.items() if key not in _BLAS_THREAD_ENV}
+    for env, expected in ((unset, "1 1 1"), ({**unset, **dict.fromkeys(_BLAS_THREAD_ENV, "2")}, "2 2 2")):
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == expected.split()
 
 
 def test_demo_shot_columns_pinned(tmp_path, monkeypatch):

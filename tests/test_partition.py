@@ -133,7 +133,7 @@ def test_scan_rows_equal_reduction_factor_bitwise():
 
 
 def test_scan_text_column_matches_per_row_join():
-    # past the CLI cap of m = 8, up to MAX_ENUM_M: the text column against
+    # past m = 8, up to MAX_ENUM_M (the CLI cap): the text column against
     # one "|".join per row over the label_arrays group bitmasks
     rng = np.random.default_rng(12)
     for m in (9, MAX_ENUM_M):
